@@ -3,35 +3,29 @@
 //! describe.
 //!
 //! Production lakes ingest continuously; the organization must follow
-//! without a full rebuild (DESIGN.md §5i). The contract here mirrors the
-//! feedback evidence log of `org::reopt`:
+//! without a full rebuild (DESIGN.md §5h/5i). The change log shares its
+//! durable log implementation with the feedback evidence log of
+//! `org::reopt`:
 //!
 //! * [`ChangeEvent`] — one ingest-side mutation, identified by *table
 //!   name* (names are the stable identity across lake rebuilds; dense
 //!   [`TableId`](crate::TableId)s are not). `TableRetagged` replaces the
 //!   table's **entire** tag assignment: afterwards every attribute of the
 //!   table carries exactly the new labels.
-//! * [`ChangeLog`] — a durable, checksummed log: a sealed snapshot at
-//!   `<base>` (published via [`dln_persist::atomic_write`], so one
-//!   previous generation always survives at `<base>.prev`) plus a WAL at
-//!   `<base>.wal` of `[len:u64][body][fnv1a(body):u64]` frames with
-//!   `body = [seq:u64][event bytes]`, fsynced per append. Appends are
-//!   **ack-after-durable**: the sequence number is returned only once the
-//!   frame is on disk, so a torn append (including the injected
-//!   `churn.log_torn` tear) is never acknowledged and is discarded by the
-//!   next append or open. A torn WAL tail is truncated on open with a
-//!   warning; a *gap* in sequence numbers is [`DlnError::Corrupt`] (frames
-//!   don't tear in the middle of a file — a gap means lost data). A frame
-//!   whose checksum passes but whose event payload doesn't decode is
-//!   **quarantined**: skipped with a counter, its sequence number still
-//!   advances, and everything after it still applies.
+//! * [`ChangeLog`] — the durable, checksummed log: a
+//!   [`dln_persist::SeqLog`] whose state is the full [`ChangeHistory`]
+//!   (snapshot `DLNCDCSN` at `<base>`, WAL at `<base>.wal`). Appends are
+//!   **ack-after-durable**, so a torn append (the injected
+//!   `churn.log_torn` tear) is never acknowledged; a torn tail is
+//!   truncated on open, a sequence gap is [`DlnError::Corrupt`], and a
+//!   checksum-valid frame whose event does not decode is quarantined.
 //! * [`replay`] — the pure fold `(seed lake, events) → lake`. Replay is
 //!   deterministic and idempotent, which is what lets a crashed maintainer
 //!   reconstruct the exact lake any committed plan was made against from
 //!   `(seed, events ≤ applied_seq)` alone. Unlike compaction of the
-//!   evidence log, [`ChangeLog::compact`] keeps the **full** event history
-//!   in the snapshot — the seed lake is the replay anchor, so no event is
-//!   ever folded away.
+//!   evidence log, compacting the change log keeps the **full** event
+//!   history in the snapshot — the seed lake is the replay anchor, so no
+//!   event is ever folded away.
 //!
 //! Apply-level no-ops (removing an absent table, re-adding an existing
 //! name, retagging an absent table) are *not* errors: CDC producers
@@ -39,20 +33,13 @@
 //! accounting ("no event lost, none double-applied") stays testable.
 
 use std::collections::HashMap;
-use std::io::{Seek as _, SeekFrom, Write as _};
-use std::path::{Path, PathBuf};
 
 use dln_embed::TopicAccumulator;
 use dln_fault::{DlnError, DlnResult};
-use dln_persist as persist;
+use dln_persist::{self as persist, SeqLog, SeqState};
 
 use crate::builder::LakeBuilder;
 use crate::model::DataLake;
-
-/// Magic prefix of a change-log snapshot file.
-const SNAP_MAGIC: &[u8; 8] = b"DLNCDCSN";
-/// Change-log snapshot format version.
-const SNAP_VERSION: u8 = 1;
 
 /// One attribute of a [`ChangeEvent::TableAdded`] payload.
 #[derive(Clone, Debug, PartialEq)]
@@ -94,25 +81,10 @@ pub enum ChangeEvent {
     },
 }
 
-fn put_str(w: &mut persist::Writer, s: &str) {
-    w.u32(s.len() as u32);
-    w.bytes(s.as_bytes());
-}
-
-fn get_str(r: &mut persist::Reader<'_>, context: &str) -> DlnResult<String> {
-    let n = r.u32()? as usize;
-    if n > r.total_len() {
-        return Err(DlnError::corrupt(context, "implausible string length"));
-    }
-    let bytes = r.take(n)?;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| DlnError::corrupt(context, "string is not valid UTF-8"))
-}
-
 fn put_labels(w: &mut persist::Writer, labels: &[String]) {
     w.u32(labels.len() as u32);
     for l in labels {
-        put_str(w, l);
+        w.str(l);
     }
 }
 
@@ -121,11 +93,7 @@ fn get_labels(r: &mut persist::Reader<'_>, context: &str) -> DlnResult<Vec<Strin
     if n > r.total_len() {
         return Err(DlnError::corrupt(context, "implausible label count"));
     }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_str(r, context)?);
-    }
-    Ok(out)
+    (0..n).map(|_| r.str()).collect()
 }
 
 impl ChangeEvent {
@@ -164,11 +132,11 @@ impl ChangeEvent {
         match self {
             ChangeEvent::TableAdded { name, tags, attrs } => {
                 w.u8(1);
-                put_str(&mut w, name);
+                w.str(name);
                 put_labels(&mut w, tags);
                 w.u32(attrs.len() as u32);
                 for a in attrs {
-                    put_str(&mut w, &a.name);
+                    w.str(&a.name);
                     w.u32(a.n_values);
                     w.u64(a.topic.count());
                     w.u32(a.topic.dim() as u32);
@@ -180,11 +148,11 @@ impl ChangeEvent {
             }
             ChangeEvent::TableRemoved { name } => {
                 w.u8(2);
-                put_str(&mut w, name);
+                w.str(name);
             }
             ChangeEvent::TableRetagged { name, tags } => {
                 w.u8(3);
-                put_str(&mut w, name);
+                w.str(name);
                 put_labels(&mut w, tags);
             }
         }
@@ -201,7 +169,7 @@ impl ChangeEvent {
         let mut r = persist::Reader::new(bytes, 0, context);
         let ev = match r.u8()? {
             1 => {
-                let name = get_str(&mut r, context)?;
+                let name = r.str()?;
                 let tags = get_labels(&mut r, context)?;
                 let n_attrs = r.u32()? as usize;
                 if n_attrs > bytes.len() {
@@ -209,7 +177,7 @@ impl ChangeEvent {
                 }
                 let mut attrs = Vec::with_capacity(n_attrs);
                 for _ in 0..n_attrs {
-                    let name = get_str(&mut r, context)?;
+                    let name = r.str()?;
                     let n_values = r.u32()?;
                     let count = r.u64()?;
                     let dim = r.u32()? as usize;
@@ -230,11 +198,9 @@ impl ChangeEvent {
                 }
                 ChangeEvent::TableAdded { name, tags, attrs }
             }
-            2 => ChangeEvent::TableRemoved {
-                name: get_str(&mut r, context)?,
-            },
+            2 => ChangeEvent::TableRemoved { name: r.str()? },
             3 => ChangeEvent::TableRetagged {
-                name: get_str(&mut r, context)?,
+                name: r.str()?,
                 tags: get_labels(&mut r, context)?,
             },
             k => {
@@ -251,276 +217,83 @@ impl ChangeEvent {
     }
 }
 
-/// The durable CDC change log: full event history as a sealed snapshot
-/// plus a WAL tail. See the module docs for the on-disk contract.
-#[derive(Debug)]
-pub struct ChangeLog {
-    snap_path: PathBuf,
-    wal_path: PathBuf,
-    /// Full decoded history, `(seq, event)`, ascending; quarantined
-    /// sequence numbers are absent.
-    events: Vec<(u64, ChangeEvent)>,
-    /// Last durably appended (or quarantine-skipped) sequence number.
-    last_seq: u64,
-    /// Last sequence number covered by the on-disk snapshot.
-    snap_seq: u64,
-    /// Length of the known-valid WAL prefix (bytes).
-    clean_len: u64,
-    /// Checksum-valid frames whose event payload failed to decode.
-    quarantined: u64,
+/// The change log's folded state: the full decoded history,
+/// `(seq, event)`, ascending. Quarantined sequence numbers are absent.
+#[derive(Clone, Debug, Default)]
+pub struct ChangeHistory(Vec<(u64, ChangeEvent)>);
+
+impl ChangeHistory {
+    /// The full history, ascending by sequence number.
+    pub fn events(&self) -> &[(u64, ChangeEvent)] {
+        &self.0
+    }
+
+    /// The events with sequence number ≤ `seq`, in order.
+    pub fn events_through(&self, seq: u64) -> impl Iterator<Item = &ChangeEvent> {
+        self.0
+            .iter()
+            .take_while(move |(s, _)| *s <= seq)
+            .map(|(_, e)| e)
+    }
 }
 
-impl ChangeLog {
-    /// Open (or create) the change log rooted at `base`; torn WAL tails
-    /// are truncated, a torn snapshot falls back to `<base>.prev`, a
-    /// sequence gap is [`DlnError::Corrupt`].
-    pub fn open(base: &Path) -> DlnResult<ChangeLog> {
-        let snap_path = base.to_path_buf();
-        let mut wal_os = base.as_os_str().to_os_string();
-        wal_os.push(".wal");
-        let wal_path = PathBuf::from(wal_os);
+/// Snapshot body: `[quarantined:u64][n:u64]` then per event
+/// `[seq:u64][len:u64][event bytes]`.
+impl SeqState for ChangeHistory {
+    type Event = ChangeEvent;
+    const MAGIC: &'static [u8; 8] = b"DLNCDCSN";
+    const VERSION: u8 = 1;
+    const NAME: &'static str = "change-log";
+    const TORN_SITE: &'static str = "churn.log_torn";
 
-        let (mut events, snap_seq, mut quarantined) =
-            if snap_path.exists() || persist::prev_path(&snap_path).exists() {
-                persist::load_with_fallback(&snap_path, "change-log snapshot", Self::load_snapshot)?
-            } else {
-                (Vec::new(), 0, 0)
-            };
-
-        let mut last_seq = snap_seq;
-        let mut clean_len = 0u64;
-        if wal_path.exists() {
-            let bytes = std::fs::read(&wal_path)
-                .map_err(|e| DlnError::io(wal_path.display().to_string(), e))?;
-            let context = wal_path.display().to_string();
-            let mut pos = 0usize;
-            loop {
-                if pos + 8 > bytes.len() {
-                    break; // clean end or torn length word
-                }
-                let len = u64::from_le_bytes(
-                    bytes[pos..pos + 8]
-                        .try_into()
-                        .map_err(|_| DlnError::corrupt(&context, "frame length"))?,
-                ) as usize;
-                let Some(frame_end) = pos
-                    .checked_add(8)
-                    .and_then(|p| p.checked_add(len))
-                    .and_then(|p| p.checked_add(8))
-                else {
-                    break; // implausible length — torn tail
-                };
-                if frame_end > bytes.len() {
-                    break; // torn tail
-                }
-                let body = &bytes[pos + 8..pos + 8 + len];
-                let stored = u64::from_le_bytes(
-                    bytes[pos + 8 + len..frame_end]
-                        .try_into()
-                        .map_err(|_| DlnError::corrupt(&context, "frame checksum"))?,
-                );
-                if persist::fnv1a(body) != stored {
-                    break; // torn or corrupt frame — truncate here
-                }
-                let mut r = persist::Reader::new(body, 0, &context);
-                let seq = r.u64()?;
-                if seq > snap_seq {
-                    if seq != last_seq + 1 {
-                        return Err(DlnError::corrupt(
-                            &context,
-                            format!(
-                                "change-log sequence gap: expected {}, found {seq}",
-                                last_seq + 1
-                            ),
-                        ));
-                    }
-                    // A checksum-valid frame with an undecodable payload is
-                    // quarantined: the write was not torn (the checksum
-                    // covers every payload byte), so skipping it cannot
-                    // mask data loss — later frames still apply.
-                    match ChangeEvent::decode(&body[r.pos()..], &context) {
-                        Ok(ev) => events.push((seq, ev)),
-                        Err(e) => {
-                            eprintln!("warning: quarantining change-log frame seq {seq} ({e})");
-                            quarantined += 1;
-                        }
-                    }
-                    last_seq = seq;
-                }
-                pos = frame_end;
-                clean_len = pos as u64;
-            }
-            if (clean_len as usize) < bytes.len() {
-                eprintln!(
-                    "warning: change-log WAL {} has a torn tail ({} of {} bytes valid); truncating",
-                    wal_path.display(),
-                    clean_len,
-                    bytes.len()
-                );
-                let f = std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&wal_path)
-                    .map_err(|e| DlnError::io(wal_path.display().to_string(), e))?;
-                f.set_len(clean_len)
-                    .map_err(|e| DlnError::io(wal_path.display().to_string(), e))?;
-                f.sync_all()
-                    .map_err(|e| DlnError::io(wal_path.display().to_string(), e))?;
-            }
-        }
-        Ok(ChangeLog {
-            snap_path,
-            wal_path,
-            events,
-            last_seq,
-            snap_seq,
-            clean_len,
-            quarantined,
-        })
+    fn fold(&mut self, seq: u64, event: &ChangeEvent) {
+        self.0.push((seq, event.clone()));
     }
 
-    #[allow(clippy::type_complexity)]
-    fn load_snapshot(path: &Path) -> DlnResult<(Vec<(u64, ChangeEvent)>, u64, u64)> {
-        let bytes = std::fs::read(path).map_err(|e| DlnError::io(path.display().to_string(), e))?;
-        let context = path.display().to_string();
-        let payload = persist::verify_sealed(&bytes, &context)?;
-        let mut r = persist::Reader::new(payload, 0, &context);
-        if r.take(8)? != SNAP_MAGIC {
-            return Err(DlnError::corrupt(&context, "not a change-log snapshot"));
-        }
-        let version = r.u8()?;
-        if version != SNAP_VERSION {
-            return Err(DlnError::corrupt(
-                &context,
-                format!("unsupported change-log snapshot version {version}"),
-            ));
-        }
-        let seq = r.u64()?;
-        let quarantined = r.u64()?;
-        let n = r.u64()? as usize;
-        if n > payload.len() {
-            return Err(DlnError::corrupt(&context, "implausible event count"));
-        }
-        let mut events = Vec::with_capacity(n);
-        let mut prev = 0u64;
-        for _ in 0..n {
-            let eseq = r.u64()?;
-            if eseq <= prev || eseq > seq {
-                return Err(DlnError::corrupt(&context, "snapshot sequence disorder"));
-            }
-            prev = eseq;
-            let len = r.len_prefix()?;
-            let ev = ChangeEvent::decode(r.take(len)?, &context)?;
-            events.push((eseq, ev));
-        }
-        if r.pos() != payload.len() {
-            return Err(DlnError::corrupt(&context, "trailing bytes"));
-        }
-        Ok((events, seq, quarantined))
+    fn encode_event(event: &ChangeEvent) -> Vec<u8> {
+        event.encode()
     }
 
-    /// Durably append one event, returning its sequence number. The frame
-    /// is fsynced before this returns `Ok`; on any error (including the
-    /// injected `churn.log_torn` tear) nothing is acknowledged and the
-    /// write is discarded by the next append or open.
-    pub fn append(&mut self, event: &ChangeEvent) -> DlnResult<u64> {
-        let seq = self.last_seq + 1;
-        let ev_bytes = event.encode();
-        let mut body = Vec::with_capacity(8 + ev_bytes.len());
-        body.extend_from_slice(&seq.to_le_bytes());
-        body.extend_from_slice(&ev_bytes);
-        let mut frame = Vec::with_capacity(16 + body.len());
-        frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&persist::fnv1a(&body).to_le_bytes());
-
-        let torn = dln_fault::should_fail("churn.log_torn");
-        let write_len = if torn {
-            frame.len() * 2 / 3
-        } else {
-            frame.len()
-        };
-        let io_err = |e| DlnError::io(self.wal_path.display().to_string(), e);
-        let mut f = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&self.wal_path)
-            .map_err(io_err)?;
-        // Discard any torn tail a previous failed append left behind.
-        f.set_len(self.clean_len).map_err(io_err)?;
-        f.seek(SeekFrom::Start(self.clean_len)).map_err(io_err)?;
-        f.write_all(&frame[..write_len]).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-        if torn {
-            return Err(DlnError::corrupt(
-                self.wal_path.display().to_string(),
-                "injected torn change-log append (churn.log_torn)",
-            ));
-        }
-        self.clean_len += frame.len() as u64;
-        self.last_seq = seq;
-        self.events.push((seq, event.clone()));
-        Ok(seq)
+    fn decode_event(bytes: &[u8], context: &str) -> DlnResult<ChangeEvent> {
+        ChangeEvent::decode(bytes, context)
     }
 
-    /// Atomically fold the WAL into the snapshot and truncate it. The
-    /// snapshot keeps the *full* event history (the seed lake is the
-    /// replay anchor); a crash between the two steps is safe because
-    /// frames the snapshot already covers are skipped by sequence number
-    /// on the next open.
-    pub fn compact(&mut self) -> DlnResult<()> {
-        let mut w = persist::Writer::with_capacity(64 + 32 * self.events.len());
-        w.bytes(SNAP_MAGIC);
-        w.u8(SNAP_VERSION);
-        w.u64(self.last_seq);
-        w.u64(self.quarantined);
-        w.u64(self.events.len() as u64);
-        for (seq, ev) in &self.events {
+    fn write_snapshot(&self, quarantined: u64, w: &mut persist::Writer) {
+        w.u64(quarantined);
+        w.u64(self.0.len() as u64);
+        for (seq, ev) in &self.0 {
             w.u64(*seq);
             let bytes = ev.encode();
             w.u64(bytes.len() as u64);
             w.bytes(&bytes);
         }
-        persist::atomic_write(&self.snap_path, &w.seal())?;
-        self.snap_seq = self.last_seq;
-        let io_err = |e| DlnError::io(self.wal_path.display().to_string(), e);
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&self.wal_path)
-            .map_err(io_err)?;
-        f.set_len(0).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-        self.clean_len = 0;
-        Ok(())
     }
 
-    /// The full durable history: `(seq, event)`, ascending. Quarantined
-    /// sequence numbers are absent.
-    pub fn events(&self) -> &[(u64, ChangeEvent)] {
-        &self.events
-    }
-
-    /// The events with sequence number ≤ `seq`, in order.
-    pub fn events_through(&self, seq: u64) -> impl Iterator<Item = &ChangeEvent> {
-        self.events
-            .iter()
-            .take_while(move |(s, _)| *s <= seq)
-            .map(|(_, e)| e)
-    }
-
-    /// Sequence number of the last durably appended frame.
-    pub fn last_seq(&self) -> u64 {
-        self.last_seq
-    }
-
-    /// Checksum-valid frames whose event payload failed to decode.
-    pub fn quarantined(&self) -> u64 {
-        self.quarantined
+    fn read_snapshot(
+        r: &mut persist::Reader<'_>,
+        seq: u64,
+        context: &str,
+    ) -> DlnResult<(ChangeHistory, u64)> {
+        let quarantined = r.u64()?;
+        let n = r.len_prefix()?;
+        let mut events = Vec::with_capacity(n);
+        let mut prev = 0u64;
+        for _ in 0..n {
+            let eseq = r.u64()?;
+            if eseq <= prev || eseq > seq {
+                return Err(DlnError::corrupt(context, "snapshot sequence disorder"));
+            }
+            prev = eseq;
+            let len = r.len_prefix()?;
+            events.push((eseq, ChangeEvent::decode(r.take(len)?, context)?));
+        }
+        Ok((ChangeHistory(events), quarantined))
     }
 }
+
+/// The durable CDC change log over the full [`ChangeHistory`]. See the
+/// module docs for the on-disk contract.
+pub type ChangeLog = SeqLog<ChangeHistory>;
 
 /// What a [`replay`] fold did, beyond the lake itself.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -682,6 +455,7 @@ pub fn replay<'a>(
 mod tests {
     use super::*;
     use dln_embed::TopicAccumulator;
+    use std::path::PathBuf;
 
     fn topic(bias: f32) -> TopicAccumulator {
         TopicAccumulator::from_sum(vec![bias, 1.0 - bias, 0.25], 2)
@@ -773,7 +547,7 @@ mod tests {
         // Reopen: WAL replays.
         let log2 = ChangeLog::open(&base).expect("reopen");
         assert_eq!(log2.last_seq(), 2);
-        assert_eq!(log2.events().len(), 2);
+        assert_eq!(log2.state().events().len(), 2);
         // Compact keeps the full history; later appends extend it.
         log.compact().expect("compact");
         log.append(&ChangeEvent::TableRetagged {
@@ -783,8 +557,12 @@ mod tests {
         .expect("append 3");
         let log3 = ChangeLog::open(&base).expect("reopen after compact");
         assert_eq!(log3.last_seq(), 3);
-        assert_eq!(log3.events().len(), 3, "compaction folds nothing away");
-        assert_eq!(log3.events()[0].0, 1);
+        assert_eq!(
+            log3.state().events().len(),
+            3,
+            "compaction folds nothing away"
+        );
+        assert_eq!(log3.state().events()[0].0, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -813,20 +591,9 @@ mod tests {
             // …and a fresh open truncates any torn tail left on disk.
             let log2 = ChangeLog::open(&base).expect("reopen");
             assert_eq!(log2.last_seq(), 2);
-            assert_eq!(log2.events()[1].1.table_name(), "t3");
+            assert_eq!(log2.state().events()[1].1.table_name(), "t3");
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    fn raw_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&seq.to_le_bytes());
-        body.extend_from_slice(payload);
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&persist::fnv1a(&body).to_le_bytes());
-        frame
     }
 
     #[test]
@@ -834,11 +601,9 @@ mod tests {
         let dir = tmp("gap");
         let base = dir.join("cdc");
         let ev = added("t", &[], vec![]);
-        let mut wal = raw_frame(1, &ev.encode());
-        wal.extend_from_slice(&raw_frame(3, &ev.encode())); // 2 missing
-        let mut wal_path = base.as_os_str().to_os_string();
-        wal_path.push(".wal");
-        std::fs::write(&wal_path, &wal).expect("write wal");
+        let mut wal = persist::wal_frame(1, &ev.encode());
+        wal.extend_from_slice(&persist::wal_frame(3, &ev.encode())); // 2 missing
+        std::fs::write(persist::wal_path(&base), &wal).expect("write wal");
         let err = ChangeLog::open(&base).unwrap_err();
         assert!(matches!(err, DlnError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("sequence gap"), "{err}");
@@ -850,17 +615,19 @@ mod tests {
         let dir = tmp("quarantine");
         let base = dir.join("cdc");
         let good = added("t", &[], vec![]);
-        let mut wal = raw_frame(1, &good.encode());
-        wal.extend_from_slice(&raw_frame(2, &[0xFF, 0x00, 0x01])); // junk payload
-        wal.extend_from_slice(&raw_frame(3, &good.encode()));
-        let mut wal_path = base.as_os_str().to_os_string();
-        wal_path.push(".wal");
-        std::fs::write(&wal_path, &wal).expect("write wal");
+        let mut wal = persist::wal_frame(1, &good.encode());
+        wal.extend_from_slice(&persist::wal_frame(2, &[0xFF, 0x00, 0x01])); // junk payload
+        wal.extend_from_slice(&persist::wal_frame(3, &good.encode()));
+        std::fs::write(persist::wal_path(&base), &wal).expect("write wal");
         let log = ChangeLog::open(&base).expect("open quarantines, not fails");
         assert_eq!(log.last_seq(), 3, "sequence still advances");
         assert_eq!(log.quarantined(), 1);
         assert_eq!(
-            log.events().iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+            log.state()
+                .events()
+                .iter()
+                .map(|(s, _)| *s)
+                .collect::<Vec<_>>(),
             vec![1, 3],
             "frames after the quarantined one still apply"
         );

@@ -26,7 +26,7 @@ pub mod numeric;
 pub mod stats;
 
 pub use builder::LakeBuilder;
-pub use cdc::{replay, AttrChange, ChangeEvent, ChangeLog, ReplayStats};
+pub use cdc::{replay, AttrChange, ChangeEvent, ChangeHistory, ChangeLog, ReplayStats};
 pub use csv::{Ingest, IngestReport};
 pub use model::{AttrId, Attribute, DataLake, Table, TableId, Tag, TagId};
 pub use numeric::{NumericCatalog, NumericColumn, NumericProfile};

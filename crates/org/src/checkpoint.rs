@@ -22,7 +22,7 @@
 //! write — simulated by the `checkpoint.torn` failpoint, which truncates
 //! the buffer before it reaches the filesystem — fails the checksum on
 //! load and is reported as [`DlnError::Corrupt`]. Publication goes
-//! through the shared [`crate::persist`] plumbing: [`Checkpoint::save`]
+//! through the shared [`dln_persist`] plumbing: [`Checkpoint::save`]
 //! stages to `<path>.tmp`, fsyncs, rotates the previous file to
 //! `<path>.prev` and renames into place, so
 //! [`Checkpoint::load_with_fallback`] can fall back one generation when
@@ -41,8 +41,8 @@ use std::path::{Path, PathBuf};
 use dln_fault::{DlnError, DlnResult};
 
 use crate::ops::OpKind;
-use crate::persist::{self, Reader, Writer};
 use crate::search::IterStats;
+use dln_persist::{self as persist, Reader, Writer};
 
 /// File magic (8 bytes, includes a format generation byte).
 const MAGIC: &[u8; 8] = b"DLNCKPT\x01";

@@ -33,9 +33,6 @@
 //!   (§3.4).
 //! * [`search`] — the Metropolis local-search loop (§3.3, Eq 9), with
 //!   deadline-aware, checkpointed execution and bit-identical resume.
-//! * [`persist`] — shared persistence plumbing: FNV-1a checksum framing,
-//!   atomic publish (`<path>.tmp` + fsync + rename) with `.prev`
-//!   rotation, and generation-fallback loading.
 //! * [`checkpoint`] — versioned, checksummed search checkpoints (the
 //!   crash-safety layer; see DESIGN.md §5c).
 //! * [`store`] — the persistent zero-copy organization store: a complete
@@ -49,12 +46,11 @@
 //! * [`shard`] — sharded single-dimension construction: tags split into
 //!   embedding clusters, per-shard parallel search, shard roots stitched
 //!   under a top-level router state (DESIGN.md §5e).
-//! * [`reopt`] — the crash-safe feedback-driven re-optimization loop:
-//!   durable evidence log, epoch-committed cycles, shard-scoped
-//!   checkpointed search, and graft-back shard republish (DESIGN.md §5h).
-//! * [`maintain`] — crash-safe incremental maintenance under ingest
-//!   churn: durable CDC change log → delta apply → localized re-search →
-//!   cross-shard rebalance, published shard-scoped (DESIGN.md §5i).
+//! * `cycle` — the crash-safe epoch-committed [`Cycle`] engine: durable
+//!   plan commit, checkpointed shard re-search, graft-back shard
+//!   republish (DESIGN.md §5h/5i). Two planners drive it: `reopt`
+//!   ([`Reoptimizer`], feedback over a durable [`EvidenceLog`]) and
+//!   `maintain` ([`Maintainer`], ingest churn over the CDC change log).
 //! * [`success`] — the success-probability evaluation measure (§4.2).
 //! * [`navigate`] — interactive navigation over a built organization
 //!   (state labelling and query-conditioned transitions, §4.4 prototype).
@@ -68,17 +64,17 @@ pub mod bitset;
 pub mod builder;
 pub mod checkpoint;
 pub mod ctx;
+mod cycle;
 pub mod eval;
 pub mod export;
 pub mod feedback;
 pub mod graph;
 pub mod init;
-pub mod maintain;
+mod maintain;
 pub mod multidim;
 pub mod navigate;
 pub mod ops;
-pub mod persist;
-pub mod reopt;
+mod reopt;
 pub mod search;
 pub mod shard;
 pub mod store;
@@ -90,18 +86,19 @@ pub use bitset::BitSet;
 pub use builder::{BuiltOrganization, OrganizerBuilder};
 pub use checkpoint::{Checkpoint, CheckpointConfig};
 pub use ctx::{LocalAttr, LocalTag, OrgContext};
+pub use cycle::{Advance, Cycle, CyclePhase, CycleStage, Planner, EMPTY_SHARD};
 pub use eval::{Evaluator, NavConfig};
 pub use export::{load_json, save_json, to_dot};
 pub use feedback::NavigationLog;
 pub use graph::{Organization, StateId};
 pub use init::{bisecting_org, clustering_org, flat_org, random_org};
-pub use maintain::{MaintAdvance, MaintConfig, MaintStage, Maintainer, EMPTY_SHARD};
+pub use maintain::{MaintConfig, Maintainer};
 pub use multidim::{MultiDimConfig, MultiDimOrganization};
 pub use navigate::{
     transition_probs_from, transition_probs_from_mat, transition_probs_over, Navigator,
 };
 pub use ops::{OpKind, OpOutcome};
-pub use reopt::{Advance, CyclePhase, CycleStage, EvidenceLog, ReoptConfig, Reoptimizer};
+pub use reopt::{EvidenceLog, ReoptConfig, Reoptimizer};
 pub use search::{IterStats, SearchConfig, SearchStats, ShardPolicy, StopReason};
 pub use shard::{
     build_sharded, build_sharded_group, derive_shard_seed, ShardedBuild, AUTO_SHARD_MAX,

@@ -3,91 +3,64 @@
 //! Where [`crate::reopt`] re-optimizes a *fixed* lake in response to user
 //! feedback, a [`Maintainer`] keeps a served organization aligned with a
 //! *moving* lake: tables arrive, disappear and get retagged while
-//! navigation sessions are live. The cycle mirrors the re-optimizer's
-//! epoch-committed state machine:
+//! navigation sessions are live. It is the [`Cycle`] engine driven by the
+//! churn planner:
 //!
-//! 1. **Ingest** — CDC events ([`ChangeEvent`]) are durably appended to a
-//!    checksummed [`ChangeLog`] (`dln-lake`); the ack is the returned
-//!    sequence number, written and fsynced before the caller may consider
-//!    the event accepted (*ack-after-durable*). A torn append
-//!    (`churn.log_torn`) acknowledges nothing and the tail is discarded
-//!    on recovery.
-//! 2. **Plan** — the maintainer replays the log onto the seed lake (a
-//!    pure fold) and derives the next shard assignment: surviving labels
-//!    stay put, labels whose tag left the lake are dropped, new labels
-//!    are admitted into the nearest shard by topic-centroid cosine, and a
+//! 1. **Ingest** — CDC events ([`ChangeEvent`]) are durably appended to
+//!    the [`ChangeLog`] (`dln-lake`); the ack is the returned sequence
+//!    number (*ack-after-durable*). A torn append (`churn.log_torn`)
+//!    acknowledges nothing and the tail is discarded on recovery.
+//! 2. **Plan** — the planner replays the log onto the seed lake (a pure
+//!    fold) and derives the next shard assignment: surviving labels stay
+//!    put, labels whose tag left the lake are dropped, new labels are
+//!    admitted into the nearest shard by topic-centroid cosine, and a
 //!    label whose centroid affinity drifted past
 //!    [`MaintConfig::rebalance_drift`] is moved across shards. The plan —
 //!    log horizon `to_seq`, full next assignment, affected shard set,
 //!    cross-shard moves, derived seed, pre-cycle fingerprint — is a pure
-//!    function of (change log, organization) and is durably committed
-//!    *before* any mutation, so a killed maintainer replans identically.
+//!    function of (change log, organization), committed before any
+//!    mutation (`churn.crash_mid_plan`).
 //! 3. **Apply** — the served organization is cloned and rebased onto the
 //!    new tag universe ([`Organization::rebase_universe`]: slot-
-//!    preserving, removed tag states tombstoned, new ones appended); only
-//!    the *affected* shards are re-searched (deadline-bounded,
-//!    checkpointed slices, one durable checkpoint per shard) and grafted;
-//!    a rebalance donor that keeps ≥ 2 labels is handled by pure edge
-//!    surgery ([`Organization::shed_tag_from_subtree`]) — no search, so a
-//!    label migrates across shards without rebuilding both. Routing-tier
-//!    tag sets and attribute memberships are recomputed last, then the
-//!    whole organization is validated.
-//! 4. **Publish** — the staged organization carries the changed-slot set
-//!    (tombstones ∪ appended slots; junctions excluded), so the serving
-//!    layer republishes it shard-scoped and sessions on untouched shards
-//!    ride in place. Only after the publish does
-//!    [`Maintainer::mark_published`] commit the cycle, advance
-//!    `applied_seq` and compact the change log.
+//!    preserving, removed tag states tombstoned, new ones appended); a
+//!    rebalance donor that keeps ≥ 2 labels is handled by pure edge
+//!    surgery ([`Organization::shed_tag_from_subtree`]) —
+//!    `churn.crash_mid_apply` fires here. The engine then rebuilds only
+//!    the *affected* shards (`churn.search_kill` between slices); routing-
+//!    tier tag sets and attribute memberships are recomputed last, and the
+//!    whole organization is validated (`churn.crash_mid_publish` before
+//!    staging).
+//! 4. **Publish** — the stage carries the post-churn context and the
+//!    changed-slot set, so the serving layer republishes it shard-scoped.
+//!    [`Cycle::mark_published`] then advances `applied_seq`, adopts the
+//!    new assignment and compacts the change log.
 //!
-//! Every phase boundary is a crash point covered by a failpoint:
-//! `churn.log_torn`, `churn.crash_mid_plan`, `churn.crash_mid_apply`,
-//! `churn.search_kill`, `churn.crash_mid_publish` (catalog in
-//! `dln-fault`). The invariant, enforced by `tests/churn_chaos.rs`: for
-//! any failpoint schedule, a killed maintainer restarted from its durable
-//! directory converges to the bit-identical organization of an
-//! uninterrupted run, and no change event is ever lost or applied twice.
+//! The invariant, enforced by `tests/churn_chaos.rs`: for any failpoint
+//! schedule, a killed maintainer restarted from its durable directory
+//! converges to the bit-identical organization of an uninterrupted run,
+//! and no change event is ever lost or applied twice.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::time::Duration;
 
 use dln_fault::{DlnError, DlnResult};
-use dln_lake::{replay, ChangeEvent, ChangeLog, DataLake, TagId};
+use dln_lake::{replay, ChangeEvent, ChangeLog, DataLake};
+use dln_persist::{Reader, Writer};
 
-use crate::bitset::BitSet;
-use crate::checkpoint::{Checkpoint, CheckpointConfig};
 use crate::ctx::OrgContext;
+use crate::cycle::{
+    derive_cycle_seed, env_slice, env_var, Cycle, Knobs, Planner, Prepared, ShardJob, Sites, State,
+    EMPTY_SHARD,
+};
 use crate::graph::{Organization, StateId};
-use crate::init;
-use crate::persist;
-use crate::reopt::derive_cycle_seed;
-use crate::search::{self, SearchConfig, SearchStats, ShardPolicy, StopReason};
+use crate::search::SearchConfig;
 use crate::shard::ShardedBuild;
-
-/// Magic prefix of the durable maintainer state file.
-const STATE_MAGIC: &[u8; 8] = b"DLNMAINT";
-/// Maintainer state format version.
-const STATE_VERSION: u8 = 1;
-
-/// Root marker of a shard whose last label left the lake. The slot id is
-/// never a valid state (organizations are far smaller than `u32::MAX`).
-pub const EMPTY_SHARD: StateId = StateId(u32::MAX);
-
-/// The typed error for an injected maintainer crash at `site`.
-fn injected(site: &str) -> DlnError {
-    DlnError::io(
-        site.to_string(),
-        std::io::Error::other(format!("injected maintainer crash at {site}")),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Durable state
-// ---------------------------------------------------------------------------
 
 /// A planned cross-shard label move.
 #[derive(Clone, Debug, PartialEq)]
-struct PlannedMove {
+pub struct PlannedMove {
     label: String,
     from: u32,
     to: u32,
@@ -96,7 +69,7 @@ struct PlannedMove {
 /// The in-flight maintenance plan — a pure function of (change log ≤
 /// `to_seq`, shard assignment), durably committed before any mutation.
 #[derive(Clone, Debug, PartialEq)]
-struct PlanState {
+pub struct PlanState {
     /// Log horizon: the cycle applies exactly the events in
     /// `(applied_seq, to_seq]`.
     to_seq: u64,
@@ -106,200 +79,42 @@ struct PlanState {
     pre_fp: u64,
     /// The full next shard→labels assignment.
     shard_labels: Vec<Vec<String>>,
-    /// Sorted indices of shards that need a re-search + graft.
+    /// Sorted indices of shards that need a rebuild.
     affected: Vec<u32>,
     /// Cross-shard rebalance moves (donors not in `affected` are handled
     /// by pure edge surgery).
     moves: Vec<PlannedMove>,
 }
 
-/// Durable maintainer state (`maint.state` under [`MaintConfig::dir`]).
+/// The maintainer's durable head: what the served organization is built
+/// from.
 #[derive(Clone, Debug)]
-struct MaintState {
-    /// Completed-cycle counter.
-    cycle: u64,
+pub struct MaintHead {
     /// Last change-log sequence number folded into the served lake.
     applied_seq: u64,
     /// Shard→labels assignment of the served organization.
     shard_labels: Vec<Vec<String>>,
-    /// Shard roots in the served organization ([`EMPTY_SHARD`] sentinel
-    /// for shards whose labels all left).
-    shard_roots: Vec<StateId>,
-    /// The in-flight plan, if any.
-    plan: Option<PlanState>,
 }
 
-fn write_labels(w: &mut persist::Writer, labels: &[Vec<String>]) {
+fn write_labels(w: &mut Writer, labels: &[Vec<String>]) {
     w.u64(labels.len() as u64);
     for shard in labels {
         w.u64(shard.len() as u64);
         for l in shard {
-            w.u32(l.len() as u32);
-            w.bytes(l.as_bytes());
+            w.str(l);
         }
     }
 }
 
-fn read_string(r: &mut persist::Reader, context: &str) -> DlnResult<String> {
-    let n = r.u32()? as usize;
-    if n > r.total_len() {
-        return Err(DlnError::corrupt(context, "implausible string length"));
-    }
-    String::from_utf8(r.take(n)?.to_vec())
-        .map_err(|_| DlnError::corrupt(context, "label is not UTF-8"))
-}
-
-fn read_labels(r: &mut persist::Reader, context: &str) -> DlnResult<Vec<Vec<String>>> {
-    let n_shards = r.u64()? as usize;
-    if n_shards > r.total_len() {
-        return Err(DlnError::corrupt(context, "implausible shard count"));
-    }
-    let mut out = Vec::with_capacity(n_shards);
-    for _ in 0..n_shards {
-        let n = r.u64()? as usize;
-        if n > r.total_len() {
-            return Err(DlnError::corrupt(context, "implausible label count"));
-        }
-        let mut shard = Vec::with_capacity(n);
-        for _ in 0..n {
-            shard.push(read_string(r, context)?);
-        }
-        out.push(shard);
-    }
-    Ok(out)
-}
-
-impl MaintState {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = persist::Writer::with_capacity(256);
-        w.bytes(STATE_MAGIC);
-        w.u8(STATE_VERSION);
-        w.u64(self.cycle);
-        w.u64(self.applied_seq);
-        write_labels(&mut w, &self.shard_labels);
-        w.u64(self.shard_roots.len() as u64);
-        for r in &self.shard_roots {
-            w.u32(r.0);
-        }
-        match &self.plan {
-            None => w.u8(0),
-            Some(p) => {
-                w.u8(1);
-                w.u64(p.to_seq);
-                w.u64(p.seed);
-                w.u64(p.pre_fp);
-                write_labels(&mut w, &p.shard_labels);
-                w.u64(p.affected.len() as u64);
-                for &s in &p.affected {
-                    w.u32(s);
-                }
-                w.u64(p.moves.len() as u64);
-                for m in &p.moves {
-                    w.u32(m.label.len() as u32);
-                    w.bytes(m.label.as_bytes());
-                    w.u32(m.from);
-                    w.u32(m.to);
-                }
-            }
-        }
-        w.seal()
-    }
-
-    fn decode(bytes: &[u8], context: &str) -> DlnResult<MaintState> {
-        let payload = persist::verify_sealed(bytes, context)?;
-        let mut r = persist::Reader::new(payload, 0, context);
-        if r.take(8)? != STATE_MAGIC {
-            return Err(DlnError::corrupt(context, "not a maintainer state file"));
-        }
-        let version = r.u8()?;
-        if version != STATE_VERSION {
-            return Err(DlnError::corrupt(
-                context,
-                format!("unsupported maintainer state version {version}"),
-            ));
-        }
-        let cycle = r.u64()?;
-        let applied_seq = r.u64()?;
-        let shard_labels = read_labels(&mut r, context)?;
-        let n_roots = r.u64()? as usize;
-        if n_roots > payload.len() {
-            return Err(DlnError::corrupt(context, "implausible shard count"));
-        }
-        let mut shard_roots = Vec::with_capacity(n_roots);
-        for _ in 0..n_roots {
-            shard_roots.push(StateId(r.u32()?));
-        }
-        if shard_roots.len() != shard_labels.len() {
-            return Err(DlnError::corrupt(context, "shard label/root mismatch"));
-        }
-        let plan = match r.u8()? {
-            0 => None,
-            1 => {
-                let to_seq = r.u64()?;
-                let seed = r.u64()?;
-                let pre_fp = r.u64()?;
-                let plan_labels = read_labels(&mut r, context)?;
-                if plan_labels.len() != shard_roots.len() {
-                    return Err(DlnError::corrupt(context, "plan shard count mismatch"));
-                }
-                let n_aff = r.u64()? as usize;
-                if n_aff > payload.len() {
-                    return Err(DlnError::corrupt(context, "implausible affected count"));
-                }
-                let mut affected = Vec::with_capacity(n_aff);
-                for _ in 0..n_aff {
-                    let s = r.u32()?;
-                    if s as usize >= shard_roots.len() {
-                        return Err(DlnError::corrupt(context, "affected shard out of range"));
-                    }
-                    affected.push(s);
-                }
-                let n_moves = r.u64()? as usize;
-                if n_moves > payload.len() {
-                    return Err(DlnError::corrupt(context, "implausible move count"));
-                }
-                let mut moves = Vec::with_capacity(n_moves);
-                for _ in 0..n_moves {
-                    let label = read_string(&mut r, context)?;
-                    let from = r.u32()?;
-                    let to = r.u32()?;
-                    if from as usize >= shard_roots.len() || to as usize >= shard_roots.len() {
-                        return Err(DlnError::corrupt(context, "move shard out of range"));
-                    }
-                    moves.push(PlannedMove { label, from, to });
-                }
-                Some(PlanState {
-                    to_seq,
-                    seed,
-                    pre_fp,
-                    shard_labels: plan_labels,
-                    affected,
-                    moves,
-                })
-            }
-            b => {
-                return Err(DlnError::corrupt(
-                    context,
-                    format!("bad plan discriminant {b}"),
-                ))
-            }
-        };
-        if r.pos() != payload.len() {
-            return Err(DlnError::corrupt(context, "trailing bytes"));
-        }
-        Ok(MaintState {
-            cycle,
-            applied_seq,
-            shard_labels,
-            shard_roots,
-            plan,
+fn read_labels(r: &mut Reader<'_>) -> DlnResult<Vec<Vec<String>>> {
+    let n_shards = r.len_prefix()?;
+    (0..n_shards)
+        .map(|_| {
+            let n = r.len_prefix()?;
+            (0..n).map(|_| r.str()).collect()
         })
-    }
+        .collect()
 }
-
-// ---------------------------------------------------------------------------
-// Configuration
-// ---------------------------------------------------------------------------
 
 /// Configuration of a [`Maintainer`].
 #[derive(Clone, Debug)]
@@ -324,9 +139,8 @@ pub struct MaintConfig {
     /// another shard. Defaults to the `DLN_REBALANCE_DRIFT` environment
     /// variable, else `0.05`.
     pub rebalance_drift: f64,
-    /// Suggested cadence for driver loops: run one cycle every `every`
-    /// ingested events. Advisory — the maintainer itself is cadence-free.
-    /// Defaults to the `DLN_CHURN_EVERY` environment variable, else 16.
+    /// Suggested cadence for driver loops, in ingested events per cycle
+    /// (default 16). The maintainer never reads it.
     pub every: u64,
     /// Base path of the CDC change log (snapshot at `<path>`, WAL at
     /// `<path>.wal`). Defaults to `<dir>/cdc`, overridden by the
@@ -335,106 +149,42 @@ pub struct MaintConfig {
 }
 
 impl MaintConfig {
-    /// A configuration rooted at `dir`, with the `DLN_CHURN_EVERY`,
-    /// `DLN_CHURN_DEADLINE_MS`, `DLN_REBALANCE_DRIFT` and `DLN_CDC_PATH`
-    /// environment overrides applied.
+    /// A configuration rooted at `dir`, with the `DLN_CHURN_DEADLINE_MS`,
+    /// `DLN_REBALANCE_DRIFT` and `DLN_CDC_PATH` environment overrides
+    /// applied.
     pub fn new(dir: impl Into<PathBuf>) -> MaintConfig {
-        let slice = std::env::var("DLN_CHURN_DEADLINE_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis);
-        let every = std::env::var("DLN_CHURN_EVERY")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(16);
-        let rebalance_drift = std::env::var("DLN_REBALANCE_DRIFT")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|d| d.is_finite())
-            .unwrap_or(0.05);
-        let cdc_path = std::env::var("DLN_CDC_PATH").ok().map(PathBuf::from);
         MaintConfig {
             dir: dir.into(),
             search: SearchConfig::default(),
-            slice,
+            slice: env_slice("DLN_CHURN_DEADLINE_MS"),
             ckpt_every: 8,
-            rebalance_drift,
-            every,
-            cdc_path,
+            rebalance_drift: env_var::<f64>("DLN_REBALANCE_DRIFT")
+                .filter(|d| d.is_finite())
+                .unwrap_or(0.05),
+            every: 16,
+            cdc_path: std::env::var_os("DLN_CDC_PATH").map(PathBuf::from),
         }
     }
-
-    /// Resolved base path of the CDC change log.
-    fn cdc_base(&self) -> PathBuf {
-        self.cdc_path
-            .clone()
-            .unwrap_or_else(|| self.dir.join("cdc"))
-    }
-
-    fn state_path(&self) -> PathBuf {
-        self.dir.join("maint.state")
-    }
-
-    fn ckpt_path(&self, shard: usize) -> PathBuf {
-        self.dir.join(format!("maint.s{shard}.ckpt"))
-    }
 }
 
-// ---------------------------------------------------------------------------
-// Maintainer
-// ---------------------------------------------------------------------------
-
-/// What one [`Maintainer::advance`] produced.
-pub enum MaintAdvance {
-    /// Nothing to do: no pending events and no rebalance drift.
-    Skipped,
-    /// A maintained organization is staged; the caller must publish it
-    /// and then call [`Maintainer::mark_published`].
-    Staged(Box<MaintStage>),
-}
-
-/// A staged maintenance republish: the rebased + re-searched organization
-/// over the *post-churn* lake, plus everything the serving layer needs.
-pub struct MaintStage {
-    /// The organization context over the post-churn lake.
-    pub ctx: OrgContext,
-    /// The maintained organization (valid against `ctx`).
-    pub org: Organization,
-    /// Sorted changed slots (removed tag states ∪ appended tag states ∪
-    /// shed/strip tombstones ∪ grafted interiors) — the shard-republish
-    /// scope. Junctions are excluded so sessions on untouched shards ride
-    /// in place.
-    pub changed: Vec<u32>,
-    /// New shard roots ([`EMPTY_SHARD`] for shards whose labels all
-    /// left); pass back to [`Maintainer::mark_published`].
-    pub shard_roots: Vec<StateId>,
-    /// Fingerprint of `org` (what the published snapshot must carry).
-    pub expected_fingerprint: u64,
-    /// Events applied by this cycle (`to_seq - applied_seq`).
-    pub applied_events: u64,
-    /// How many shards were re-searched (vs handled by edge surgery).
-    pub searched_shards: usize,
-    /// Statistics of the per-shard searches, in affected-shard order.
-    pub search_stats: Vec<SearchStats>,
-}
-
-/// The crash-safe incremental maintainer. All durable state lives under
-/// [`MaintConfig::dir`], so "restart after a crash" is just constructing
-/// a new `Maintainer` over the same directory. The maintainer exclusively
-/// owns the CDC change log; producers ingest through
+/// The churn planner: folds CDC events into the next shard assignment.
+/// It exclusively owns the change log; producers ingest through
 /// [`Maintainer::ingest`] and treat the returned sequence number as the
 /// durable ack.
-pub struct Maintainer<'a> {
+pub struct Churn<'a> {
     seed_lake: &'a DataLake,
     cfg: MaintConfig,
     log: ChangeLog,
-    state: MaintState,
     /// `replay(seed_lake, events ≤ applied_seq)` — the lake the served
     /// organization is built over.
     lake: DataLake,
 }
+
+/// The crash-safe incremental maintainer: the [`Cycle`] engine over the
+/// churn planner. All durable state lives under [`MaintConfig::dir`], so
+/// "restart after a crash" is just constructing a new `Maintainer` over
+/// the same directory.
+pub type Maintainer<'a> = Cycle<Churn<'a>>;
 
 impl<'a> Maintainer<'a> {
     /// Open (or create) a maintainer over `cfg.dir`. `shard_labels` /
@@ -459,51 +209,39 @@ impl<'a> Maintainer<'a> {
                 "maintenance requires at least one shard".to_string(),
             ));
         }
-        std::fs::create_dir_all(&cfg.dir)
-            .map_err(|e| DlnError::io(cfg.dir.display().to_string(), e))?;
-        let log = ChangeLog::open(&cfg.cdc_base())?;
-        let state_path = cfg.state_path();
-        let state = if state_path.exists() || persist::prev_path(&state_path).exists() {
-            let state = persist::load_with_fallback(&state_path, "maintainer state", |p| {
-                let bytes =
-                    std::fs::read(p).map_err(|e| DlnError::io(p.display().to_string(), e))?;
-                MaintState::decode(&bytes, &p.display().to_string())
-            })?;
-            if state.shard_roots.len() != shard_roots.len() {
-                return Err(DlnError::InvalidConfig(format!(
-                    "durable maintainer state has {} shards, caller supplied {}",
-                    state.shard_roots.len(),
-                    shard_roots.len()
-                )));
-            }
-            state
-        } else {
-            MaintState {
-                cycle: 0,
-                applied_seq: 0,
-                shard_labels,
-                shard_roots,
-                plan: None,
-            }
+        let cdc_base = cfg.cdc_path.clone().unwrap_or_else(|| cfg.dir.join("cdc"));
+        let log = ChangeLog::open(&cdc_base)?;
+        let head = MaintHead {
+            applied_seq: 0,
+            shard_labels,
         };
-        if state.applied_seq > log.last_seq() {
+        let state = State::<Churn>::open(&cfg.dir, head, shard_roots)?;
+        let state_path = cfg.dir.join(Churn::STATE_FILE).display().to_string();
+        if state.head.shard_labels.len() != state.shard_roots.len() {
+            return Err(DlnError::corrupt(state_path, "shard label/root mismatch"));
+        }
+        if state.head.applied_seq > log.last_seq() {
             return Err(DlnError::corrupt(
-                state_path.display().to_string(),
+                state_path,
                 format!(
                     "maintainer state is ahead of the change log ({} > {})",
-                    state.applied_seq,
+                    state.head.applied_seq,
                     log.last_seq()
                 ),
             ));
         }
-        let (lake, _) = replay(seed_lake, log.events_through(state.applied_seq));
-        Ok(Maintainer {
+        let lake = replay(
+            seed_lake,
+            log.state().events_through(state.head.applied_seq),
+        )
+        .0;
+        let planner = Churn {
             seed_lake,
             cfg,
             log,
-            state,
             lake,
-        })
+        };
+        Ok(Cycle { planner, state })
     }
 
     /// Convenience constructor from a [`ShardedBuild`] over `seed_lake`.
@@ -528,307 +266,140 @@ impl<'a> Maintainer<'a> {
     /// ack: on error (torn append) nothing was acknowledged and the event
     /// must be re-ingested.
     pub fn ingest(&mut self, event: &ChangeEvent) -> DlnResult<u64> {
-        self.log.append(event)
+        self.planner.log.append(event)
     }
 
     /// Events ingested but not yet folded into a committed cycle.
     pub fn pending(&self) -> u64 {
-        self.log.last_seq().saturating_sub(self.state.applied_seq)
+        self.planner
+            .log
+            .last_seq()
+            .saturating_sub(self.state.head.applied_seq)
     }
 
     /// The lake the served organization is built over:
     /// `replay(seed, events ≤ applied_seq)`.
     pub fn lake(&self) -> &DataLake {
-        &self.lake
-    }
-
-    /// Completed-cycle counter.
-    pub fn cycle(&self) -> u64 {
-        self.state.cycle
+        &self.planner.lake
     }
 
     /// Last change-log sequence number folded into the served lake.
     pub fn applied_seq(&self) -> u64 {
-        self.state.applied_seq
+        self.state.head.applied_seq
     }
 
     /// Current shard→labels assignment.
     pub fn shard_labels(&self) -> &[Vec<String>] {
-        &self.state.shard_labels
-    }
-
-    /// Current shard roots ([`EMPTY_SHARD`] sentinel for emptied shards).
-    pub fn shard_roots(&self) -> &[StateId] {
-        &self.state.shard_roots
+        &self.state.head.shard_labels
     }
 
     /// Malformed-but-checksummed events quarantined by the change log.
     pub fn quarantined(&self) -> u64 {
-        self.log.quarantined()
+        self.planner.log.quarantined()
     }
 
     /// The configuration this maintainer runs under.
     pub fn config(&self) -> &MaintConfig {
-        &self.cfg
+        &self.planner.cfg
+    }
+}
+
+impl Planner for Churn<'_> {
+    type Head = MaintHead;
+    type Plan = PlanState;
+    const MAGIC: &'static [u8; 8] = b"DLNMAINT";
+    const STATE_FILE: &'static str = "maint.state";
+    const NAME: &'static str = "maintainer";
+    const SITES: Sites = Sites {
+        plan: "churn.crash_mid_plan",
+        apply: Some("churn.crash_mid_apply"),
+        search_kill: "churn.search_kill",
+        publish: "churn.crash_mid_publish",
+    };
+
+    fn knobs(&self) -> Knobs<'_> {
+        Knobs {
+            dir: &self.cfg.dir,
+            search: &self.cfg.search,
+            slice: self.cfg.slice,
+            ckpt_every: self.cfg.ckpt_every,
+        }
     }
 
-    /// Whether a plan is in flight (a crashed cycle to finish).
-    pub fn in_flight(&self) -> bool {
-        self.state.plan.is_some()
+    fn ckpt_file(shard: usize) -> String {
+        format!("maint.s{shard}.ckpt")
     }
 
-    fn save_state(&self) -> DlnResult<()> {
-        persist::atomic_write(&self.cfg.state_path(), &self.state.encode())
+    fn write_head(head: &MaintHead, w: &mut Writer) {
+        w.u64(head.applied_seq);
+        write_labels(w, &head.shard_labels);
     }
 
-    /// Run the next step of the cycle state machine against the currently
-    /// served organization (`ctx`/`org` over [`Maintainer::lake`]). Plans
-    /// a cycle if idle (durably, before any mutation), then rebases,
-    /// re-searches the affected shards and stages the republish. Errors
-    /// are crashes: the durable state is consistent and a new
-    /// `Maintainer` over the same directory continues bit-identically.
-    pub fn advance(&mut self, ctx: &OrgContext, org: &Organization) -> DlnResult<MaintAdvance> {
-        if self.state.plan.is_none() {
-            let Some(plan) = self.plan_cycle(org)? else {
-                return Ok(MaintAdvance::Skipped);
-            };
-            self.state.plan = Some(plan);
-            self.save_state()?;
-            if dln_fault::should_fail("churn.crash_mid_plan") {
-                return Err(injected("churn.crash_mid_plan"));
+    fn read_head(r: &mut Reader<'_>) -> DlnResult<MaintHead> {
+        Ok(MaintHead {
+            applied_seq: r.u64()?,
+            shard_labels: read_labels(r)?,
+        })
+    }
+
+    fn write_plan(p: &PlanState, w: &mut Writer) {
+        w.u64(p.to_seq);
+        w.u64(p.seed);
+        w.u64(p.pre_fp);
+        write_labels(w, &p.shard_labels);
+        w.u64(p.affected.len() as u64);
+        for &s in &p.affected {
+            w.u32(s);
+        }
+        w.u64(p.moves.len() as u64);
+        for m in &p.moves {
+            w.str(&m.label);
+            w.u32(m.from);
+            w.u32(m.to);
+        }
+    }
+
+    fn read_plan(r: &mut Reader<'_>, n_shards: usize, context: &str) -> DlnResult<PlanState> {
+        let shard = |r: &mut Reader<'_>| -> DlnResult<u32> {
+            let s = r.u32()?;
+            if s as usize >= n_shards {
+                return Err(DlnError::corrupt(context, "plan shard out of range"));
             }
-        }
-        let Some(plan) = self.state.plan.clone() else {
-            return Err(DlnError::corrupt("maintain", "plan vanished mid-advance"));
+            Ok(s)
         };
-        if org.fingerprint() != plan.pre_fp {
-            return Err(DlnError::corrupt(
-                self.cfg.state_path().display().to_string(),
-                "served organization diverged from the planned cycle; refusing to apply",
-            ));
+        let to_seq = r.u64()?;
+        let seed = r.u64()?;
+        let pre_fp = r.u64()?;
+        let shard_labels = read_labels(r)?;
+        if shard_labels.len() != n_shards {
+            return Err(DlnError::corrupt(context, "plan shard count mismatch"));
         }
-        // Deterministic recomputation of the post-churn lake and context.
-        let (lake_next, _) = replay(self.seed_lake, self.log.events_through(plan.to_seq));
-        if lake_next.n_tags() == 0 {
-            return Err(DlnError::InvalidConfig(
-                "churn removed every tag; refusing to maintain an empty organization".to_string(),
-            ));
-        }
-        let ctx_next = OrgContext::full(&lake_next);
-        let mut label_to_new: HashMap<&str, u32> = HashMap::with_capacity(ctx_next.n_tags());
-        for (i, t) in ctx_next.tags().iter().enumerate() {
-            label_to_new.insert(t.label.as_str(), i as u32);
-        }
-        let tag_map: Vec<Option<u32>> = ctx
-            .tags()
-            .iter()
-            .map(|t| label_to_new.get(t.label.as_str()).copied())
-            .collect();
-
-        let mut out = org.clone();
-        if self
-            .state
-            .shard_roots
-            .iter()
-            .any(|&r| r != EMPTY_SHARD && r == out.root())
-        {
-            return Err(DlnError::InvalidConfig(
-                "cannot maintain a layout whose shard root is the global root".to_string(),
-            ));
-        }
-        // Junction parents per shard, captured before any surgery (the
-        // rebase may unlink a singleton shard root whose tag left).
-        let junctions: Vec<Vec<StateId>> = self
-            .state
-            .shard_roots
-            .iter()
-            .map(|&r| {
-                if r == EMPTY_SHARD {
-                    Vec::new()
-                } else {
-                    out.state(r).parents.clone()
-                }
+        let n_affected = r.len_prefix()?;
+        let affected = (0..n_affected)
+            .map(|_| shard(r))
+            .collect::<DlnResult<_>>()?;
+        let n_moves = r.len_prefix()?;
+        let moves = (0..n_moves)
+            .map(|_| {
+                Ok(PlannedMove {
+                    label: r.str()?,
+                    from: shard(r)?,
+                    to: shard(r)?,
+                })
             })
-            .collect();
-        let report = out.rebase_universe(&ctx_next, &tag_map);
-        let mut changed: Vec<u32> = Vec::new();
-        changed.extend(&report.removed_tag_slots);
-        changed.extend(&report.added_tag_slots);
-
-        // Cheap-donor rebalance: pure edge surgery on donors that keep
-        // enough labels to stay structurally sound.
-        for m in &plan.moves {
-            if plan.affected.contains(&m.from) {
-                continue; // donor is re-searched anyway
-            }
-            let Some(&t_new) = label_to_new.get(m.label.as_str()) else {
-                return Err(DlnError::corrupt(
-                    "maintain",
-                    format!("moved label {:?} missing from the new lake", m.label),
-                ));
-            };
-            let donor_root = self.state.shard_roots[m.from as usize];
-            if donor_root == EMPTY_SHARD {
-                return Err(DlnError::corrupt(
-                    "maintain",
-                    format!("move {:?} out of an empty shard {}", m.label, m.from),
-                ));
-            }
-            changed.extend(out.shed_tag_from_subtree(donor_root, t_new));
-        }
-        if dln_fault::should_fail("churn.crash_mid_apply") {
-            return Err(injected("churn.crash_mid_apply"));
-        }
-
-        // Re-search and graft the affected shards.
-        let mut new_roots = self.state.shard_roots.clone();
-        let mut search_stats = Vec::new();
-        let mut searched_shards = 0usize;
-        for &si in &plan.affected {
-            let si_us = si as usize;
-            let old_root = self.state.shard_roots[si_us];
-            // Strip the old shard subtree. A singleton shard's root is
-            // its tag state: nothing to tombstone, but surviving junction
-            // edges must go (a removed tag was already unlinked by the
-            // rebase; `remove_edge` is a no-op then).
-            if old_root != EMPTY_SHARD {
-                if out.state(old_root).tag.is_some() {
-                    for &j in &junctions[si_us] {
-                        out.remove_edge(j, old_root);
-                    }
-                } else {
-                    let mut old_interiors: Vec<StateId> = out
-                        .descendants_of(&[old_root])
-                        .into_iter()
-                        .filter(|&s| out.state(s).tag.is_none())
-                        .collect();
-                    old_interiors.sort_unstable_by_key(|s| s.0);
-                    for &s in &old_interiors {
-                        for c in out.state(s).children.clone() {
-                            out.remove_edge(s, c);
-                        }
-                        for p in out.state(s).parents.clone() {
-                            out.remove_edge(p, s);
-                        }
-                        out.set_alive(s, false);
-                        changed.push(s.0);
-                    }
-                }
-            }
-            let labels = &plan.shard_labels[si_us];
-            if labels.is_empty() {
-                new_roots[si_us] = EMPTY_SHARD;
-                continue;
-            }
-            if junctions[si_us].is_empty() {
-                return Err(DlnError::corrupt(
-                    "maintain.graft",
-                    format!("shard {si} has labels but no junction parents"),
-                ));
-            }
-            let new_root = if labels.len() == 1 {
-                // Singleton shard: the tag state itself is the root,
-                // matching the fresh-build layout — no search needed.
-                let Some(&t) = label_to_new.get(labels[0].as_str()) else {
-                    return Err(DlnError::corrupt(
-                        "maintain.graft",
-                        format!("label {:?} missing from the new lake", labels[0]),
-                    ));
-                };
-                out.tag_state(t)
-            } else {
-                let tags_global: Vec<TagId> = labels
-                    .iter()
-                    .map(|l| {
-                        lake_next.tag_by_label(l).ok_or_else(|| {
-                            DlnError::corrupt(
-                                "maintain.graft",
-                                format!("label {l:?} missing from the new lake"),
-                            )
-                        })
-                    })
-                    .collect::<DlnResult<_>>()?;
-                let seed = derive_cycle_seed(plan.seed, self.state.cycle, si as u64);
-                let (sctx, sorg, stats) =
-                    self.run_shard_search(si_us, seed, &tags_global, &lake_next)?;
-                searched_shards += 1;
-                search_stats.push(stats);
-                graft_subtree(&mut out, &ctx_next, &sctx, &sorg, &mut changed)?
-            };
-            for &j in &junctions[si_us] {
-                out.add_edge(j, new_root);
-            }
-            new_roots[si_us] = new_root;
-        }
-
-        // Routing tier + memberships last, then validate the whole thing.
-        let live_roots: Vec<StateId> = new_roots
-            .iter()
-            .copied()
-            .filter(|&r| r != EMPTY_SHARD)
-            .collect();
-        if live_roots.is_empty() {
-            return Err(DlnError::InvalidConfig(
-                "churn emptied every shard; refusing to publish an unrouted organization"
-                    .to_string(),
-            ));
-        }
-        out.refresh_routing_tags(&live_roots);
-        out.refresh_memberships(&ctx_next);
-        out.validate(&ctx_next)
-            .map_err(|m| DlnError::corrupt("maintain", m))?;
-        if dln_fault::should_fail("churn.crash_mid_publish") {
-            return Err(injected("churn.crash_mid_publish"));
-        }
-        changed.sort_unstable();
-        changed.dedup();
-        let expected_fingerprint = out.fingerprint();
-        Ok(MaintAdvance::Staged(Box::new(MaintStage {
-            ctx: ctx_next,
-            org: out,
-            changed,
-            shard_roots: new_roots,
-            expected_fingerprint,
-            applied_events: plan.to_seq.saturating_sub(self.state.applied_seq),
-            searched_shards,
-            search_stats,
-        })))
+            .collect::<DlnResult<_>>()?;
+        Ok(PlanState {
+            to_seq,
+            seed,
+            pre_fp,
+            shard_labels,
+            affected,
+            moves,
+        })
     }
 
-    /// Commit a published cycle: adopt the plan's shard assignment and
-    /// the staged roots, advance `applied_seq`, bump the cycle counter
-    /// (all durably, in one atomic state write), then compact the change
-    /// log and discard the per-shard search checkpoints.
-    pub fn mark_published(&mut self, shard_roots: &[StateId]) -> DlnResult<()> {
-        let Some(plan) = self.state.plan.take() else {
-            return Err(DlnError::InvalidConfig(
-                "mark_published without an in-flight cycle".to_string(),
-            ));
-        };
-        if shard_roots.len() != self.state.shard_roots.len() {
-            return Err(DlnError::InvalidConfig(format!(
-                "published {} shard roots, expected {}",
-                shard_roots.len(),
-                self.state.shard_roots.len()
-            )));
-        }
-        self.state.shard_roots = shard_roots.to_vec();
-        self.state.applied_seq = plan.to_seq;
-        self.state.shard_labels = plan.shard_labels;
-        self.state.cycle += 1;
-        self.save_state()?;
-        self.log.compact()?;
-        for si in 0..self.state.shard_roots.len() {
-            let ckpt = self.cfg.ckpt_path(si);
-            let _ = std::fs::remove_file(&ckpt);
-            let _ = std::fs::remove_file(persist::prev_path(&ckpt));
-        }
-        let (lake, _) = replay(
-            self.seed_lake,
-            self.log.events_through(self.state.applied_seq),
-        );
-        self.lake = lake;
-        Ok(())
+    fn pre_fp(plan: &PlanState) -> u64 {
+        plan.pre_fp
     }
 
     /// Plan the next cycle: replay the log to its durable horizon, keep
@@ -837,11 +408,16 @@ impl<'a> Maintainer<'a> {
     /// shard whose label set or label populations changed as affected.
     /// Pure function of (change log, shard assignment) — a replanned
     /// crash reproduces the identical plan.
-    fn plan_cycle(&self, org: &Organization) -> DlnResult<Option<PlanState>> {
+    fn plan(
+        &self,
+        st: &State<Self>,
+        _ctx: &OrgContext,
+        org: &Organization,
+    ) -> DlnResult<Option<PlanState>> {
         let to_seq = self.log.last_seq();
-        let has_events = to_seq > self.state.applied_seq;
-        let (lake_next, _) = replay(self.seed_lake, self.log.events_through(to_seq));
-        let n_shards = self.state.shard_labels.len();
+        let has_events = to_seq > st.head.applied_seq;
+        let (lake_next, _) = replay(self.seed_lake, self.log.state().events_through(to_seq));
+        let n_shards = st.head.shard_labels.len();
 
         // Labels whose population (set of attributes, identified by
         // table/attr name) changed, plus labels on one side only.
@@ -850,7 +426,7 @@ impl<'a> Maintainer<'a> {
         // Surviving assignment (original order preserved per shard).
         let mut labels_next: Vec<Vec<String>> = Vec::with_capacity(n_shards);
         let mut removed_any = vec![false; n_shards];
-        for (i, labels) in self.state.shard_labels.iter().enumerate() {
+        for (i, labels) in st.head.shard_labels.iter().enumerate() {
             let survivors: Vec<String> = labels
                 .iter()
                 .filter(|l| lake_next.tag_by_label(l).is_some())
@@ -1001,8 +577,7 @@ impl<'a> Maintainer<'a> {
 
         Ok(Some(PlanState {
             to_seq,
-            seed: derive_cycle_seed(self.cfg.search.seed, self.state.cycle, 0x0063_6875_726e)
-                ^ self.state.cycle,
+            seed: derive_cycle_seed(self.cfg.search.seed, st.cycle, 0x0063_6875_726e) ^ st.cycle,
             pre_fp: org.fingerprint(),
             shard_labels: labels_next,
             affected,
@@ -1010,69 +585,122 @@ impl<'a> Maintainer<'a> {
         }))
     }
 
-    /// Run one affected shard's search to completion across deadline
-    /// slices, resuming from the shard's durable checkpoint between
-    /// slices (and across maintainer restarts). Bit-identical to one
-    /// uninterrupted run.
-    fn run_shard_search(
+    /// Rebase the organization onto the post-churn lake and shed moved
+    /// labels from donors that keep enough labels for pure edge surgery;
+    /// every other affected shard is rebuilt by the engine.
+    fn prepare(
         &self,
-        shard: usize,
-        seed: u64,
-        tags: &[TagId],
-        lake_next: &DataLake,
-    ) -> DlnResult<(OrgContext, Organization, SearchStats)> {
-        let sctx = OrgContext::for_tag_group(lake_next, tags);
-        let ckpt_path = self.cfg.ckpt_path(shard);
-        loop {
-            let mut sorg = init::clustering_org(&sctx);
-            let ck = if ckpt_path.exists() || persist::prev_path(&ckpt_path).exists() {
-                Checkpoint::load_with_fallback(&ckpt_path).ok()
-            } else {
-                None
-            };
-            let prior = ck
-                .as_ref()
-                .map(|c| Duration::from_nanos(c.elapsed_nanos))
-                .unwrap_or(Duration::ZERO);
-            let scfg = SearchConfig {
-                seed,
-                shards: ShardPolicy::Fixed(1),
-                table_weights: None,
-                deadline: self.cfg.slice.map(|s| prior + s),
-                checkpoint: Some(CheckpointConfig {
-                    path: ckpt_path.clone(),
-                    every_rounds: self.cfg.ckpt_every.max(1),
-                }),
-                ..self.cfg.search.clone()
-            };
-            let stats = match &ck {
-                Some(ck) => match search::resume(&sctx, &mut sorg, &scfg, ck) {
-                    Ok(stats) => stats,
-                    Err(e) => {
-                        eprintln!(
-                            "warning: maintenance checkpoint {} unusable ({e}); restarting shard search",
-                            ckpt_path.display()
-                        );
-                        let _ = std::fs::remove_file(&ckpt_path);
-                        let _ = std::fs::remove_file(persist::prev_path(&ckpt_path));
-                        sorg = init::clustering_org(&sctx);
-                        search::optimize(&sctx, &mut sorg, &scfg)
-                    }
-                },
-                None => search::optimize(&sctx, &mut sorg, &scfg),
-            };
-            match stats.stop {
-                StopReason::Deadline => {
-                    if dln_fault::should_fail("churn.search_kill") {
-                        return Err(injected("churn.search_kill"));
-                    }
-                }
-                StopReason::Killed => {
-                    return Err(injected("search.kill"));
-                }
-                _ => return Ok((sctx, sorg, stats)),
-            }
+        st: &State<Self>,
+        plan: &PlanState,
+        ctx: &OrgContext,
+        out: &mut Organization,
+        changed: &mut Vec<u32>,
+    ) -> DlnResult<Prepared<'_>> {
+        // Deterministic recomputation of the post-churn lake and context.
+        let (lake_next, _) = replay(self.seed_lake, self.log.state().events_through(plan.to_seq));
+        if lake_next.n_tags() == 0 {
+            return Err(DlnError::InvalidConfig(
+                "churn removed every tag; refusing to maintain an empty organization".to_string(),
+            ));
         }
+        let ctx_next = OrgContext::full(&lake_next);
+        let mut label_to_new: HashMap<&str, u32> = HashMap::with_capacity(ctx_next.n_tags());
+        for (i, t) in ctx_next.tags().iter().enumerate() {
+            label_to_new.insert(t.label.as_str(), i as u32);
+        }
+        let tag_map: Vec<Option<u32>> = ctx
+            .tags()
+            .iter()
+            .map(|t| label_to_new.get(t.label.as_str()).copied())
+            .collect();
+        let report = out.rebase_universe(&ctx_next, &tag_map);
+        changed.extend(&report.removed_tag_slots);
+        changed.extend(&report.added_tag_slots);
+
+        // Cheap-donor rebalance: pure edge surgery on donors that keep
+        // enough labels to stay structurally sound.
+        for m in &plan.moves {
+            if plan.affected.contains(&m.from) {
+                continue; // donor is rebuilt anyway
+            }
+            let Some(&t_new) = label_to_new.get(m.label.as_str()) else {
+                return Err(DlnError::corrupt(
+                    "maintain",
+                    format!("moved label {:?} missing from the new lake", m.label),
+                ));
+            };
+            let donor_root = st.shard_roots[m.from as usize];
+            if donor_root == EMPTY_SHARD {
+                return Err(DlnError::corrupt(
+                    "maintain",
+                    format!("move {:?} out of an empty shard {}", m.label, m.from),
+                ));
+            }
+            changed.extend(out.shed_tag_from_subtree(donor_root, t_new));
+        }
+
+        let jobs = plan
+            .affected
+            .iter()
+            .map(|&si| {
+                let tags = plan.shard_labels[si as usize]
+                    .iter()
+                    .map(|l| {
+                        lake_next.tag_by_label(l).ok_or_else(|| {
+                            DlnError::corrupt(
+                                "maintain.graft",
+                                format!("label {l:?} missing from the new lake"),
+                            )
+                        })
+                    })
+                    .collect::<DlnResult<_>>()?;
+                Ok(ShardJob {
+                    shard: si as usize,
+                    tags,
+                    seed: derive_cycle_seed(plan.seed, st.cycle, si as u64),
+                    weights: None,
+                })
+            })
+            .collect::<DlnResult<_>>()?;
+        Ok(Prepared {
+            lake: Cow::Owned(lake_next),
+            ctx: Some(ctx_next),
+            jobs,
+            applied_events: plan.to_seq.saturating_sub(st.head.applied_seq),
+        })
+    }
+
+    /// Routing tier and memberships last, over the live shard roots.
+    fn finish(&self, out: &mut Organization, ctx: &OrgContext, roots: &[StateId]) -> DlnResult<()> {
+        let live_roots: Vec<StateId> = roots
+            .iter()
+            .copied()
+            .filter(|&r| r != EMPTY_SHARD)
+            .collect();
+        if live_roots.is_empty() {
+            return Err(DlnError::InvalidConfig(
+                "churn emptied every shard; refusing to publish an unrouted organization"
+                    .to_string(),
+            ));
+        }
+        out.refresh_routing_tags(&live_roots);
+        out.refresh_memberships(ctx);
+        Ok(())
+    }
+
+    fn adopt(head: &mut MaintHead, plan: PlanState) {
+        head.applied_seq = plan.to_seq;
+        head.shard_labels = plan.shard_labels;
+    }
+
+    fn committed(&mut self, head: &MaintHead) -> DlnResult<()> {
+        self.log.compact()?;
+        self.lake = replay(
+            self.seed_lake,
+            self.log.state().events_through(head.applied_seq),
+        )
+        .0;
+        Ok(())
     }
 }
 
@@ -1108,66 +736,11 @@ fn diff_labels(cur: &DataLake, next: &DataLake) -> HashSet<String> {
         .collect()
 }
 
-/// Graft a re-searched shard organization (over `sctx`) into `out`: tag
-/// states map onto their existing slots, interiors append as fresh slots
-/// in topological order. Unlike the re-optimizer's graft this does *not*
-/// validate — the organization stays deliberately inconsistent until the
-/// routing tier and memberships are refreshed. Junction linking is the
-/// caller's job. Returns the new shard root.
-fn graft_subtree(
-    out: &mut Organization,
-    ctx_next: &OrgContext,
-    sctx: &OrgContext,
-    sorg: &Organization,
-    changed: &mut Vec<u32>,
-) -> DlnResult<StateId> {
-    let order = sorg.topo_order().to_vec();
-    let mut map: HashMap<u32, StateId> = HashMap::with_capacity(order.len());
-    for &sid in &order {
-        let st = sorg.state(sid);
-        let mut full_tags = Vec::with_capacity(st.tags.len());
-        for lt in st.tags.iter() {
-            let Some(f) = ctx_next.local_tag(sctx.tag(lt).global) else {
-                return Err(DlnError::corrupt(
-                    "maintain.graft",
-                    format!("shard tag {lt} missing from the full context"),
-                ));
-            };
-            full_tags.push(f);
-        }
-        let mapped = if let Some(lt) = st.tag {
-            let Some(f) = ctx_next.local_tag(sctx.tag(lt).global) else {
-                return Err(DlnError::corrupt(
-                    "maintain.graft",
-                    format!("shard tag {lt} missing from the full context"),
-                ));
-            };
-            out.tag_state(f)
-        } else {
-            let bits = BitSet::from_iter_with_capacity(ctx_next.n_tags(), full_tags);
-            let ns = out.add_state(ctx_next, bits, None);
-            changed.push(ns.0);
-            ns
-        };
-        map.insert(sid.0, mapped);
-    }
-    let slot = |s: StateId| -> DlnResult<StateId> {
-        map.get(&s.0)
-            .copied()
-            .ok_or_else(|| DlnError::corrupt("maintain.graft", "unmapped shard state"))
-    };
-    for &sid in &order {
-        let parent = slot(sid)?;
-        for &c in &sorg.state(sid).children {
-            out.add_edge(parent, slot(c)?);
-        }
-    }
-    slot(sorg.root())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cycle::{Advance, CycleStage};
+    use crate::search::ShardPolicy;
     use crate::shard::build_sharded;
     use dln_lake::{AttrChange, LakeBuilder};
     use dln_synth::TagCloudConfig;
@@ -1224,20 +797,34 @@ mod tests {
         }
     }
 
+    type MaintState = State<Churn<'static>>;
+
+    fn next_ctx(stage: &CycleStage) -> &OrgContext {
+        stage
+            .ctx
+            .as_ref()
+            .expect("a maintenance stage carries its context")
+    }
+
+    fn head(applied_seq: u64, shard_labels: Vec<Vec<String>>) -> MaintHead {
+        MaintHead {
+            applied_seq,
+            shard_labels,
+        }
+    }
+
     #[test]
     fn state_roundtrip_with_and_without_plan() {
         let no_plan = MaintState {
             cycle: 3,
-            applied_seq: 17,
-            shard_labels: vec![vec!["a".into(), "b".into()], vec![]],
+            head: head(17, vec![vec!["a".into(), "b".into()], vec![]]),
             shard_roots: vec![StateId(4), EMPTY_SHARD],
             plan: None,
         };
-        let bytes = no_plan.encode();
-        let got = MaintState::decode(&bytes, "test").unwrap();
+        let got = MaintState::decode(&no_plan.encode(), "test").unwrap();
         assert_eq!(got.cycle, 3);
-        assert_eq!(got.applied_seq, 17);
-        assert_eq!(got.shard_labels, no_plan.shard_labels);
+        assert_eq!(got.head.applied_seq, 17);
+        assert_eq!(got.head.shard_labels, no_plan.head.shard_labels);
         assert_eq!(got.shard_roots, no_plan.shard_roots);
         assert!(got.plan.is_none());
 
@@ -1256,8 +843,7 @@ mod tests {
             }),
             ..no_plan
         };
-        let bytes = with_plan.encode();
-        let got = MaintState::decode(&bytes, "test").unwrap();
+        let got = MaintState::decode(&with_plan.encode(), "test").unwrap();
         assert_eq!(got.plan, with_plan.plan);
     }
 
@@ -1265,8 +851,7 @@ mod tests {
     fn every_flipped_byte_is_rejected_or_roundtrips() {
         let state = MaintState {
             cycle: 1,
-            applied_seq: 5,
-            shard_labels: vec![vec!["x".into()], vec!["y".into(), "z".into()]],
+            head: head(5, vec![vec!["x".into()], vec!["y".into(), "z".into()]]),
             shard_roots: vec![StateId(7), StateId(9)],
             plan: Some(PlanState {
                 to_seq: 9,
@@ -1300,7 +885,7 @@ mod tests {
         let ctx = OrgContext::full(&lake);
         assert!(matches!(
             maint.advance(&ctx, &build.built.organization).unwrap(),
-            MaintAdvance::Skipped
+            Advance::Skipped
         ));
         assert_eq!(maint.pending(), 0);
     }
@@ -1329,13 +914,12 @@ mod tests {
         assert_eq!(maint.ingest(&ev).unwrap(), 1);
         assert_eq!(maint.pending(), 1);
 
-        let MaintAdvance::Staged(stage) = maint.advance(&ctx, &build.built.organization).unwrap()
-        else {
+        let Advance::Staged(stage) = maint.advance(&ctx, &build.built.organization).unwrap() else {
             panic!("expected staged cycle");
         };
         assert_eq!(stage.applied_events, 1);
-        stage.org.validate(&stage.ctx).unwrap();
-        assert!(stage.ctx.n_tags() == ctx.n_tags() + 1);
+        stage.org.validate(next_ctx(&stage)).unwrap();
+        assert!(next_ctx(&stage).n_tags() == ctx.n_tags() + 1);
         let roots = stage.shard_roots.clone();
         maint.mark_published(&roots).unwrap();
         assert_eq!(maint.applied_seq(), 1);
@@ -1344,17 +928,17 @@ mod tests {
 
         // Remove the table again: the brand-new label leaves the lake.
         let org1 = stage.org;
-        let ctx1 = stage.ctx;
+        let ctx1 = stage.ctx.expect("post-churn context");
         maint
             .ingest(&ChangeEvent::TableRemoved {
                 name: "churn_t0".to_string(),
             })
             .unwrap();
-        let MaintAdvance::Staged(stage2) = maint.advance(&ctx1, &org1).unwrap() else {
+        let Advance::Staged(stage2) = maint.advance(&ctx1, &org1).unwrap() else {
             panic!("expected staged cycle");
         };
-        stage2.org.validate(&stage2.ctx).unwrap();
-        assert_eq!(stage2.ctx.n_tags(), ctx.n_tags());
+        stage2.org.validate(next_ctx(&stage2)).unwrap();
+        assert_eq!(next_ctx(&stage2).n_tags(), ctx.n_tags());
         let roots2 = stage2.shard_roots.clone();
         maint.mark_published(&roots2).unwrap();
         assert!(maint.lake().tag_by_label("churn_new_tag").is_none());
@@ -1372,7 +956,7 @@ mod tests {
         let dir_ref = tmp("restart-ref");
         let mut a = Maintainer::for_build(&lake, &build, maint_cfg(dir_ref, scfg.clone())).unwrap();
         a.ingest(&ev).unwrap();
-        let MaintAdvance::Staged(want) = a.advance(&ctx, &build.built.organization).unwrap() else {
+        let Advance::Staged(want) = a.advance(&ctx, &build.built.organization).unwrap() else {
             panic!("expected staged cycle");
         };
 
@@ -1387,10 +971,10 @@ mod tests {
         drop(b);
         let mut b2 = Maintainer::for_build(&lake, &build, maint_cfg(dir, scfg)).unwrap();
         assert!(b2.in_flight());
-        let MaintAdvance::Staged(got) = b2.advance(&ctx, &build.built.organization).unwrap() else {
+        let Advance::Staged(got) = b2.advance(&ctx, &build.built.organization).unwrap() else {
             panic!("expected staged cycle");
         };
-        assert_eq!(got.expected_fingerprint, want.expected_fingerprint);
+        assert_eq!(got.org.fingerprint(), want.org.fingerprint());
         assert_eq!(got.changed, want.changed);
         assert_eq!(got.shard_roots, want.shard_roots);
     }
@@ -1451,13 +1035,12 @@ mod tests {
             .ingest(&added("tdrift2", &["drift"], 1, 0.10))
             .unwrap();
 
-        let MaintAdvance::Staged(stage) = maint.advance(&ctx, &build.built.organization).unwrap()
-        else {
+        let Advance::Staged(stage) = maint.advance(&ctx, &build.built.organization).unwrap() else {
             panic!("expected staged cycle");
         };
-        stage.org.validate(&stage.ctx).unwrap();
+        stage.org.validate(next_ctx(&stage)).unwrap();
         // Donor was not re-searched: only the receiver shard was.
-        assert_eq!(stage.searched_shards, 1);
+        assert_eq!(stage.search_stats.len(), 1);
         let roots = stage.shard_roots.clone();
         maint.mark_published(&roots).unwrap();
         let donor = drift_shard;

@@ -1,475 +1,94 @@
 //! Crash-safe feedback-driven re-optimization: the background loop that
 //! closes §2.4 of the paper.
 //!
-//! A [`Reoptimizer`] runs *epoch-committed cycles* against a served
-//! organization:
+//! A [`Reoptimizer`] is the [`Cycle`] engine driven by the feedback
+//! planner:
 //!
-//! 1. **Drain** — the service's merged [`NavigationLog`] is appended to a
-//!    durable, checksummed on-disk [`EvidenceLog`] (WAL-style frames over
-//!    [`crate::persist`], atomic snapshot rotation, torn tails truncated
-//!    on recovery). The drain is *ack-after-durable*: the service only
-//!    subtracts what the evidence log reports written, so a torn append
-//!    loses nothing and a repeated drain double-counts nothing.
+//! 1. **Drain** — the service's merged [`NavigationLog`] is appended to the
+//!    durable [`EvidenceLog`] (a [`SeqLog`] folding deltas with
+//!    [`NavigationLog::merge`]). The drain is *ack-after-durable*: the
+//!    service only subtracts what the evidence log reports written, so a
+//!    torn append (`reopt.log_torn`) loses nothing and a repeated drain
+//!    double-counts nothing.
 //! 2. **Plan** — cumulative evidence is propagated through the current
 //!    organization ([`NavigationLog::blended_transitions`] over a uniform
 //!    prior) to find the shard users hit hardest; per-table demand weights
 //!    spread each visited state's walk mass over its member tags. The
-//!    plan (shard, derived
-//!    seed, weights, pre-cycle fingerprint) is durably committed before
-//!    any search work, so a crashed cycle replans to the identical plan.
-//! 3. **Search** — a deadline-bounded, checkpointed local search
-//!    ([`crate::search`]) over *only the affected shard's* tag group,
-//!    with [`SearchConfig::table_weights`] steering Eq 6 toward the
-//!    tables users actually look for. Kill-and-restart resumes from the
-//!    periodic checkpoint and converges bit-identically.
-//! 4. **Publish** — the re-optimized shard subtree is grafted back under
-//!    the router ([`Advance::Staged`]); the serving layer swaps it in as a
-//!    *shard-level republish* so sessions pinned to untouched shards are
-//!    never migrated. Only after the publish does [`Reoptimizer::
-//!    mark_published`] commit the cycle and compact the evidence log.
+//!    plan (shard, derived seed, weights, tag group, pre-cycle
+//!    fingerprint) is committed before any search work
+//!    (`reopt.crash_mid_cycle`).
+//! 3. **Search and publish** — the engine re-searches *only that shard's*
+//!    tag group with [`SearchConfig::table_weights`] steering Eq 6 toward
+//!    the tables users actually look for (`reopt.search_kill` between
+//!    slices), grafts it back under the router (`reopt.crash_mid_publish`
+//!    before staging), and on [`Cycle::mark_published`] commits the cycle
+//!    and compacts the evidence log.
 //!
-//! Every phase boundary is a crash point covered by a failpoint
-//! (`reopt.log_torn`, `reopt.crash_mid_cycle`, `reopt.crash_mid_publish`,
-//! `reopt.search_kill` — see the catalog in `dln-fault`). The invariant,
-//! enforced by `tests/reopt_chaos.rs`: for any failpoint schedule, a
-//! killed optimizer restarted from its durable state converges to the
-//! bit-identical organization of an uninterrupted run, never tears a
+//! The invariant, enforced by `tests/reopt_chaos.rs`: for any failpoint
+//! schedule, a killed optimizer restarted from its durable state converges
+//! to the bit-identical organization of an uninterrupted run, never tears a
 //! served snapshot, and never loses or double-counts evidence.
 //!
 //! [`SearchConfig::table_weights`]: crate::search::SearchConfig
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::io::{Seek as _, SeekFrom, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
 use dln_fault::{DlnError, DlnResult};
 use dln_lake::{DataLake, TagId};
+use dln_persist::{Reader, SeqLog, SeqState, Writer};
 
-use crate::bitset::BitSet;
-use crate::checkpoint::{Checkpoint, CheckpointConfig};
 use crate::ctx::OrgContext;
+use crate::cycle::{
+    derive_cycle_seed, env_slice, Cycle, Knobs, Planner, Prepared, ShardJob, Sites, State,
+};
 use crate::feedback::NavigationLog;
 use crate::graph::{Organization, StateId};
-use crate::init;
-use crate::persist;
-use crate::search::{self, SearchConfig, SearchStats, ShardPolicy, StopReason};
+use crate::search::SearchConfig;
 use crate::shard::ShardedBuild;
 
-/// Magic prefix of an evidence-log snapshot file.
-const SNAP_MAGIC: &[u8; 8] = b"DLNEVSNP";
-/// Evidence-log snapshot format version.
-const SNAP_VERSION: u8 = 1;
-/// Magic prefix of the durable optimizer state file.
-const STATE_MAGIC: &[u8; 8] = b"DLNREOPT";
-/// Optimizer state format version.
-const STATE_VERSION: u8 = 1;
+/// Snapshot body: `[len:u64][navigation-log record]`.
+impl SeqState for NavigationLog {
+    type Event = NavigationLog;
+    const MAGIC: &'static [u8; 8] = b"DLNEVSNP";
+    const VERSION: u8 = 1;
+    const NAME: &'static str = "evidence";
+    const TORN_SITE: &'static str = "reopt.log_torn";
 
-/// The typed error for an injected optimizer crash at `site` — the
-/// in-process stand-in for `kill -9` at a phase boundary.
-fn injected(site: &str) -> DlnError {
-    DlnError::io(
-        site.to_string(),
-        std::io::Error::other(format!("injected optimizer crash at {site}")),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Evidence log
-// ---------------------------------------------------------------------------
-
-/// Durable navigation evidence: a compacted snapshot plus a WAL tail.
-///
-/// On disk this is two files derived from one base path:
-///
-/// * `<base>` — the **snapshot**: a sealed record (`DLNEVSNP`, version,
-///   last compacted sequence number, serialized [`NavigationLog`])
-///   published with [`persist::atomic_write`], so one previous generation
-///   always survives at `<base>.prev`.
-/// * `<base>.wal` — the **WAL**: appended frames, each
-///   `[len:u64][body][fnv1a(body):u64]` with `body = [seq:u64][log
-///   bytes]`, fsynced per append. A torn tail (the last frame cut short
-///   or failing its checksum) is truncated on open with a warning —
-///   everything before it is intact by construction.
-///
-/// Each committed cycle calls [`compact`](Self::compact): the cumulative
-/// log is atomically rewritten as the new snapshot (carrying the last
-/// sequence number) and the WAL is truncated. A crash between the two
-/// steps is safe: frames whose sequence number the snapshot already
-/// covers are skipped on open.
-///
-/// Fault-injection site `reopt.log_torn`: an append writes only the
-/// first ⅔ of its frame, fsyncs, and reports [`DlnError::Corrupt`] — the
-/// caller must *not* acknowledge the drain. The next append (or the next
-/// open) discards the torn tail.
-pub struct EvidenceLog {
-    snap_path: PathBuf,
-    wal_path: PathBuf,
-    cumulative: NavigationLog,
-    /// Last sequence number merged into `cumulative`.
-    last_seq: u64,
-    /// Last sequence number covered by the on-disk snapshot.
-    snap_seq: u64,
-    /// Length of the known-valid WAL prefix (bytes).
-    clean_len: u64,
-}
-
-impl EvidenceLog {
-    /// Open (or create) the evidence log rooted at `base`; torn WAL tails
-    /// are truncated, a torn snapshot falls back to `<base>.prev`.
-    pub fn open(base: &Path) -> DlnResult<EvidenceLog> {
-        let snap_path = base.to_path_buf();
-        let mut wal_os = base.as_os_str().to_os_string();
-        wal_os.push(".wal");
-        let wal_path = PathBuf::from(wal_os);
-
-        let (mut cumulative, snap_seq) =
-            if snap_path.exists() || persist::prev_path(&snap_path).exists() {
-                persist::load_with_fallback(&snap_path, "evidence snapshot", Self::load_snapshot)?
-            } else {
-                (NavigationLog::new(), 0)
-            };
-
-        let mut last_seq = snap_seq;
-        let mut clean_len = 0u64;
-        if wal_path.exists() {
-            let bytes = std::fs::read(&wal_path)
-                .map_err(|e| DlnError::io(wal_path.display().to_string(), e))?;
-            let context = wal_path.display().to_string();
-            let mut pos = 0usize;
-            loop {
-                if pos + 8 > bytes.len() {
-                    break; // clean end or torn length word
-                }
-                let len = u64::from_le_bytes(
-                    bytes[pos..pos + 8]
-                        .try_into()
-                        .map_err(|_| DlnError::corrupt(&context, "frame length"))?,
-                ) as usize;
-                let Some(frame_end) = pos
-                    .checked_add(8)
-                    .and_then(|p| p.checked_add(len))
-                    .and_then(|p| p.checked_add(8))
-                else {
-                    break; // implausible length — torn tail
-                };
-                if frame_end > bytes.len() {
-                    break; // torn tail
-                }
-                let body = &bytes[pos + 8..pos + 8 + len];
-                let stored = u64::from_le_bytes(
-                    bytes[pos + 8 + len..frame_end]
-                        .try_into()
-                        .map_err(|_| DlnError::corrupt(&context, "frame checksum"))?,
-                );
-                if persist::fnv1a(body) != stored {
-                    break; // torn or corrupt frame — truncate here
-                }
-                let mut r = persist::Reader::new(body, 0, &context);
-                let seq = r.u64()?;
-                let delta = match NavigationLog::decode(&body[r.pos()..], &context) {
-                    Ok(d) => d,
-                    Err(_) => break, // frame checksum passed but payload torn
-                };
-                if seq > snap_seq {
-                    if seq != last_seq + 1 {
-                        return Err(DlnError::corrupt(
-                            &context,
-                            format!(
-                                "evidence sequence gap: expected {}, found {seq}",
-                                last_seq + 1
-                            ),
-                        ));
-                    }
-                    cumulative.merge(&delta);
-                    last_seq = seq;
-                }
-                pos = frame_end;
-                clean_len = pos as u64;
-            }
-            if (clean_len as usize) < bytes.len() {
-                eprintln!(
-                    "warning: evidence WAL {} has a torn tail ({} of {} bytes valid); truncating",
-                    wal_path.display(),
-                    clean_len,
-                    bytes.len()
-                );
-                let f = std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&wal_path)
-                    .map_err(|e| DlnError::io(wal_path.display().to_string(), e))?;
-                f.set_len(clean_len)
-                    .map_err(|e| DlnError::io(wal_path.display().to_string(), e))?;
-                f.sync_all()
-                    .map_err(|e| DlnError::io(wal_path.display().to_string(), e))?;
-            }
-        }
-        Ok(EvidenceLog {
-            snap_path,
-            wal_path,
-            cumulative,
-            last_seq,
-            snap_seq,
-            clean_len,
-        })
+    fn fold(&mut self, _seq: u64, delta: &NavigationLog) {
+        self.merge(delta);
     }
 
-    fn load_snapshot(path: &Path) -> DlnResult<(NavigationLog, u64)> {
-        let bytes = std::fs::read(path).map_err(|e| DlnError::io(path.display().to_string(), e))?;
-        let context = path.display().to_string();
-        let payload = persist::verify_sealed(&bytes, &context)?;
-        let mut r = persist::Reader::new(payload, 0, &context);
-        if r.take(8)? != SNAP_MAGIC {
-            return Err(DlnError::corrupt(&context, "not an evidence snapshot"));
-        }
-        let version = r.u8()?;
-        if version != SNAP_VERSION {
-            return Err(DlnError::corrupt(
-                &context,
-                format!("unsupported evidence snapshot version {version}"),
-            ));
-        }
-        let seq = r.u64()?;
+    fn encode_event(delta: &NavigationLog) -> Vec<u8> {
+        delta.encode()
+    }
+
+    fn decode_event(bytes: &[u8], context: &str) -> DlnResult<NavigationLog> {
+        NavigationLog::decode(bytes, context)
+    }
+
+    fn write_snapshot(&self, _quarantined: u64, w: &mut Writer) {
+        let bytes = self.encode();
+        w.u64(bytes.len() as u64);
+        w.bytes(&bytes);
+    }
+
+    fn read_snapshot(
+        r: &mut Reader<'_>,
+        _seq: u64,
+        context: &str,
+    ) -> DlnResult<(NavigationLog, u64)> {
         let n = r.len_prefix()?;
-        let log = NavigationLog::decode(r.take(n)?, &context)?;
-        Ok((log, seq))
-    }
-
-    /// Durably append one drained delta, returning its sequence number.
-    /// The frame is fsynced before this returns `Ok`; on any error
-    /// (including the injected `reopt.log_torn` tear) nothing is
-    /// acknowledged and the write is discarded by the next append.
-    pub fn append(&mut self, delta: &NavigationLog) -> DlnResult<u64> {
-        let seq = self.last_seq + 1;
-        let log_bytes = delta.encode();
-        let mut body = Vec::with_capacity(8 + log_bytes.len());
-        body.extend_from_slice(&seq.to_le_bytes());
-        body.extend_from_slice(&log_bytes);
-        let mut frame = Vec::with_capacity(16 + body.len());
-        frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&persist::fnv1a(&body).to_le_bytes());
-
-        let torn = dln_fault::should_fail("reopt.log_torn");
-        let write_len = if torn {
-            frame.len() * 2 / 3
-        } else {
-            frame.len()
-        };
-        let io_err = |e| DlnError::io(self.wal_path.display().to_string(), e);
-        let mut f = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&self.wal_path)
-            .map_err(io_err)?;
-        // Discard any torn tail a previous failed append left behind.
-        f.set_len(self.clean_len).map_err(io_err)?;
-        f.seek(SeekFrom::Start(self.clean_len)).map_err(io_err)?;
-        f.write_all(&frame[..write_len]).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-        if torn {
-            return Err(DlnError::corrupt(
-                self.wal_path.display().to_string(),
-                "injected torn evidence append (reopt.log_torn)",
-            ));
-        }
-        self.clean_len += frame.len() as u64;
-        self.last_seq = seq;
-        self.cumulative.merge(delta);
-        Ok(seq)
-    }
-
-    /// Atomically fold the WAL into the snapshot and truncate it. Crash
-    /// between the two steps is safe: already-compacted frames are
-    /// skipped by sequence number on the next open.
-    pub fn compact(&mut self) -> DlnResult<()> {
-        let log_bytes = self.cumulative.encode();
-        let mut w = persist::Writer::with_capacity(8 + 1 + 8 + 8 + log_bytes.len() + 8);
-        w.bytes(SNAP_MAGIC);
-        w.u8(SNAP_VERSION);
-        w.u64(self.last_seq);
-        w.u64(log_bytes.len() as u64);
-        w.bytes(&log_bytes);
-        persist::atomic_write(&self.snap_path, &w.seal())?;
-        self.snap_seq = self.last_seq;
-        let io_err = |e| DlnError::io(self.wal_path.display().to_string(), e);
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&self.wal_path)
-            .map_err(io_err)?;
-        f.set_len(0).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-        self.clean_len = 0;
-        Ok(())
-    }
-
-    /// All evidence ever durably drained (snapshot ∪ valid WAL frames).
-    pub fn cumulative(&self) -> &NavigationLog {
-        &self.cumulative
-    }
-
-    /// Sequence number of the last durably appended frame.
-    pub fn last_seq(&self) -> u64 {
-        self.last_seq
+        Ok((NavigationLog::decode(r.take(n)?, context)?, 0))
     }
 }
 
-// ---------------------------------------------------------------------------
-// Durable cycle state
-// ---------------------------------------------------------------------------
-
-/// Where a [`Reoptimizer`] is in its cycle state machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CyclePhase {
-    /// No cycle in flight; the next [`Reoptimizer::advance`] plans one.
-    Idle,
-    /// A plan is durably committed; [`Reoptimizer::advance`] (re)runs the
-    /// checkpointed shard search and stages the graft.
-    Searching,
-}
-
-/// The durably committed plan of an in-flight cycle.
-#[derive(Clone, Debug)]
-struct PlanState {
-    /// Index of the shard being re-optimized.
-    shard: usize,
-    /// Derived search seed (base seed ⊕ cycle ⊕ shard, splitmix-mixed).
-    seed: u64,
-    /// Fingerprint of the full organization the plan was made against;
-    /// verified on every advance so a diverged service fails loud.
-    pre_fp: u64,
-    /// Demand weights, one per shard-context table, mean-normalized.
-    weights: Vec<f64>,
-    /// The shard's tag group (global ids), pinned so a restart searches
-    /// the identical context even if the caller's shard map changed.
-    tags: Vec<TagId>,
-}
-
-/// The durable optimizer state (`<dir>/reopt.state`).
-#[derive(Clone, Debug)]
-struct ReoptState {
-    /// Completed-cycle counter.
-    cycle: u64,
-    /// Current shard roots in the served organization (updated on every
-    /// committed publish).
-    shard_roots: Vec<StateId>,
-    /// The in-flight plan, if any ([`CyclePhase::Searching`]).
-    plan: Option<PlanState>,
-}
-
-impl ReoptState {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = persist::Writer::with_capacity(128);
-        w.bytes(STATE_MAGIC);
-        w.u8(STATE_VERSION);
-        w.u64(self.cycle);
-        w.u64(self.shard_roots.len() as u64);
-        for r in &self.shard_roots {
-            w.u32(r.0);
-        }
-        match &self.plan {
-            None => w.u8(0),
-            Some(p) => {
-                w.u8(1);
-                w.u32(p.shard as u32);
-                w.u64(p.seed);
-                w.u64(p.pre_fp);
-                w.u64(p.weights.len() as u64);
-                for v in &p.weights {
-                    w.u64(v.to_bits());
-                }
-                w.u64(p.tags.len() as u64);
-                for t in &p.tags {
-                    w.u32(t.0);
-                }
-            }
-        }
-        w.seal()
-    }
-
-    fn load(path: &Path) -> DlnResult<ReoptState> {
-        let bytes = std::fs::read(path).map_err(|e| DlnError::io(path.display().to_string(), e))?;
-        let context = path.display().to_string();
-        let payload = persist::verify_sealed(&bytes, &context)?;
-        let mut r = persist::Reader::new(payload, 0, &context);
-        if r.take(8)? != STATE_MAGIC {
-            return Err(DlnError::corrupt(&context, "not an optimizer state file"));
-        }
-        let version = r.u8()?;
-        if version != STATE_VERSION {
-            return Err(DlnError::corrupt(
-                &context,
-                format!("unsupported optimizer state version {version}"),
-            ));
-        }
-        let cycle = r.u64()?;
-        let n_roots = r.u64()? as usize;
-        if n_roots > payload.len() {
-            return Err(DlnError::corrupt(&context, "implausible shard count"));
-        }
-        let mut shard_roots = Vec::with_capacity(n_roots);
-        for _ in 0..n_roots {
-            shard_roots.push(StateId(r.u32()?));
-        }
-        let plan = match r.u8()? {
-            0 => None,
-            1 => {
-                let shard = r.u32()? as usize;
-                let seed = r.u64()?;
-                let pre_fp = r.u64()?;
-                let n_weights = r.u64()? as usize;
-                if n_weights > payload.len() {
-                    return Err(DlnError::corrupt(&context, "implausible weight count"));
-                }
-                let mut weights = Vec::with_capacity(n_weights);
-                for _ in 0..n_weights {
-                    weights.push(f64::from_bits(r.u64()?));
-                }
-                let n_tags = r.u64()? as usize;
-                if n_tags > payload.len() {
-                    return Err(DlnError::corrupt(&context, "implausible tag count"));
-                }
-                let mut tags = Vec::with_capacity(n_tags);
-                for _ in 0..n_tags {
-                    tags.push(TagId(r.u32()?));
-                }
-                if shard >= n_roots {
-                    return Err(DlnError::corrupt(&context, "plan shard out of range"));
-                }
-                Some(PlanState {
-                    shard,
-                    seed,
-                    pre_fp,
-                    weights,
-                    tags,
-                })
-            }
-            b => {
-                return Err(DlnError::corrupt(
-                    &context,
-                    format!("bad plan discriminant {b}"),
-                ))
-            }
-        };
-        if r.pos() != payload.len() {
-            return Err(DlnError::corrupt(&context, "trailing bytes"));
-        }
-        Ok(ReoptState {
-            cycle,
-            shard_roots,
-            plan,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Configuration
-// ---------------------------------------------------------------------------
+/// Durable navigation evidence: a compacted `DLNEVSNP` snapshot plus a WAL
+/// of drained deltas, folded with [`NavigationLog::merge`]. The snapshot
+/// does not carry the quarantine count.
+pub type EvidenceLog = SeqLog<NavigationLog>;
 
 /// Configuration of a [`Reoptimizer`].
 #[derive(Clone, Debug)]
@@ -492,10 +111,6 @@ pub struct ReoptConfig {
     /// Dirichlet pseudo-count blending the uniform prior into observed
     /// transitions (shard selection) and smoothing table demand weights.
     pub prior_strength: f64,
-    /// Suggested cadence for driver loops: run one cycle every `every`
-    /// closed sessions. Advisory — the optimizer itself is cadence-free.
-    /// Defaults to the `DLN_REOPT_EVERY` environment variable, else 32.
-    pub every: u64,
     /// Base path of the evidence log (snapshot at `<path>`, WAL at
     /// `<path>.wal`). Defaults to `<dir>/evidence`, overridden by the
     /// `DLN_EVIDENCE_PATH` environment variable.
@@ -503,93 +118,53 @@ pub struct ReoptConfig {
 }
 
 impl ReoptConfig {
-    /// A configuration rooted at `dir`, with the `DLN_REOPT_EVERY`,
-    /// `DLN_REOPT_DEADLINE_MS` and `DLN_EVIDENCE_PATH` environment
-    /// overrides applied.
+    /// A configuration rooted at `dir`, with the `DLN_REOPT_DEADLINE_MS`
+    /// and `DLN_EVIDENCE_PATH` environment overrides applied.
     pub fn new(dir: impl Into<PathBuf>) -> ReoptConfig {
-        let slice = std::env::var("DLN_REOPT_DEADLINE_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis);
-        let every = std::env::var("DLN_REOPT_EVERY")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(32);
-        let evidence_path = std::env::var("DLN_EVIDENCE_PATH").ok().map(PathBuf::from);
         ReoptConfig {
             dir: dir.into(),
             search: SearchConfig::default(),
-            slice,
+            slice: env_slice("DLN_REOPT_DEADLINE_MS"),
             ckpt_every: 8,
             prior_strength: 4.0,
-            every,
-            evidence_path,
+            evidence_path: std::env::var_os("DLN_EVIDENCE_PATH").map(PathBuf::from),
         }
     }
-
-    /// Resolved base path of the evidence log.
-    fn evidence_base(&self) -> PathBuf {
-        self.evidence_path
-            .clone()
-            .unwrap_or_else(|| self.dir.join("evidence"))
-    }
-
-    fn state_path(&self) -> PathBuf {
-        self.dir.join("reopt.state")
-    }
-
-    fn ckpt_path(&self) -> PathBuf {
-        self.dir.join("reopt.ckpt")
-    }
 }
 
-// ---------------------------------------------------------------------------
-// Reoptimizer
-// ---------------------------------------------------------------------------
-
-/// What one [`Reoptimizer::advance`] produced.
-pub enum Advance {
-    /// Nothing to do: no evidence yet, or no re-optimizable shard.
-    Skipped,
-    /// A re-optimized shard is staged; the caller must publish `org` and
-    /// then call [`Reoptimizer::mark_published`].
-    Staged(Box<CycleStage>),
+/// The durably committed plan of an in-flight re-optimization cycle.
+#[derive(Clone, Debug)]
+pub struct PlanState {
+    /// Index of the shard being re-optimized.
+    shard: usize,
+    /// Derived search seed (base seed ⊕ cycle ⊕ shard, splitmix-mixed).
+    seed: u64,
+    /// Fingerprint of the full organization the plan was made against.
+    pre_fp: u64,
+    /// Demand weights, one per shard-context table, mean-normalized.
+    weights: Vec<f64>,
+    /// The shard's tag group (global ids), pinned so a restart searches
+    /// the identical context even if the caller's shard map changed.
+    tags: Vec<TagId>,
 }
 
-/// A staged shard republish: the grafted full organization plus the
-/// publish scope the serving layer needs.
-pub struct CycleStage {
-    /// The full organization with the re-optimized shard grafted in.
-    pub org: Organization,
-    /// Sorted changed slots (tombstoned old interiors ∪ grafted states) —
-    /// the shard-republish scope for session migration.
-    pub changed: Vec<u32>,
-    /// Which shard was re-optimized.
-    pub shard: usize,
-    /// The new shard root inside `org`.
-    pub new_root: StateId,
-    /// Fingerprint of `org` (what the published snapshot must carry).
-    pub expected_fingerprint: u64,
-    /// Statistics of the (possibly multi-slice) shard search.
-    pub stats: SearchStats,
-}
-
-/// The crash-safe feedback-driven optimizer. See the module docs for the
-/// cycle state machine; all durable state lives under
-/// [`ReoptConfig::dir`], so "restart after a crash" is just constructing
-/// a new `Reoptimizer` over the same directory.
-pub struct Reoptimizer<'a> {
+/// The feedback planner: picks the shard with the highest observed demand
+/// and re-searches it under demand weights.
+pub struct Feedback<'a> {
     lake: &'a DataLake,
     cfg: ReoptConfig,
     shard_tags: Vec<Vec<TagId>>,
     evidence: EvidenceLog,
-    state: ReoptState,
 }
 
+/// The crash-safe feedback-driven optimizer: the [`Cycle`] engine over the
+/// feedback planner. All durable state lives under [`ReoptConfig::dir`],
+/// so "restart after a crash" is just constructing a new `Reoptimizer`
+/// over the same directory.
+pub type Reoptimizer<'a> = Cycle<Feedback<'a>>;
+
 impl<'a> Reoptimizer<'a> {
-    /// Open (or create) an optimizer over `dir`. `shard_tags` /
+    /// Open (or create) an optimizer over `cfg.dir`. `shard_tags` /
     /// `shard_roots` describe the served organization's router layout; a
     /// durable state file from a previous incarnation overrides
     /// `shard_roots` (it tracks committed republishes).
@@ -615,35 +190,19 @@ impl<'a> Reoptimizer<'a> {
                 "reopt prior_strength must be positive".to_string(),
             ));
         }
-        std::fs::create_dir_all(&cfg.dir)
-            .map_err(|e| DlnError::io(cfg.dir.display().to_string(), e))?;
-        let evidence = EvidenceLog::open(&cfg.evidence_base())?;
-        let state_path = cfg.state_path();
-        let state = if state_path.exists() || persist::prev_path(&state_path).exists() {
-            let state =
-                persist::load_with_fallback(&state_path, "optimizer state", ReoptState::load)?;
-            if state.shard_roots.len() != shard_tags.len() {
-                return Err(DlnError::InvalidConfig(format!(
-                    "durable optimizer state has {} shards, caller supplied {}",
-                    state.shard_roots.len(),
-                    shard_tags.len()
-                )));
-            }
-            state
-        } else {
-            ReoptState {
-                cycle: 0,
-                shard_roots,
-                plan: None,
-            }
-        };
-        Ok(Reoptimizer {
+        let evidence_base = cfg
+            .evidence_path
+            .clone()
+            .unwrap_or_else(|| cfg.dir.join("evidence"));
+        let evidence = EvidenceLog::open(&evidence_base)?;
+        let state = State::open(&cfg.dir, (), shard_roots)?;
+        let planner = Feedback {
             lake,
             cfg,
             shard_tags,
             evidence,
-            state,
-        })
+        };
+        Ok(Cycle { planner, state })
     }
 
     /// Convenience constructor from a [`ShardedBuild`].
@@ -660,33 +219,14 @@ impl<'a> Reoptimizer<'a> {
         )
     }
 
-    /// Current phase of the cycle state machine.
-    pub fn phase(&self) -> CyclePhase {
-        if self.state.plan.is_some() {
-            CyclePhase::Searching
-        } else {
-            CyclePhase::Idle
-        }
-    }
-
-    /// Completed-cycle counter.
-    pub fn cycle(&self) -> u64 {
-        self.state.cycle
-    }
-
     /// The configuration this optimizer runs under.
     pub fn config(&self) -> &ReoptConfig {
-        &self.cfg
-    }
-
-    /// Current shard roots (as of the last committed publish).
-    pub fn shard_roots(&self) -> &[StateId] {
-        &self.state.shard_roots
+        &self.planner.cfg
     }
 
     /// All durably drained evidence.
     pub fn evidence(&self) -> &NavigationLog {
-        self.evidence.cumulative()
+        self.planner.evidence.state()
     }
 
     /// Durably append a drained service-log delta to the evidence log.
@@ -694,79 +234,82 @@ impl<'a> Reoptimizer<'a> {
     /// acknowledged and the caller must *not* subtract the delta from the
     /// live log.
     pub fn drain(&mut self, delta: &NavigationLog) -> DlnResult<u64> {
-        self.evidence.append(delta)
+        self.planner.evidence.append(delta)
+    }
+}
+
+impl Planner for Feedback<'_> {
+    type Head = ();
+    type Plan = PlanState;
+    const MAGIC: &'static [u8; 8] = b"DLNREOPT";
+    const STATE_FILE: &'static str = "reopt.state";
+    const NAME: &'static str = "optimizer";
+    const SITES: Sites = Sites {
+        plan: "reopt.crash_mid_cycle",
+        apply: None,
+        search_kill: "reopt.search_kill",
+        publish: "reopt.crash_mid_publish",
+    };
+
+    fn knobs(&self) -> Knobs<'_> {
+        Knobs {
+            dir: &self.cfg.dir,
+            search: &self.cfg.search,
+            slice: self.cfg.slice,
+            ckpt_every: self.cfg.ckpt_every,
+        }
     }
 
-    fn save_state(&self) -> DlnResult<()> {
-        persist::atomic_write(&self.cfg.state_path(), &self.state.encode())
+    fn ckpt_file(_shard: usize) -> String {
+        "reopt.ckpt".to_string()
     }
 
-    /// Run the next step of the cycle state machine against the currently
-    /// served organization. Plans a cycle if idle (durably, before any
-    /// search work), then runs the checkpointed shard search to
-    /// completion and stages the grafted republish. Errors are crashes:
-    /// the durable state is consistent and a new `Reoptimizer` over the
-    /// same directory continues bit-identically.
-    pub fn advance(&mut self, ctx: &OrgContext, org: &Organization) -> DlnResult<Advance> {
-        if self.state.plan.is_none() {
-            let Some(plan) = self.plan_cycle(ctx, org)? else {
-                return Ok(Advance::Skipped);
-            };
-            self.state.plan = Some(plan);
-            self.save_state()?;
-            if dln_fault::should_fail("reopt.crash_mid_cycle") {
-                return Err(injected("reopt.crash_mid_cycle"));
-            }
-        }
-        let Some(plan) = self.state.plan.clone() else {
-            return Err(DlnError::corrupt("reopt", "plan vanished mid-advance"));
-        };
-        if org.fingerprint() != plan.pre_fp {
-            return Err(DlnError::corrupt(
-                self.cfg.state_path().display().to_string(),
-                "served organization diverged from the planned cycle; refusing to graft",
-            ));
-        }
-        let (sctx, sorg, stats) = self.run_shard_search(&plan)?;
-        let old_root = self.state.shard_roots[plan.shard];
-        let (new_org, changed, new_root) = graft_shard(ctx, org, old_root, &sctx, &sorg)?;
-        if dln_fault::should_fail("reopt.crash_mid_publish") {
-            return Err(injected("reopt.crash_mid_publish"));
-        }
-        let expected_fingerprint = new_org.fingerprint();
-        Ok(Advance::Staged(Box::new(CycleStage {
-            org: new_org,
-            changed,
-            shard: plan.shard,
-            new_root,
-            expected_fingerprint,
-            stats,
-        })))
-    }
+    fn write_head(_head: &(), _w: &mut Writer) {}
 
-    /// Commit a published cycle: update the shard root, clear the plan,
-    /// bump the cycle counter (all durably, in one atomic state write),
-    /// then compact the evidence log and discard the search checkpoint.
-    pub fn mark_published(&mut self, shard: usize, new_root: StateId) -> DlnResult<()> {
-        if self.state.plan.is_none() {
-            return Err(DlnError::InvalidConfig(
-                "mark_published without an in-flight cycle".to_string(),
-            ));
-        }
-        if shard >= self.state.shard_roots.len() {
-            return Err(DlnError::InvalidConfig(format!(
-                "published shard {shard} out of range"
-            )));
-        }
-        self.state.shard_roots[shard] = new_root;
-        self.state.plan = None;
-        self.state.cycle += 1;
-        self.save_state()?;
-        self.evidence.compact()?;
-        let ckpt = self.cfg.ckpt_path();
-        let _ = std::fs::remove_file(&ckpt);
-        let _ = std::fs::remove_file(persist::prev_path(&ckpt));
+    fn read_head(_r: &mut Reader<'_>) -> DlnResult<()> {
         Ok(())
+    }
+
+    fn write_plan(p: &PlanState, w: &mut Writer) {
+        w.u32(p.shard as u32);
+        w.u64(p.seed);
+        w.u64(p.pre_fp);
+        w.u64(p.weights.len() as u64);
+        for v in &p.weights {
+            w.u64(v.to_bits());
+        }
+        w.u64(p.tags.len() as u64);
+        for t in &p.tags {
+            w.u32(t.0);
+        }
+    }
+
+    fn read_plan(r: &mut Reader<'_>, n_shards: usize, context: &str) -> DlnResult<PlanState> {
+        let shard = r.u32()? as usize;
+        let seed = r.u64()?;
+        let pre_fp = r.u64()?;
+        let n_weights = r.len_prefix()?;
+        let weights = (0..n_weights)
+            .map(|_| r.u64().map(f64::from_bits))
+            .collect::<DlnResult<_>>()?;
+        let n_tags = r.len_prefix()?;
+        let tags = (0..n_tags)
+            .map(|_| r.u32().map(TagId))
+            .collect::<DlnResult<_>>()?;
+        if shard >= n_shards {
+            return Err(DlnError::corrupt(context, "plan shard out of range"));
+        }
+        Ok(PlanState {
+            shard,
+            seed,
+            pre_fp,
+            weights,
+            tags,
+        })
+    }
+
+    fn pre_fp(plan: &PlanState) -> u64 {
+        plan.pre_fp
     }
 
     /// Plan the next cycle from cumulative evidence: propagate session
@@ -774,8 +317,13 @@ impl<'a> Reoptimizer<'a> {
     /// re-optimizable shard with the highest demand, and derive its
     /// demand-weighted objective. Pure function of (evidence, org) — a
     /// replanned crash reproduces the identical plan.
-    fn plan_cycle(&self, ctx: &OrgContext, org: &Organization) -> DlnResult<Option<PlanState>> {
-        let log = self.evidence.cumulative();
+    fn plan(
+        &self,
+        st: &State<Self>,
+        ctx: &OrgContext,
+        org: &Organization,
+    ) -> DlnResult<Option<PlanState>> {
+        let log = self.evidence.state();
         if log.n_sessions() == 0 {
             return Ok(None);
         }
@@ -798,7 +346,7 @@ impl<'a> Reoptimizer<'a> {
         // root itself); ties break to the lowest index.
         let mut best: Option<(usize, f64)> = None;
         for (i, tags) in self.shard_tags.iter().enumerate() {
-            let root = self.state.shard_roots[i];
+            let root = st.shard_roots[i];
             if tags.len() < 2 || root == org.root() {
                 continue;
             }
@@ -853,214 +401,42 @@ impl<'a> Reoptimizer<'a> {
         }
         Ok(Some(PlanState {
             shard,
-            seed: derive_cycle_seed(self.cfg.search.seed, self.state.cycle, shard as u64),
+            seed: derive_cycle_seed(self.cfg.search.seed, st.cycle, shard as u64),
             pre_fp: org.fingerprint(),
             weights,
             tags,
         }))
     }
 
-    /// Run the planned shard search to completion across deadline slices,
-    /// resuming from the durable checkpoint between slices (and across
-    /// optimizer restarts). Bit-identical to one uninterrupted run.
-    fn run_shard_search(
+    fn prepare(
         &self,
+        _st: &State<Self>,
         plan: &PlanState,
-    ) -> DlnResult<(OrgContext, Organization, SearchStats)> {
-        let sctx = OrgContext::for_tag_group(self.lake, &plan.tags);
-        let ckpt_path = self.cfg.ckpt_path();
-        loop {
-            let mut sorg = init::clustering_org(&sctx);
-            let ck = if ckpt_path.exists() || persist::prev_path(&ckpt_path).exists() {
-                Checkpoint::load_with_fallback(&ckpt_path).ok()
-            } else {
-                None
-            };
-            // The search deadline is a *total* wall-clock budget including
-            // checkpointed progress, so each slice extends it by `slice`
-            // beyond what the checkpoint already accumulated.
-            let prior = ck
-                .as_ref()
-                .map(|c| Duration::from_nanos(c.elapsed_nanos))
-                .unwrap_or(Duration::ZERO);
-            let scfg = SearchConfig {
+        _ctx: &OrgContext,
+        _out: &mut Organization,
+        _changed: &mut Vec<u32>,
+    ) -> DlnResult<Prepared<'_>> {
+        Ok(Prepared {
+            lake: Cow::Borrowed(self.lake),
+            ctx: None,
+            jobs: vec![ShardJob {
+                shard: plan.shard,
+                tags: plan.tags.clone(),
                 seed: plan.seed,
-                shards: ShardPolicy::Fixed(1),
-                table_weights: Some(plan.weights.clone()),
-                deadline: self.cfg.slice.map(|s| prior + s),
-                checkpoint: Some(CheckpointConfig {
-                    path: ckpt_path.clone(),
-                    every_rounds: self.cfg.ckpt_every.max(1),
-                }),
-                ..self.cfg.search.clone()
-            };
-            let stats = match &ck {
-                Some(ck) => match search::resume(&sctx, &mut sorg, &scfg, ck) {
-                    Ok(stats) => stats,
-                    Err(e) => {
-                        // Stale (previous cycle) or torn checkpoint: start
-                        // this cycle's search from scratch.
-                        eprintln!(
-                            "warning: reopt checkpoint {} unusable ({e}); restarting shard search",
-                            ckpt_path.display()
-                        );
-                        let _ = std::fs::remove_file(&ckpt_path);
-                        let _ = std::fs::remove_file(persist::prev_path(&ckpt_path));
-                        sorg = init::clustering_org(&sctx);
-                        search::optimize(&sctx, &mut sorg, &scfg)
-                    }
-                },
-                None => search::optimize(&sctx, &mut sorg, &scfg),
-            };
-            match stats.stop {
-                StopReason::Deadline => {
-                    // Slice exhausted; the final checkpoint is on disk.
-                    if dln_fault::should_fail("reopt.search_kill") {
-                        return Err(injected("reopt.search_kill"));
-                    }
-                }
-                StopReason::Killed => {
-                    // `search.kill` fired at a round boundary: the crash
-                    // leaves only the last periodic checkpoint behind.
-                    return Err(injected("search.kill"));
-                }
-                _ => return Ok((sctx, sorg, stats)),
-            }
-        }
+                weights: Some(plan.weights.clone()),
+            }],
+            applied_events: 0,
+        })
     }
-}
 
-/// Derive the per-cycle search seed from the base seed (splitmix-style
-/// mixing, matching the repo's substream discipline).
-pub fn derive_cycle_seed(base: u64, cycle: u64, shard: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(shard.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Graft a re-optimized shard organization (over `sctx`) back into the
-/// full organization, replacing the subtree under `old_root`:
-///
-/// 1. the old shard interiors (everything under `old_root` except the
-///    tag states) are edge-stripped and tombstoned;
-/// 2. the new shard's states are mapped in — tag states onto their
-///    existing full-organization slots (so untouched paths stay valid
-///    verbatim), interiors appended as fresh slots in topological order;
-/// 3. the junction parents of `old_root` are re-linked to the new root.
-///
-/// Deterministic: the same inputs produce the same slots, edges and
-/// fingerprint — which is what makes a crash between graft and publish
-/// recoverable by simply redoing both. Returns the new organization, the
-/// sorted changed-slot set, and the new shard root.
-fn graft_shard(
-    ctx: &OrgContext,
-    base: &Organization,
-    old_root: StateId,
-    sctx: &OrgContext,
-    sorg: &Organization,
-) -> DlnResult<(Organization, Vec<u32>, StateId)> {
-    let mut out = base.clone();
-    if old_root == out.root() {
-        return Err(DlnError::InvalidConfig(
-            "cannot shard-republish the global root".to_string(),
-        ));
+    fn committed(&mut self, _head: &()) -> DlnResult<()> {
+        self.evidence.compact()
     }
-    let junctions = out.state(old_root).parents.clone();
-    if junctions.is_empty() {
-        return Err(DlnError::corrupt(
-            "reopt.graft",
-            "shard root has no junction parents",
-        ));
-    }
-    let mut old_interiors: Vec<StateId> = out
-        .descendants_of(&[old_root])
-        .into_iter()
-        .filter(|&s| out.state(s).tag.is_none())
-        .collect();
-    old_interiors.sort_unstable_by_key(|s| s.0);
-    let mut changed: Vec<u32> = Vec::new();
-    for &s in &old_interiors {
-        for c in out.state(s).children.clone() {
-            out.remove_edge(s, c);
-        }
-        for p in out.state(s).parents.clone() {
-            out.remove_edge(p, s);
-        }
-        out.set_alive(s, false);
-        changed.push(s.0);
-    }
-    // Map the shard organization in: tag states onto their existing
-    // full-org slots, everything else as fresh appended slots.
-    let order = sorg.topo_order().to_vec();
-    let mut map: HashMap<u32, StateId> = HashMap::with_capacity(order.len());
-    for &sid in &order {
-        let st = sorg.state(sid);
-        let mapped = if let Some(lt) = st.tag {
-            full_tag_slot(ctx, sctx, lt, &mut out)?
-        } else {
-            let mut full_tags = Vec::with_capacity(8);
-            for lt in st.tags.iter() {
-                let Some(f) = ctx.local_tag(sctx.tag(lt).global) else {
-                    return Err(DlnError::corrupt(
-                        "reopt.graft",
-                        format!("shard tag {lt} missing from the full context"),
-                    ));
-                };
-                full_tags.push(f);
-            }
-            let bits = BitSet::from_iter_with_capacity(ctx.n_tags(), full_tags);
-            let ns = out.add_state(ctx, bits, None);
-            changed.push(ns.0);
-            ns
-        };
-        map.insert(sid.0, mapped);
-    }
-    let slot = |s: StateId| -> DlnResult<StateId> {
-        map.get(&s.0)
-            .copied()
-            .ok_or_else(|| DlnError::corrupt("reopt.graft", "unmapped shard state"))
-    };
-    for &sid in &order {
-        let parent = slot(sid)?;
-        for &c in &sorg.state(sid).children {
-            out.add_edge(parent, slot(c)?);
-        }
-    }
-    let new_root = slot(sorg.root())?;
-    for &j in &junctions {
-        out.add_edge(j, new_root);
-    }
-    changed.sort_unstable();
-    changed.dedup();
-    out.validate(ctx)
-        .map_err(|m| DlnError::corrupt("reopt.graft", m))?;
-    Ok((out, changed, new_root))
-}
-
-/// The full-organization slot of shard-local tag `lt`.
-fn full_tag_slot(
-    ctx: &OrgContext,
-    sctx: &OrgContext,
-    lt: u32,
-    out: &mut Organization,
-) -> DlnResult<StateId> {
-    let Some(f) = ctx.local_tag(sctx.tag(lt).global) else {
-        return Err(DlnError::corrupt(
-            "reopt.graft",
-            format!("shard tag {lt} missing from the full context"),
-        ));
-    };
-    Ok(out.tag_state(f))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::build_sharded;
-    use dln_synth::TagCloudConfig;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dln_reopt_{name}_{}", std::process::id()));
@@ -1085,17 +461,17 @@ mod tests {
         ev.append(&sample_delta(1)).expect("append 1");
         ev.append(&sample_delta(2)).expect("append 2");
         assert_eq!(ev.last_seq(), 2);
-        assert_eq!(ev.cumulative().n_sessions(), 2);
+        assert_eq!(ev.state().n_sessions(), 2);
         // Reopen: WAL replays.
         let ev2 = EvidenceLog::open(&base).expect("reopen");
         assert_eq!(ev2.last_seq(), 2);
-        assert_eq!(ev2.cumulative().encode(), ev.cumulative().encode());
+        assert_eq!(ev2.state().encode(), ev.state().encode());
         // Compact, append more, reopen: snapshot + newer frames.
         ev.compact().expect("compact");
         ev.append(&sample_delta(3)).expect("append 3");
         let ev3 = EvidenceLog::open(&base).expect("reopen after compact");
         assert_eq!(ev3.last_seq(), 3);
-        assert_eq!(ev3.cumulative().encode(), ev.cumulative().encode());
+        assert_eq!(ev3.state().encode(), ev.state().encode());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1111,7 +487,7 @@ mod tests {
             let _clean = dln_fault::scoped("").expect("clean scope");
             ev = EvidenceLog::open(&base).expect("open");
             ev.append(&sample_delta(1)).expect("append 1");
-            acked = ev.cumulative().encode();
+            acked = ev.state().encode();
         }
         // Injected torn append: errors, nothing acknowledged.
         {
@@ -1137,26 +513,24 @@ mod tests {
             assert_eq!(ev2.last_seq(), 2, "exactly the acked frames survive");
             let mut expect = NavigationLog::decode(&acked, "test").expect("decode");
             expect.merge(&sample_delta(3));
-            assert_eq!(ev2.cumulative().encode(), expect.encode());
+            assert_eq!(ev2.state().encode(), expect.encode());
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn state_roundtrip_with_and_without_plan() {
-        let dir = tmp("state");
-        let path = dir.join("reopt.state");
-        let idle = ReoptState {
+        let idle = State::<Feedback> {
             cycle: 3,
+            head: (),
             shard_roots: vec![StateId(10), StateId(20)],
             plan: None,
         };
-        persist::atomic_write(&path, &idle.encode()).expect("write");
-        let back = ReoptState::load(&path).expect("load");
+        let back = State::<Feedback>::decode(&idle.encode(), "test").expect("decode");
         assert_eq!(back.cycle, 3);
         assert_eq!(back.shard_roots, idle.shard_roots);
         assert!(back.plan.is_none());
-        let planned = ReoptState {
+        let planned = State::<Feedback> {
             plan: Some(PlanState {
                 shard: 1,
                 seed: 0xDEAD_BEEF,
@@ -1166,98 +540,39 @@ mod tests {
             }),
             ..idle
         };
-        persist::atomic_write(&path, &planned.encode()).expect("write");
-        let back = ReoptState::load(&path).expect("load planned");
-        let plan = back.plan.expect("plan present");
+        let bytes = planned.encode();
+        let plan = State::<Feedback>::decode(&bytes, "test")
+            .expect("decode planned")
+            .plan
+            .expect("plan present");
         assert_eq!(plan.shard, 1);
         assert_eq!(plan.seed, 0xDEAD_BEEF);
         assert_eq!(plan.weights, vec![0.5, 1.5, 1.0]);
         assert_eq!(plan.tags, vec![TagId(4), TagId(7)]);
         // Corruption sweep: every flipped byte is rejected.
-        let bytes = planned.encode();
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x10;
-            assert!(ReoptState::load_bytes_for_test(&bad).is_err(), "flip {i}");
+            assert!(State::<Feedback>::decode(&bad, "flip").is_err(), "flip {i}");
         }
+    }
+
+    #[test]
+    fn undecodable_evidence_frame_is_quarantined_and_later_frames_survive() {
+        // Frames [valid, checksum-valid but undecodable, valid]: the bad
+        // frame is counted and skipped, the acked frame after it survives.
+        let dir = tmp("evquarantine");
+        let base = dir.join("evidence");
+        let mut wal = dln_persist::wal_frame(1, &sample_delta(1).encode());
+        wal.extend_from_slice(&dln_persist::wal_frame(2, &[0xFF, 0x00, 0x01]));
+        wal.extend_from_slice(&dln_persist::wal_frame(3, &sample_delta(3).encode()));
+        std::fs::write(dln_persist::wal_path(&base), &wal).expect("write wal");
+        let ev = EvidenceLog::open(&base).expect("open quarantines, not fails");
+        assert_eq!(ev.last_seq(), 3, "sequence still advances");
+        assert_eq!(ev.quarantined(), 1);
+        let mut expect = sample_delta(1);
+        expect.merge(&sample_delta(3));
+        assert_eq!(ev.state().encode(), expect.encode());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    impl ReoptState {
-        fn load_bytes_for_test(bytes: &[u8]) -> DlnResult<ReoptState> {
-            let dir = std::env::temp_dir();
-            let path = dir.join(format!("dln_reopt_flip_{}", std::process::id()));
-            std::fs::write(&path, bytes).expect("write");
-            let r = ReoptState::load(&path);
-            std::fs::remove_file(&path).ok();
-            r
-        }
-    }
-
-    #[test]
-    fn graft_preserves_untouched_shards_and_is_deterministic() {
-        let _clean = dln_fault::scoped("").expect("clean scope");
-        let bench = TagCloudConfig::small().generate();
-        let cfg = SearchConfig {
-            max_iters: 60,
-            plateau_iters: 20,
-            shards: ShardPolicy::Fixed(2),
-            ..SearchConfig::default()
-        };
-        let sharded = build_sharded(&bench.lake, &cfg);
-        let ctx = &sharded.built.ctx;
-        let org = &sharded.built.organization;
-        let shard = 0usize;
-        let tags = sharded.shard_tags[shard].clone();
-        let sctx = OrgContext::for_tag_group(&bench.lake, &tags);
-        let mut sorg = init::clustering_org(&sctx);
-        let scfg = SearchConfig {
-            max_iters: 40,
-            plateau_iters: 15,
-            seed: 7,
-            ..SearchConfig::default()
-        };
-        search::optimize(&sctx, &mut sorg, &scfg);
-        let old_root = sharded.shard_roots[shard];
-        let (g1, changed1, root1) = graft_shard(ctx, org, old_root, &sctx, &sorg).expect("graft");
-        let (g2, changed2, root2) = graft_shard(ctx, org, old_root, &sctx, &sorg).expect("regraft");
-        assert_eq!(g1.fingerprint(), g2.fingerprint(), "graft is deterministic");
-        assert_eq!(changed1, changed2);
-        assert_eq!(root1, root2);
-        // Tag states keep their slots; the other shard's subtree is
-        // untouched (no changed slot reachable from its root).
-        for t in 0..ctx.n_tags() as u32 {
-            assert_eq!(g1.tag_state(t), org.tag_state(t));
-        }
-        let other_root = sharded.shard_roots[1];
-        for s in g1.descendants_of(&[other_root]) {
-            assert!(
-                changed1.binary_search(&s.0).is_err(),
-                "untouched shard slot {} must not be in the changed set",
-                s.0
-            );
-        }
-        // The old shard interiors are tombstoned; the new root is alive
-        // and reaches exactly the shard's tag states.
-        assert!(!g1.state(old_root).alive);
-        assert!(g1.state(root1).alive);
-        let reached: std::collections::HashSet<u32> = g1
-            .descendants_of(&[root1])
-            .into_iter()
-            .filter_map(|s| g1.state(s).tag)
-            .collect();
-        let expect: std::collections::HashSet<u32> = tags
-            .iter()
-            .map(|t| ctx.local_tag(*t).expect("tag in full ctx"))
-            .collect();
-        assert_eq!(reached, expect);
-    }
-
-    #[test]
-    fn derive_cycle_seed_varies_by_cycle_and_shard() {
-        let s0 = derive_cycle_seed(1, 0, 0);
-        assert_ne!(s0, derive_cycle_seed(1, 1, 0));
-        assert_ne!(s0, derive_cycle_seed(1, 0, 1));
-        assert_eq!(s0, derive_cycle_seed(1, 0, 0), "pure function");
     }
 }

@@ -29,7 +29,7 @@
 //! covered by some check), and cross-section structural invariants (CSR
 //! monotonicity, id ranges, UTF-8 labels). Any violation is a typed
 //! [`DlnError::Corrupt`]; after open, accessors are infallible slice
-//! views. Publication reuses the shared [`crate::persist`] protocol
+//! views. Publication reuses the shared [`dln_persist`] protocol
 //! (`<path>.tmp` + fsync + rename, `.prev` rotation), and the
 //! `store.torn` failpoint truncates the encoded buffer pre-write exactly
 //! like `checkpoint.torn`.
@@ -46,8 +46,8 @@ use dln_lake::{TableId, TagId};
 use crate::ctx::OrgContext;
 use crate::eval::NavConfig;
 use crate::graph::{Organization, StateId};
-use crate::persist;
 use crate::view::OrgView;
+use dln_persist as persist;
 
 /// File magic (8 bytes, includes a format generation byte).
 const MAGIC: &[u8; 8] = b"DLNSTOR\x01";

@@ -1,5 +1,6 @@
 //! Shared persistence plumbing: checksum framing, little-endian codecs,
-//! and the atomic write / `.prev` rotation / fallback-load protocol.
+//! the atomic write / `.prev` rotation / fallback-load protocol, and the
+//! sequenced snapshot + WAL log.
 //!
 //! Every durable artifact in the workspace — search checkpoints and
 //! organization stores (`dln-org`), the feedback evidence log
@@ -15,6 +16,11 @@
 //!   unreadable or fails its checksum, the rotated previous generation is
 //!   tried; only a double failure is an error — and on a double failure
 //!   the files on disk are left byte-for-byte untouched for forensics.
+//! * **Sequenced logs** ([`SeqLog`]): a compacted snapshot plus a WAL of
+//!   checksummed, sequence-numbered frames with ack-after-durable appends.
+//!   The evidence log and the change log are its two instantiations; each
+//!   supplies a [`SeqState`] that folds events in and owns the snapshot
+//!   body.
 //!
 //! [`Writer`] and [`Reader`] are the little-endian codec halves used by
 //! the record-style formats; the store's fixed-width section format uses
@@ -23,6 +29,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use dln_fault::{DlnError, DlnResult};
@@ -135,6 +142,11 @@ impl Writer {
     pub fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
+    /// Append a string as a u32 byte length plus its UTF-8 bytes.
+    pub fn str(&mut self, v: &str) {
+        self.u32(v.len() as u32);
+        self.bytes(v.as_bytes());
+    }
     /// Append the FNV-1a checksum of everything written so far and return
     /// the finished buffer.
     pub fn seal(mut self) -> Vec<u8> {
@@ -202,6 +214,13 @@ impl<'a> Reader<'a> {
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
+    /// Read a string written by [`Writer::str`].
+    pub fn str(&mut self) -> DlnResult<String> {
+        let n = self.u32()? as usize;
+        let bytes = self.take(n)?;
+        String::from_utf8(bytes.to_vec())
+            .map_err(|_| DlnError::corrupt(self.context, "string is not valid UTF-8"))
+    }
     /// Read a length prefix, sanity-bounded so a corrupt-but-checksummed
     /// length cannot trigger a giant allocation.
     pub fn len_prefix(&mut self) -> DlnResult<usize> {
@@ -242,6 +261,278 @@ pub fn verify_sealed<'a>(bytes: &'a [u8], context: &str) -> DlnResult<&'a [u8]> 
         ));
     }
     Ok(payload)
+}
+
+// ---------------------------------------------------------------------------
+// Sequenced snapshot + WAL log
+// ---------------------------------------------------------------------------
+
+/// The state a [`SeqLog`] folds its events into, plus the codecs of both.
+pub trait SeqState: Default {
+    /// One appended event.
+    type Event;
+    /// Magic prefix of the snapshot file.
+    const MAGIC: &'static [u8; 8];
+    /// Snapshot format version.
+    const VERSION: u8;
+    /// The log's name in warnings and errors (`"evidence"`).
+    const NAME: &'static str;
+    /// Failpoint site that tears an append after ⅔ of its frame.
+    const TORN_SITE: &'static str;
+
+    /// Fold the durable event numbered `seq` into the state.
+    fn fold(&mut self, seq: u64, event: &Self::Event);
+    /// Serialize one event (the frame body after its sequence number).
+    fn encode_event(event: &Self::Event) -> Vec<u8>;
+    /// Decode one event. An error on a checksum-valid frame quarantines
+    /// the frame: it was not torn, so later frames still apply.
+    fn decode_event(bytes: &[u8], context: &str) -> DlnResult<Self::Event>;
+    /// Write the snapshot body, which follows the magic, the version and
+    /// the covered sequence number.
+    fn write_snapshot(&self, quarantined: u64, w: &mut Writer);
+    /// Read a body written by [`write_snapshot`](Self::write_snapshot);
+    /// `seq` is the sequence number the snapshot covers. Returns the state
+    /// and the quarantine count the body carries (0 if it carries none).
+    fn read_snapshot(r: &mut Reader<'_>, seq: u64, context: &str) -> DlnResult<(Self, u64)>;
+}
+
+/// The WAL of the sequenced log rooted at `base`: `<base>.wal`.
+pub fn wal_path(base: &Path) -> PathBuf {
+    let mut os = base.as_os_str().to_os_string();
+    os.push(".wal");
+    PathBuf::from(os)
+}
+
+/// One WAL frame: `[len:u64][body][fnv1a(body):u64]` with
+/// `body = [seq:u64][payload]`.
+pub fn wal_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(24 + payload.len());
+    frame.extend_from_slice(&(8 + payload.len() as u64).to_le_bytes());
+    frame.extend_from_slice(&seq.to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame.extend_from_slice(&fnv1a(&frame[8..]).to_le_bytes());
+    frame
+}
+
+/// The checksum-valid frame body at `pos` and the offset after the frame;
+/// `None` at a clean end or a torn tail.
+fn next_frame(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
+    let len = u64::from_le_bytes(bytes.get(pos..pos + 8)?.try_into().ok()?) as usize;
+    let body_end = (pos + 8).checked_add(len)?;
+    let end = body_end.checked_add(8)?;
+    let body = bytes.get(pos + 8..body_end)?;
+    let stored = u64::from_le_bytes(bytes.get(body_end..end)?.try_into().ok()?);
+    (fnv1a(body) == stored).then_some((body, end))
+}
+
+/// Cut the file at `path` to `len` bytes and fsync it.
+fn set_file_len(path: &Path, len: u64) -> DlnResult<()> {
+    let io_err = |e| DlnError::io(path.display().to_string(), e);
+    let f = std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)
+        .map_err(io_err)?;
+    f.set_len(len).map_err(io_err)?;
+    f.sync_all().map_err(io_err)
+}
+
+/// A durable, sequenced event log: a compacted snapshot plus a WAL tail.
+///
+/// On disk this is two files derived from one base path:
+///
+/// * `<base>` — the **snapshot**: a sealed record (`S::MAGIC`, version,
+///   last covered sequence number, then the [`SeqState`]'s own body)
+///   published with [`atomic_write`], so one previous generation always
+///   survives at `<base>.prev`.
+/// * `<base>.wal` — the **WAL**: frames built by [`wal_frame`], fsynced
+///   per append.
+///
+/// Appends are **ack-after-durable**: the sequence number is returned
+/// only once the frame is on disk, so a torn append (including the
+/// injected `S::TORN_SITE` tear) is never acknowledged and is discarded by
+/// the next append or open. On open a torn WAL tail is truncated with a
+/// warning; a *gap* in sequence numbers is [`DlnError::Corrupt`] (frames
+/// do not tear mid-file, so a gap means lost data); a checksum-valid frame
+/// whose event does not decode is **quarantined** — counted, its sequence
+/// number consumed, and every later frame still applied. [`compact`]
+/// atomically rewrites the snapshot from the folded state and empties the
+/// WAL; a crash between the two steps is safe because frames the snapshot
+/// already covers are skipped by sequence number on the next open.
+///
+/// [`compact`]: SeqLog::compact
+#[derive(Debug)]
+pub struct SeqLog<S: SeqState> {
+    snap_path: PathBuf,
+    wal_path: PathBuf,
+    state: S,
+    /// Last durably appended (or quarantine-skipped) sequence number.
+    last_seq: u64,
+    /// Length of the known-valid WAL prefix (bytes).
+    clean_len: u64,
+    /// Checksum-valid frames whose event failed to decode.
+    quarantined: u64,
+}
+
+impl<S: SeqState> SeqLog<S> {
+    /// Open (or create) the log rooted at `base`: a torn snapshot falls
+    /// back to `<base>.prev`, the WAL is folded in and a torn tail
+    /// truncated. Opening writes nothing unless there is a tail to cut.
+    pub fn open(base: &Path) -> DlnResult<SeqLog<S>> {
+        let snap_path = base.to_path_buf();
+        let wal_path = wal_path(base);
+        let (mut state, snap_seq, mut quarantined) =
+            if snap_path.exists() || prev_path(&snap_path).exists() {
+                let what = format!("{} snapshot", S::NAME);
+                load_with_fallback(&snap_path, &what, Self::load_snapshot)?
+            } else {
+                (S::default(), 0, 0)
+            };
+        let bytes = match std::fs::read(&wal_path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(DlnError::io(wal_path.display().to_string(), e)),
+        };
+        let context = wal_path.display().to_string();
+        let mut last_seq = snap_seq;
+        let mut clean_len = 0usize;
+        while let Some((body, end)) = next_frame(&bytes, clean_len) {
+            let mut r = Reader::new(body, 0, &context);
+            let seq = r.u64()?;
+            if seq > snap_seq {
+                if seq != last_seq + 1 {
+                    return Err(DlnError::corrupt(
+                        &context,
+                        format!(
+                            "{} sequence gap: expected {}, found {seq}",
+                            S::NAME,
+                            last_seq + 1
+                        ),
+                    ));
+                }
+                match S::decode_event(&body[8..], &context) {
+                    Ok(ev) => state.fold(seq, &ev),
+                    Err(e) => {
+                        eprintln!("warning: quarantining {} frame seq {seq} ({e})", S::NAME);
+                        quarantined += 1;
+                    }
+                }
+                last_seq = seq;
+            }
+            clean_len = end;
+        }
+        if clean_len < bytes.len() {
+            eprintln!(
+                "warning: {} WAL {context} has a torn tail ({clean_len} of {} bytes valid); truncating",
+                S::NAME,
+                bytes.len()
+            );
+            set_file_len(&wal_path, clean_len as u64)?;
+        }
+        Ok(SeqLog {
+            snap_path,
+            wal_path,
+            state,
+            last_seq,
+            clean_len: clean_len as u64,
+            quarantined,
+        })
+    }
+
+    fn load_snapshot(path: &Path) -> DlnResult<(S, u64, u64)> {
+        let bytes = std::fs::read(path).map_err(|e| DlnError::io(path.display().to_string(), e))?;
+        let context = path.display().to_string();
+        let payload = verify_sealed(&bytes, &context)?;
+        let mut r = Reader::new(payload, 0, &context);
+        if r.take(8)? != S::MAGIC {
+            return Err(DlnError::corrupt(
+                &context,
+                format!("not a {} snapshot", S::NAME),
+            ));
+        }
+        let version = r.u8()?;
+        if version != S::VERSION {
+            return Err(DlnError::corrupt(
+                &context,
+                format!("unsupported {} snapshot version {version}", S::NAME),
+            ));
+        }
+        let seq = r.u64()?;
+        let (state, quarantined) = S::read_snapshot(&mut r, seq, &context)?;
+        if r.pos() != payload.len() {
+            return Err(DlnError::corrupt(&context, "trailing bytes"));
+        }
+        Ok((state, seq, quarantined))
+    }
+
+    /// Durably append one event and return its sequence number. The frame
+    /// is fsynced before this returns `Ok`; on any error (including the
+    /// injected tear) nothing is acknowledged and the write is discarded
+    /// by the next append or open.
+    pub fn append(&mut self, event: &S::Event) -> DlnResult<u64> {
+        let seq = self.last_seq + 1;
+        let frame = wal_frame(seq, &S::encode_event(event));
+        let torn = dln_fault::should_fail(S::TORN_SITE);
+        let write_len = if torn {
+            frame.len() * 2 / 3
+        } else {
+            frame.len()
+        };
+        let io_err = |e| DlnError::io(self.wal_path.display().to_string(), e);
+        let mut f = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&self.wal_path)
+            .map_err(io_err)?;
+        // Discard any torn tail a previous failed append left behind.
+        f.set_len(self.clean_len).map_err(io_err)?;
+        f.seek(SeekFrom::Start(self.clean_len)).map_err(io_err)?;
+        f.write_all(&frame[..write_len]).map_err(io_err)?;
+        f.sync_all().map_err(io_err)?;
+        if torn {
+            return Err(DlnError::corrupt(
+                self.wal_path.display().to_string(),
+                format!("injected torn {} append ({})", S::NAME, S::TORN_SITE),
+            ));
+        }
+        self.clean_len += frame.len() as u64;
+        self.last_seq = seq;
+        self.state.fold(seq, event);
+        Ok(seq)
+    }
+
+    /// Atomically rewrite the snapshot from the folded state, then empty
+    /// the WAL.
+    pub fn compact(&mut self) -> DlnResult<()> {
+        let mut w = Writer::with_capacity(256);
+        w.bytes(S::MAGIC);
+        w.u8(S::VERSION);
+        w.u64(self.last_seq);
+        self.state.write_snapshot(self.quarantined, &mut w);
+        atomic_write(&self.snap_path, &w.seal())?;
+        set_file_len(&self.wal_path, 0)?;
+        self.clean_len = 0;
+        Ok(())
+    }
+
+    /// Everything ever durably appended, folded (snapshot ∪ valid WAL
+    /// frames).
+    pub fn state(&self) -> &S {
+        &self.state
+    }
+
+    /// Sequence number of the last durably appended frame.
+    pub fn last_seq(&self) -> u64 {
+        self.last_seq
+    }
+
+    /// Checksum-valid frames whose event failed to decode.
+    pub fn quarantined(&self) -> u64 {
+        self.quarantined
+    }
 }
 
 #[cfg(test)]

@@ -34,8 +34,8 @@ use dln_fault::{should_fail_keyed, DlnError, DlnResult};
 use dln_lake::TableId;
 use dln_org::eval::NavConfig;
 use dln_org::{
-    Advance, BuiltOrganization, MaintAdvance, Maintainer, MappedSnapshot, NavigationLog,
-    OrgContext, Organization, Reoptimizer, StateId,
+    Advance, BuiltOrganization, Cycle, CycleStage, Maintainer, MappedSnapshot, NavigationLog,
+    OrgContext, Organization, Planner, Reoptimizer, StateId,
 };
 
 use crate::clock::{Clock, WallClock};
@@ -297,6 +297,18 @@ pub struct MaintReport {
     pub searched_shards: usize,
 }
 
+/// What one [`NavService::run_cycle`] published (all empty when the
+/// cycle was skipped).
+#[derive(Default)]
+struct Published {
+    epoch: Option<u64>,
+    /// The first replaced shard.
+    shard: Option<usize>,
+    applied_events: u64,
+    n_changed: usize,
+    searched_shards: usize,
+}
+
 /// The concurrent navigation service.
 pub struct NavService {
     store: SnapshotStore,
@@ -472,34 +484,13 @@ impl NavService {
         } else {
             0
         };
-        let snap = self.snapshot();
-        let Some((ctx, org)) = snap.owned_parts() else {
-            return Err(DlnError::InvalidConfig(
-                "re-optimization requires an owned snapshot; republish the mapped store \
-                 as an in-memory organization first"
-                    .to_string(),
-            ));
-        };
-        match reopt.advance(&ctx, &org)? {
-            Advance::Skipped => Ok(CycleReport {
-                swept,
-                drained_sessions,
-                epoch: None,
-                shard: None,
-            }),
-            Advance::Staged(stage) => {
-                let shard = stage.shard;
-                let new_root = stage.new_root;
-                let epoch = self.publish_shard(ctx, stage.org, snap.nav(), stage.changed);
-                reopt.mark_published(shard, new_root)?;
-                Ok(CycleReport {
-                    swept,
-                    drained_sessions,
-                    epoch: Some(epoch),
-                    shard: Some(shard),
-                })
-            }
-        }
+        let published = self.run_cycle(reopt, "re-optimization")?;
+        Ok(CycleReport {
+            swept,
+            drained_sessions,
+            epoch: published.epoch,
+            shard: published.shard,
+        })
     }
 
     /// Run one incremental maintenance cycle against this service:
@@ -518,37 +509,51 @@ impl NavService {
     /// directory resumes the cycle bit-identically.
     pub fn run_maintenance_cycle(&self, maint: &mut Maintainer<'_>) -> DlnResult<MaintReport> {
         let swept = self.sweep_expired();
+        let published = self.run_cycle(maint, "maintenance")?;
+        Ok(MaintReport {
+            swept,
+            epoch: published.epoch,
+            applied_events: published.applied_events,
+            n_changed: published.n_changed,
+            searched_shards: published.searched_shards,
+        })
+    }
+
+    /// Advance `engine` against the current snapshot; publish a staged
+    /// cycle as a shard-scoped republish (under the stage's own context
+    /// when it brings one) and commit it. `what` names the cycle kind in
+    /// the owned-snapshot error.
+    fn run_cycle<P: Planner>(&self, engine: &mut Cycle<P>, what: &str) -> DlnResult<Published> {
         let snap = self.snapshot();
         let Some((ctx, org)) = snap.owned_parts() else {
-            return Err(DlnError::InvalidConfig(
-                "maintenance requires an owned snapshot; republish the mapped store \
+            return Err(DlnError::InvalidConfig(format!(
+                "{what} requires an owned snapshot; republish the mapped store \
                  as an in-memory organization first"
-                    .to_string(),
-            ));
+            )));
         };
-        match maint.advance(&ctx, &org)? {
-            MaintAdvance::Skipped => Ok(MaintReport {
-                swept,
-                epoch: None,
-                applied_events: 0,
-                n_changed: 0,
-                searched_shards: 0,
-            }),
-            MaintAdvance::Staged(stage) => {
-                let roots = stage.shard_roots.clone();
-                let n_changed = stage.changed.len();
-                let epoch =
-                    self.publish_shard(Arc::new(stage.ctx), stage.org, snap.nav(), stage.changed);
-                maint.mark_published(&roots)?;
-                Ok(MaintReport {
-                    swept,
-                    epoch: Some(epoch),
-                    applied_events: stage.applied_events,
-                    n_changed,
-                    searched_shards: stage.searched_shards,
-                })
-            }
-        }
+        let Advance::Staged(stage) = engine.advance(&ctx, &org)? else {
+            return Ok(Published::default());
+        };
+        let CycleStage {
+            ctx: next_ctx,
+            org: next_org,
+            changed,
+            shards,
+            shard_roots,
+            applied_events,
+            search_stats,
+        } = *stage;
+        let n_changed = changed.len();
+        let ctx = next_ctx.map(Arc::new).unwrap_or(ctx);
+        let epoch = self.publish_shard(ctx, next_org, snap.nav(), changed);
+        engine.mark_published(&shard_roots)?;
+        Ok(Published {
+            epoch: Some(epoch),
+            shard: shards.first().copied(),
+            applied_events,
+            n_changed,
+            searched_shards: search_stats.len(),
+        })
     }
 
     /// The currently published snapshot (cheap `Arc` clone).

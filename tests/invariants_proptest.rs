@@ -366,6 +366,10 @@ fn sharded_one_shard_is_bit_identical_across_seeds() {
     // Sharding-PR property (a): `shards = 1` routes through the ordinary
     // clustering + optimize path bit-for-bit — same arena, same tags, same
     // edges, same unit topics — whatever the lake and search seeds.
+    //
+    // Hold the (disarmed) failpoint scope: a concurrently running
+    // failpoint test in this binary must not kill these searches.
+    let _fp = dln_fault::scoped("").expect("disarm failpoints");
     let mut rng = StdRng::seed_from_u64(0x5AAD);
     for _case in 0..4 {
         let bench = TagCloudConfig {
@@ -404,6 +408,10 @@ fn stitched_org_incremental_evaluator_matches_fresh_at_any_thread_count() {
     // copied shard structure) agrees with a fresh full evaluation to 1e-9
     // after every applied op, at 1 and 4 workers — and the final evaluator
     // state is bit-identical across those worker counts.
+    //
+    // Hold the (disarmed) failpoint scope: a concurrently running
+    // failpoint test in this binary must not kill the sharded build.
+    let _fp = dln_fault::scoped("").expect("disarm failpoints");
     let mut rng = StdRng::seed_from_u64(0x5717C4);
     for _case in 0..3 {
         let bench = TagCloudConfig {

@@ -21,7 +21,7 @@
 //!   injected clock without touching their sessions.
 //!
 //! The failpoint registry is process-global, so this suite has its own
-//! binary; the CI `net-chaos` matrix re-runs it with `DLN_FAILPOINTS`
+//! binary; the CI `chaos` matrix re-runs it with `DLN_FAILPOINTS`
 //! arming each `net.*` schedule (and `--test-threads=1`, since an
 //! env-armed run must not race the scoped overrides below).
 
