@@ -1,8 +1,8 @@
 //! Network front-end benchmark: emits `BENCH_net.json`.
 //!
 //! The question the reactor exists to answer: what does it cost to keep
-//! *thousands of mostly-idle* navigation sessions live on a handful of
-//! server threads? A thread-per-connection design pays a stack per idle
+//! *thousands of mostly-idle* navigation sessions live on one server
+//! thread? A thread-per-connection design pays a stack per idle
 //! user; `dln-net` pays one registered descriptor. This benchmark
 //! measures that claim end to end, across two processes — the server in
 //! the parent, the client fleet in a child re-exec of this binary — so
@@ -11,8 +11,8 @@
 //! resident-memory number is the *server's alone*:
 //!
 //! 1. Raise `RLIMIT_NOFILE` as far as permitted, start a [`NetServer`]
-//!    with **1 reactor + 3 workers = 4 server threads**, and spawn the
-//!    fleet child, which connects `--conns` blocking clients, each
+//!    (**one server thread**: the reactor runs every dispatch), and spawn
+//!    the fleet child, which connects `--conns` blocking clients, each
 //!    opening a wire session.
 //! 2. Record the server-process resident-memory delta per idle session.
 //! 3. Drive "mostly idle" traffic: each round the child steps an
@@ -402,13 +402,12 @@ fn main() {
         NavConfig::default(),
         serve_cfg,
     ));
-    // 1 reactor + 3 workers = 4 server threads, the ISSUE's budget.
     let net_cfg = NetConfig {
         max_conns: conns + 64,
-        workers: 3,
         ..NetConfig::default()
     };
-    let server_threads = 1 + net_cfg.workers;
+    // The reactor is the server's only thread.
+    let server_threads = 1;
     let server = NetServer::start(Arc::clone(&svc), net_cfg, Arc::new(WallClock::new()))
         .expect("server starts");
     let addr = server.local_addr();

@@ -1,23 +1,21 @@
 //! Per-connection state machine.
 //!
 //! Each accepted socket owns one [`Conn`], driven entirely by the reactor
-//! thread (workers never touch the socket — they hand finished response
-//! bytes back through the completion queue). The machine has four states:
+//! thread, which also runs every request's dispatch inline. The machine
+//! has two states:
 //!
 //! ```text
-//!          frame complete                dispatch done
-//!   Idle ──────────────► Dispatching ─────────────────► Writing
-//!    ▲  ◄── Reading ◄──┘    (worker owns the request)      │
-//!    │        partial                                       │ wbuf drained
-//!    └──────────────────────────────────────────────────────┘
+//!          frame complete: dispatch, queue the response, write
+//!   Idle ──────────────────────────────────────────────────► Writing
+//!    ▲                                                          │
+//!    └───── wbuf drained (at once, or under WRITE readiness) ───┘
 //! ```
 //!
-//! `Reading` is implicit: a conn with a non-empty read buffer and no
-//! complete frame is idle-with-partial-input. Because the blocking client
-//! sends one request and waits for the response, the machine admits at
-//! most one in-flight dispatch per connection — bytes that arrive while
-//! `Dispatching` stay buffered and are parsed only after the response is
-//! written, which also bounds per-connection memory to one frame each way.
+//! Reading is implicit: a conn with a non-empty read buffer and no
+//! complete frame is idle-with-partial-input. A conn has at most one
+//! response in flight: bytes that arrive while it is `Writing` stay in the
+//! socket or the read buffer and are parsed only after the response is
+//! out, which bounds per-connection memory to one frame each way.
 
 use std::collections::HashSet;
 use std::io::{self, Read, Write};
@@ -33,8 +31,6 @@ use crate::wire;
 pub enum ConnState {
     /// Waiting for (more of) a request frame.
     Idle,
-    /// A complete request is with the worker pool; the socket is parked.
-    Dispatching,
     /// A response is being flushed; more [`write_ready`](Conn::write_ready)
     /// calls drain `wbuf`.
     Writing,
@@ -60,8 +56,11 @@ pub struct Conn {
     pub stream: TcpStream,
     /// Lifecycle phase.
     pub state: ConnState,
-    /// Bytes read but not yet parsed into a frame.
+    /// Bytes read from the socket; `rbuf[rpos..]` is not yet parsed. A
+    /// cut frame only advances `rpos`, so a pipelined burst costs one
+    /// compaction per socket read rather than one memmove per frame.
     rbuf: Vec<u8>,
+    rpos: usize,
     /// Encoded response being flushed, plus the flush offset.
     wbuf: Vec<u8>,
     woff: usize,
@@ -70,35 +69,32 @@ pub struct Conn {
     /// Sessions opened over this connection and not yet closed; graceful
     /// shutdown finalizes these into the navigation log.
     pub sessions: HashSet<SessionId>,
-    /// Deterministic per-connection key for keyed failpoints.
-    pub fault_key: u64,
-    /// Set when the server decides to close after the current flush.
-    pub close_after_write: bool,
 }
 
 impl Conn {
     /// Wrap a freshly accepted nonblocking stream.
-    pub fn new(stream: TcpStream, now_ms: u64, fault_key: u64) -> Conn {
+    pub fn new(stream: TcpStream, now_ms: u64) -> Conn {
         Conn {
             stream,
             state: ConnState::Idle,
             rbuf: Vec::new(),
+            rpos: 0,
             wbuf: Vec::new(),
             woff: 0,
             last_active_ms: now_ms,
             sessions: HashSet::new(),
-            fault_key,
-            close_after_write: false,
         }
     }
 
     /// Drain the socket into `rbuf` and try to parse one frame.
     ///
-    /// Call only in [`ConnState::Idle`]: while `Dispatching` or `Writing`
-    /// the server leaves read readiness unconsumed (level-triggered
-    /// polling re-reports it once the response is out).
+    /// Call only in [`ConnState::Idle`]: while `Writing` the server leaves
+    /// read readiness unconsumed (level-triggered polling re-reports it
+    /// once the response is out).
     pub fn read_ready(&mut self, max_frame_len: u32, now_ms: u64) -> ReadOutcome {
         debug_assert_eq!(self.state, ConnState::Idle);
+        self.rbuf.drain(..self.rpos);
+        self.rpos = 0;
         let mut chunk = [0u8; 4096];
         loop {
             match self.stream.read(&mut chunk) {
@@ -133,11 +129,16 @@ impl Conn {
 
     /// Attempt to cut one frame off the front of `rbuf`.
     fn try_frame(&mut self, max_frame_len: u32) -> ReadOutcome {
-        match wire::try_decode_frame(&self.rbuf, max_frame_len, "net conn frame") {
+        let unparsed = &self.rbuf[self.rpos..];
+        match wire::try_decode_frame(unparsed, max_frame_len, "net conn frame") {
             Ok(None) => ReadOutcome::Incomplete,
             Ok(Some((payload, consumed))) => {
                 let frame = payload.to_vec();
-                self.rbuf.drain(..consumed);
+                self.rpos += consumed;
+                if self.rpos == self.rbuf.len() {
+                    self.rbuf.clear();
+                    self.rpos = 0;
+                }
                 ReadOutcome::Frame(frame)
             }
             Err(e) => ReadOutcome::Broken(e),
@@ -201,16 +202,10 @@ impl Conn {
         self.woff < self.wbuf.len()
     }
 
-    /// Bytes currently buffered (both directions) — the per-conn memory
-    /// the benchmark's resident-per-session number accounts.
-    pub fn buffered_bytes(&self) -> usize {
-        self.rbuf.capacity() + self.wbuf.capacity()
-    }
-
-    /// After a flush completes, parse any already-buffered next request
-    /// (pipelined bytes that arrived during the dispatch).
+    /// After a response is out, parse any already-buffered next request
+    /// (bytes the peer pipelined behind the one just answered).
     pub fn next_buffered_frame(&mut self, max_frame_len: u32) -> ReadOutcome {
-        if self.rbuf.is_empty() {
+        if self.rpos == self.rbuf.len() {
             ReadOutcome::Incomplete
         } else {
             self.try_frame(max_frame_len)
@@ -235,7 +230,7 @@ mod tests {
     #[test]
     fn frames_assemble_across_partial_reads() {
         let (mut client, server) = pair();
-        let mut conn = Conn::new(server, 0, 1);
+        let mut conn = Conn::new(server, 0);
         let mut framed = Vec::new();
         wire::encode_frame(b"abcdefgh", &mut framed);
         // Send the frame one byte at a time; the conn must never error and
@@ -261,7 +256,7 @@ mod tests {
     #[test]
     fn partial_writes_resume_until_drained() {
         let (client, server) = pair();
-        let mut conn = Conn::new(server, 0, 1);
+        let mut conn = Conn::new(server, 0);
         let mut framed = Vec::new();
         wire::encode_frame(&vec![7u8; 300], &mut framed);
         let total = framed.len();
@@ -291,7 +286,7 @@ mod tests {
     #[test]
     fn garbage_input_breaks_the_conn_with_a_typed_error() {
         let (mut client, server) = pair();
-        let mut conn = Conn::new(server, 0, 1);
+        let mut conn = Conn::new(server, 0);
         client.write_all(&[0xAA; 16]).expect("send garbage");
         client.flush().expect("flush");
         std::thread::sleep(std::time::Duration::from_millis(5));

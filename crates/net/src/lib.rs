@@ -1,5 +1,5 @@
 //! Network front-end for `dln-serve`: thousands of mostly-idle
-//! navigation sessions on a handful of threads.
+//! navigation sessions on one reactor thread.
 //!
 //! The paper's organizations are built to be navigated *interactively* —
 //! a human sits at the other end of every step, so a real deployment is
@@ -17,11 +17,11 @@
 //!   [`ApiResponse`](dln_serve::ApiResponse) enums (floats travel as
 //!   IEEE-754 bits, so remote responses are `to_bits`-identical to local
 //!   ones).
-//! * [`conn`] — the per-connection state machine (idle → reading →
-//!   dispatching → writing), with buffer caps so a hostile peer can cost
-//!   at most one frame of memory.
-//! * [`server`] — [`NetServer`]: the reactor thread, a fixed worker pool
-//!   running [`NavService::dispatch`](dln_serve::NavService::dispatch),
+//! * [`conn`] — the per-connection state machine (idle → writing →
+//!   idle), with buffer caps so a hostile peer can cost at most one frame
+//!   of memory.
+//! * [`server`] — [`NetServer`]: one reactor thread that runs
+//!   [`NavService::dispatch`](dln_serve::NavService::dispatch) inline,
 //!   accept-time shedding that composes with the admission gate, an
 //!   idle-TTL sweep on the injected clock, a per-session exactly-once
 //!   response cache, and graceful shutdown that finalizes sessions into

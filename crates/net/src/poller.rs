@@ -11,8 +11,8 @@
 //!   ([`Interest::READ`] / [`Interest::WRITE`], level-triggered),
 //! * block for readiness with a timeout, yielding `(token, readable,
 //!   writable)` events,
-//! * a self-pipe [`Waker`] so worker threads (which finish dispatches
-//!   off-loop) can interrupt a blocked `wait`.
+//! * a self-pipe [`Waker`] so another thread (the server's shutdown) can
+//!   interrupt a blocked `wait`.
 //!
 //! Level-triggered is a deliberate choice over edge-triggered: the
 //! conn state machine reads/writes until `WouldBlock` anyway, and
@@ -31,9 +31,6 @@ use dln_fault::{DlnError, DlnResult};
 pub struct Interest(u8);
 
 impl Interest {
-    /// No data interest: only hangup/error conditions (used to park a
-    /// descriptor while its request is with the worker pool).
-    pub const NONE: Interest = Interest(0b00);
     /// Wake when the descriptor is readable (or a peer hung up).
     pub const READ: Interest = Interest(0b01);
     /// Wake when the descriptor is writable.

@@ -1,31 +1,26 @@
-//! The network server: one reactor thread multiplexing every connection
-//! over epoll/kqueue, plus a small fixed worker pool that runs the actual
-//! [`NavService::dispatch`] calls so a slow navigation step never blocks
-//! the event loop.
+//! The network server: one reactor thread that multiplexes every
+//! connection over epoll/kqueue and runs each request's
+//! [`NavService::dispatch`] itself, inline, between socket events.
 //!
-//! ## Division of labor
+//! ## Why inline
 //!
-//! The **reactor** owns every socket. It accepts, reads, frames, and
-//! writes; it never executes a navigation step. A complete request frame
-//! becomes a [`Job`] on the worker channel and the connection parks in
-//! `Dispatching` (interest [`Interest::NONE`] — level-triggered polling
-//! would otherwise spin on buffered bytes we refuse to parse mid-flight).
-//!
-//! **Workers** pull jobs, run `dispatch`, encode + frame the response, and
-//! push the finished bytes onto the completion queue, then wake the
-//! reactor through the self-pipe. Workers never touch a socket, so there
-//! is no locking around connection state at all — the reactor is the sole
-//! owner.
+//! A wire request is a sub-µs to ~12 µs in-process call; a list-tables
+//! step is the slowest class. Handing it to another thread and waking the
+//! reactor back through a self-pipe costs more than that (≈19 µs per
+//! request on a 2-vCPU host), so the reactor owns the sockets *and* the
+//! dispatches. The cost is head-of-line blocking across connections,
+//! bounded by the slowest single dispatch: the reactor answers one
+//! request, then moves on to the next ready socket.
 //!
 //! ## Exactly-once steps
 //!
-//! Every envelope carries a client-chosen sequence number. The workers
-//! keep a per-session cache of `(last seq, framed response)` and consult
-//! it *before* dispatching: a resent `Step` (same session, same seq —
-//! what the client does after a torn connection) returns the cached bytes
-//! without re-applying the step. The cache entry is written **before**
-//! the response is handed to the reactor, so even `net.conn_drop` (kill
-//! the conn after dispatch, before the write) cannot lose a step: the
+//! Every envelope carries a client-chosen sequence number. The reactor
+//! keeps a per-session cache of `(last seq, framed response)` and
+//! consults it *before* dispatching: a resent `Step` (same session, same
+//! seq — what the client does after a torn connection) returns the cached
+//! bytes without re-applying the step. The cache entry is written
+//! **before** the first write attempt, so even `net.conn_drop` (kill the
+//! conn after dispatch, before the write) cannot lose a step: the
 //! reconnecting client resends, hits the cache, and observes the
 //! bit-identical response it would have gotten the first time.
 //!
@@ -37,7 +32,9 @@
 //! 2. **Admission gate**: an admitted connection's step still goes
 //!    through [`NavService`]'s semaphore; a shed there comes back as the
 //!    same first-class `Overloaded` wire frame, which the client's
-//!    [`RetryPolicy`] already honors.
+//!    [`RetryPolicy`](dln_serve::RetryPolicy) already honors. The reactor
+//!    holds at most one permit, so when in-process callers saturate the
+//!    gate it queues behind them like any other caller.
 //! 3. **Idle TTL**: connections silent past `idle_ttl_ms` (by the
 //!    injected [`Clock`], so tests drive it manually) are dropped; their
 //!    sessions stay in the registry for the service's own TTL sweep, so a
@@ -45,23 +42,22 @@
 //!
 //! ## Shutdown
 //!
-//! [`NetServer::shutdown`] stops accepting, drains in-flight dispatches,
-//! flushes pending responses (bounded), then closes every connection's
-//! sessions through [`NavService::close_session`] — finalizing their
-//! walks into the [`NavigationLog`](dln_org::NavigationLog) so feedback
-//! evidence survives the restart.
+//! [`NetServer::shutdown`] stops accepting, flushes pending responses
+//! (best effort), then closes every connection's sessions through
+//! [`NavService::close_session`] — finalizing their walks into the
+//! [`NavigationLog`](dln_org::NavigationLog) so feedback evidence
+//! survives the restart.
 
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use dln_fault::{failpoints, DlnError, DlnResult};
-use dln_serve::{ApiRequest, ApiResponse, Clock, NavService, SessionId, WireError};
+use dln_serve::{ApiRequest, ApiResponse, Clock, NavService, WireError};
 
 use crate::conn::{Conn, ConnState, ReadOutcome};
 use crate::poller::{Event, Interest, Poller, Waker};
@@ -80,7 +76,7 @@ pub const FP_WRITE_PARTIAL: &str = "net.write_partial";
 /// request — a cache hit — is deterministically allowed through).
 pub const FP_CONN_DROP: &str = "net.conn_drop";
 
-/// Tuning knobs for [`NetServer`]. Every field has an environment
+/// Tuning knobs for [`NetServer`]. Most fields have an environment
 /// override so deployments configure the front-end without code.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -89,7 +85,8 @@ pub struct NetConfig {
     /// Connection cap; accepts past it are shed with an `Overloaded`
     /// frame (`DLN_NET_MAX_CONNS`, default 16384).
     pub max_conns: usize,
-    /// Dispatch worker threads (`DLN_NET_WORKERS`, default 2).
+    /// Unread: the reactor runs every dispatch itself. Kept so callers
+    /// that build a `NetConfig` with a struct literal still compile.
     pub workers: usize,
     /// Idle connection TTL in clock-ms; 0 disables the sweep
     /// (`DLN_NET_IDLE_TTL_MS`, default 0).
@@ -105,7 +102,7 @@ impl Default for NetConfig {
         NetConfig {
             addr: "127.0.0.1:0".to_string(),
             max_conns: 16384,
-            workers: 2,
+            workers: 0,
             idle_ttl_ms: 0,
             max_frame_len: wire::MAX_FRAME_LEN,
             shed_retry_after_ms: 50,
@@ -122,17 +119,15 @@ fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
 
 impl NetConfig {
     /// Build a config from `DLN_LISTEN` / `DLN_NET_MAX_CONNS` /
-    /// `DLN_NET_WORKERS` / `DLN_NET_IDLE_TTL_MS`, falling back to the
-    /// defaults above for anything unset or unparseable.
+    /// `DLN_NET_IDLE_TTL_MS`, falling back to the defaults above for
+    /// anything unset or unparseable.
     pub fn from_env() -> NetConfig {
         let d = NetConfig::default();
         NetConfig {
             addr: std::env::var("DLN_LISTEN").unwrap_or(d.addr),
             max_conns: env_parse("DLN_NET_MAX_CONNS", d.max_conns),
-            workers: env_parse("DLN_NET_WORKERS", d.workers).max(1),
             idle_ttl_ms: env_parse("DLN_NET_IDLE_TTL_MS", d.idle_ttl_ms),
-            max_frame_len: d.max_frame_len,
-            shed_retry_after_ms: d.shed_retry_after_ms,
+            ..d
         }
     }
 }
@@ -144,7 +139,7 @@ pub struct NetStats {
     pub accepted: AtomicU64,
     /// Accepts shed at the `max_conns` cap.
     pub shed_accepts: AtomicU64,
-    /// Requests dispatched through the worker pool (cache hits included).
+    /// Well-formed requests the reactor answered (cache hits included).
     pub requests: AtomicU64,
     /// Step retries answered from the exactly-once cache.
     pub dedup_hits: AtomicU64,
@@ -154,42 +149,19 @@ pub struct NetStats {
     pub idle_reaped: AtomicU64,
 }
 
-/// One request in flight from reactor to worker pool.
-struct Job {
-    token: u64,
-    seq: u64,
-    req: ApiRequest,
-}
-
-/// One finished dispatch on its way back to the reactor.
-struct Completion {
-    token: u64,
-    /// Fully framed response bytes; `None` when `drop_conn` is set.
-    framed: Option<Vec<u8>>,
-    /// Session to start tracking on this conn (an `Opened` response).
-    opened: Option<SessionId>,
-    /// Session to stop tracking (a `Close` request, whatever its result).
-    closed: Option<SessionId>,
-    /// `net.conn_drop` fired: tear the conn down instead of responding.
-    drop_conn: bool,
-}
-
-type Cache = Mutex<HashMap<u64, (u64, Vec<u8>)>>;
-
-/// The running network front-end. Dropping it without calling
-/// [`shutdown`](NetServer::shutdown) aborts the reactor without session
-/// finalization — call `shutdown` for the graceful path.
+/// The running network front-end. [`shutdown`](NetServer::shutdown) and
+/// dropping both take the graceful path: the reactor flushes what it can
+/// and finalizes every connection's sessions before it exits.
 pub struct NetServer {
     local_addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
     waker: Arc<Waker>,
     reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     stats: Arc<NetStats>,
 }
 
 impl NetServer {
-    /// Bind, spawn the reactor + worker pool, and start serving `svc`.
+    /// Bind, spawn the reactor thread, and start serving `svc`.
     pub fn start(
         svc: Arc<NavService>,
         config: NetConfig,
@@ -207,43 +179,21 @@ impl NetServer {
         let stop = Arc::new(AtomicBool::new(false));
         let waker = Arc::new(Waker::new()?);
         let stats = Arc::new(NetStats::default());
-        let cache: Arc<Cache> = Arc::new(Mutex::new(HashMap::new()));
-        let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let (job_tx, job_rx) = channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let mut workers = Vec::with_capacity(config.workers.max(1));
-        for i in 0..config.workers.max(1) {
-            let svc = Arc::clone(&svc);
-            let rx = Arc::clone(&job_rx);
-            let completions = Arc::clone(&completions);
-            let waker = Arc::clone(&waker);
-            let cache = Arc::clone(&cache);
-            let stats = Arc::clone(&stats);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("dln-net-worker-{i}"))
-                    .spawn(move || worker_loop(svc, rx, completions, waker, cache, stats))
-                    .map_err(|e| DlnError::io("net spawn worker", e))?,
-            );
-        }
 
         let reactor = {
             let stop = Arc::clone(&stop);
             let waker = Arc::clone(&waker);
             let stats = Arc::clone(&stats);
-            let cache = Arc::clone(&cache);
-            let completions = Arc::clone(&completions);
-            let config = config.clone();
             std::thread::Builder::new()
                 .name("dln-net-reactor".to_string())
                 .spawn(move || {
+                    let Ok(poller) = Poller::new() else {
+                        return; // no poller, no server
+                    };
+                    let last_sweep_ms = clock.now();
                     let mut r = Reactor {
                         listener,
-                        poller: match Poller::new() {
-                            Ok(p) => p,
-                            Err(_) => return, // no poller, no server
-                        },
+                        poller,
                         waker,
                         conns: HashMap::new(),
                         next_token: 2,
@@ -252,9 +202,8 @@ impl NetServer {
                         config,
                         stop,
                         stats,
-                        cache,
-                        completions,
-                        job_tx,
+                        cache: HashMap::new(),
+                        last_sweep_ms,
                     };
                     r.run();
                 })
@@ -266,7 +215,6 @@ impl NetServer {
             stop,
             waker,
             reactor: Some(reactor),
-            workers,
             stats,
         })
     }
@@ -281,20 +229,11 @@ impl NetServer {
         &self.stats
     }
 
-    /// Graceful shutdown: stop accepting, drain in-flight dispatches,
-    /// flush pending responses, finalize every connection's sessions into
-    /// the navigation log, then join the reactor and workers.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.waker.wake();
-        if let Some(h) = self.reactor.take() {
-            let _ = h.join();
-        }
-        // The reactor dropped the job sender on exit; workers drain the
-        // channel and stop.
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+    /// Graceful shutdown: stop accepting, flush pending responses,
+    /// finalize every connection's sessions into the navigation log, then
+    /// join the reactor.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -305,14 +244,15 @@ impl Drop for NetServer {
         if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
     }
 }
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
+
+/// Per-session exactly-once cache: session id → (last step seq, framed
+/// response).
+type Cache = HashMap<u64, (u64, Vec<u8>)>;
 
 struct Reactor {
     listener: TcpListener,
@@ -325,9 +265,9 @@ struct Reactor {
     config: NetConfig,
     stop: Arc<AtomicBool>,
     stats: Arc<NetStats>,
-    cache: Arc<Cache>,
-    completions: Arc<Mutex<Vec<Completion>>>,
-    job_tx: Sender<Job>,
+    cache: Cache,
+    /// Clock-ms of the last idle-TTL scan.
+    last_sweep_ms: u64,
 }
 
 impl Reactor {
@@ -355,19 +295,14 @@ impl Reactor {
             if self.poller.wait(100, &mut events).is_err() {
                 break;
             }
-            let drained: Vec<Event> = std::mem::take(&mut events);
-            for ev in drained {
+            for ev in &events {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => {
-                        self.waker.drain();
-                        self.apply_completions();
-                    }
-                    token => self.conn_ready(token, &ev),
+                    // Woken for stop; the loop condition sees the flag.
+                    TOKEN_WAKER => self.waker.drain(),
+                    token => self.conn_ready(token, ev),
                 }
             }
-            // Completions can land while we were busy with socket events.
-            self.apply_completions();
             self.sweep_idle();
         }
         self.graceful_drain();
@@ -413,8 +348,7 @@ impl Reactor {
         {
             return;
         }
-        self.conns
-            .insert(token, Conn::new(stream, self.now(), token));
+        self.conns.insert(token, Conn::new(stream, self.now()));
         self.stats.accepted.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -435,25 +369,19 @@ impl Reactor {
     // -- conn events ------------------------------------------------------
 
     fn conn_ready(&mut self, token: u64, ev: &Event) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let Some(conn) = self.conns.get(&token) else {
             return; // already torn down this tick
         };
-        if ev.writable && conn.state == ConnState::Writing {
-            self.flush(token);
-        }
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if ev.readable && conn.state == ConnState::Idle {
-            self.read(token);
+        match conn.state {
+            // Only a partial write leaves a conn `Writing`, and it is the
+            // one case whose interest is WRITE rather than READ.
+            ConnState::Writing if ev.writable => self.resume_write(token),
+            ConnState::Idle if ev.readable => self.read(token),
+            _ => {}
         }
     }
 
     fn read(&mut self, token: u64) {
-        let now = self.now();
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
         if failpoints::should_fail(FP_READ_TORN) {
             // Injected torn read: the bytes are gone and so is the conn.
             // The client's recovery is reconnect + resend (the dedup cache
@@ -461,107 +389,163 @@ impl Reactor {
             self.teardown(token, false);
             return;
         }
-        match conn.read_ready(self.config.max_frame_len, now) {
-            ReadOutcome::Incomplete => {}
-            ReadOutcome::Frame(payload) => self.dispatch_frame(token, payload),
-            ReadOutcome::Eof => self.teardown(token, false),
-            ReadOutcome::Broken(_e) => self.teardown(token, false),
-        }
-    }
-
-    fn dispatch_frame(&mut self, token: u64, payload: Vec<u8>) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let (seq, req) = match wire::decode_request(&payload, "net request") {
-            Ok(x) => x,
-            Err(_) => {
-                // Framing held but the payload is garbage: unrecoverable
-                // for this conn (we cannot even answer with the right seq).
-                self.teardown(token, false);
-                return;
-            }
-        };
-        conn.state = ConnState::Dispatching;
-        // Park the descriptor: level-triggered READ on bytes we refuse to
-        // parse mid-dispatch would spin the loop.
-        let fd = conn.stream.as_raw_fd();
-        let _ = self.poller.modify(fd, token, Interest::NONE);
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        if self.job_tx.send(Job { token, seq, req }).is_err() {
-            self.teardown(token, false);
-        }
-    }
-
-    fn flush(&mut self, token: u64) {
         let now = self.now();
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
+        };
+        let outcome = conn.read_ready(self.config.max_frame_len, now);
+        self.serve(token, outcome);
+    }
+
+    /// A partial write is writable again: finish it, then go on with any
+    /// request the peer pipelined behind it.
+    fn resume_write(&mut self, token: u64) {
+        if !self.flush(token, true) {
+            return;
+        }
+        if let Some(conn) = self.conns.get_mut(&token) {
+            let next = conn.next_buffered_frame(self.config.max_frame_len);
+            self.serve(token, next);
+        }
+    }
+
+    /// Answer `next`, then every complete frame already buffered behind
+    /// it. A loop, not recursion: a peer that pipelines thousands of tiny
+    /// frames must not grow the reactor's stack. Stops at a partial frame,
+    /// at a partial write (resumed under WRITE readiness), or when the
+    /// conn is gone.
+    fn serve(&mut self, token: u64, mut next: ReadOutcome) {
+        loop {
+            match next {
+                ReadOutcome::Frame(payload) => {
+                    if !self.answer(token, &payload) {
+                        return;
+                    }
+                }
+                ReadOutcome::Incomplete => return,
+                ReadOutcome::Eof | ReadOutcome::Broken(_) => {
+                    self.teardown(token, false);
+                    return;
+                }
+            }
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
+            };
+            next = conn.next_buffered_frame(self.config.max_frame_len);
+        }
+    }
+
+    /// Run one request to completion: replay or dispatch it, record its
+    /// session bookkeeping, cache a step's response, and write the reply.
+    /// Returns true when the reply is fully out and the conn is `Idle`.
+    fn answer(&mut self, token: u64, payload: &[u8]) -> bool {
+        let Ok((seq, req)) = wire::decode_request(payload, "net request") else {
+            // Framing held but the payload is garbage: unrecoverable for
+            // this conn (we cannot even answer with the right seq).
+            self.teardown(token, false);
+            return false;
+        };
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+
+        // Exactly-once: a resent Step (same session, same seq) replays the
+        // cached response instead of re-applying the step.
+        if let ApiRequest::Step { session, .. } = &req {
+            if let Some((cached_seq, framed)) = self.cache.get(&session.0) {
+                if *cached_seq == seq {
+                    self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                    let framed = framed.clone();
+                    return self.write_response(token, framed);
+                }
+            }
+        }
+
+        let resp = self.svc.dispatch(&req);
+
+        // Session bookkeeping for graceful-shutdown finalization.
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return false;
+        };
+        match (&req, &resp) {
+            (_, ApiResponse::Opened { session }) => {
+                conn.sessions.insert(*session);
+            }
+            (ApiRequest::Close { session }, _) => {
+                conn.sessions.remove(session);
+            }
+            _ => {}
+        }
+
+        let mut framed = Vec::new();
+        wire::encode_frame(&wire::encode_response(seq, &resp), &mut framed);
+
+        match (&req, &resp) {
+            (
+                ApiRequest::Step { session, .. },
+                ApiResponse::Error(
+                    WireError::SessionNotFound { .. } | WireError::SessionExpired { .. },
+                ),
+            )
+            | (ApiRequest::Close { session }, ApiResponse::Closed { .. }) => {
+                self.cache.remove(&session.0);
+            }
+            (ApiRequest::Step { session, .. }, _) => {
+                // Store BEFORE the write attempt: this ordering is what
+                // makes net.conn_drop recoverable without replaying.
+                self.cache.insert(session.0, (seq, framed.clone()));
+                // Keyed on (session ⊕ rotated seq): deterministic in the
+                // request identity. Fires only on the first application (a
+                // retry is a cache hit and returns above), so a dropped
+                // conn cannot loop forever.
+                if failpoints::should_fail_keyed(FP_CONN_DROP, session.0 ^ seq.rotate_left(32)) {
+                    self.teardown(token, false);
+                    return false;
+                }
+            }
+            _ => {}
+        }
+        self.write_response(token, framed)
+    }
+
+    fn write_response(&mut self, token: u64, framed: Vec<u8>) -> bool {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return false;
+        };
+        conn.queue_response(framed);
+        self.flush(token, false)
+    }
+
+    /// Flush the queued response. `write_armed` says whether an earlier
+    /// partial write switched the conn's interest to WRITE; `epoll_ctl`
+    /// runs only on the two transitions (first partial write → WRITE,
+    /// drain after one → READ), never on the common one-shot write.
+    /// Returns true when the response is fully out.
+    fn flush(&mut self, token: u64, write_armed: bool) -> bool {
+        let now = self.now();
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return false;
         };
         let chunk = if failpoints::should_fail(FP_WRITE_PARTIAL) {
             1
         } else {
             usize::MAX
         };
+        let fd = conn.stream.as_raw_fd();
         match conn.write_ready(now, chunk) {
             Ok(true) => {
-                let close = conn.close_after_write;
-                let fd = conn.stream.as_raw_fd();
-                if close {
-                    self.teardown(token, false);
-                    return;
+                if write_armed {
+                    let _ = self.poller.modify(fd, token, Interest::READ);
                 }
-                let _ = self.poller.modify(fd, token, Interest::READ);
-                // Pipelined bytes may already hold the next request.
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    match conn.next_buffered_frame(self.config.max_frame_len) {
-                        ReadOutcome::Frame(payload) => self.dispatch_frame(token, payload),
-                        ReadOutcome::Broken(_) => self.teardown(token, false),
-                        _ => {}
-                    }
-                }
+                true
             }
             Ok(false) => {
-                let fd = conn.stream.as_raw_fd();
-                let _ = self.poller.modify(fd, token, Interest::WRITE);
+                if !write_armed {
+                    let _ = self.poller.modify(fd, token, Interest::WRITE);
+                }
+                false
             }
-            Err(_) => self.teardown(token, false),
-        }
-    }
-
-    // -- completions from the worker pool ---------------------------------
-
-    fn apply_completions(&mut self) {
-        let batch: Vec<Completion> = {
-            let mut q = match self.completions.lock() {
-                Ok(q) => q,
-                Err(_) => return,
-            };
-            std::mem::take(&mut *q)
-        };
-        for c in batch {
-            let Some(conn) = self.conns.get_mut(&c.token) else {
-                // The conn died while its request was in flight (torn
-                // read, idle reap). Session bookkeeping still applies to
-                // nothing — the session itself lives in the registry and
-                // will be reclaimed by the service TTL sweep.
-                continue;
-            };
-            if let Some(sid) = c.opened {
-                conn.sessions.insert(sid);
-            }
-            if let Some(sid) = c.closed {
-                conn.sessions.remove(&sid);
-            }
-            if c.drop_conn {
-                // net.conn_drop: the response exists in the dedup cache
-                // but the conn dies before the write.
-                self.teardown(c.token, false);
-                continue;
-            }
-            if let Some(framed) = c.framed {
-                conn.queue_response(framed);
-                self.flush(c.token);
+            Err(_) => {
+                self.teardown(token, false);
+                false
             }
         }
     }
@@ -569,11 +553,17 @@ impl Reactor {
     // -- lifecycle --------------------------------------------------------
 
     fn sweep_idle(&mut self) {
-        if self.config.idle_ttl_ms == 0 {
+        let ttl = self.config.idle_ttl_ms;
+        if ttl == 0 {
             return;
         }
+        // The scan is O(conns) and the loop turns about once per request,
+        // so scan at most once per quarter TTL of clock time.
         let now = self.now();
-        let ttl = self.config.idle_ttl_ms;
+        if now.saturating_sub(self.last_sweep_ms) < (ttl / 4).max(1) {
+            return;
+        }
+        self.last_sweep_ms = now;
         let stale: Vec<u64> = self
             .conns
             .iter()
@@ -600,149 +590,99 @@ impl Reactor {
         if finalize {
             for sid in &conn.sessions {
                 let _ = self.svc.close_session(*sid);
-                if let Ok(mut cache) = self.cache.lock() {
-                    cache.remove(&sid.0);
-                }
+                self.cache.remove(&sid.0);
             }
         }
         self.stats.closed.fetch_add(1, Ordering::Relaxed);
         // Socket closes on drop.
     }
 
-    /// The graceful path: no new accepts (loop already exited), drain
-    /// in-flight dispatches, flush what can be flushed, finalize sessions.
+    /// The graceful path: no new accepts (loop already exited), flush
+    /// what a partial write left queued, finalize sessions.
     fn graceful_drain(&mut self) {
         let _ = self.poller.deregister(self.listener.as_raw_fd());
-        // Bounded drain: wait for every Dispatching conn's completion.
-        let mut spins = 0;
-        while self
-            .conns
-            .values()
-            .any(|c| c.state == ConnState::Dispatching)
-            && spins < 600
-        {
-            let mut events = Vec::new();
-            let _ = self.poller.wait(10, &mut events);
-            self.waker.drain();
-            self.apply_completions();
-            spins += 1;
-        }
-        // Best-effort flush of pending responses.
         let now = self.now();
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                if conn.has_pending_write() {
-                    let _ = conn.write_ready(now, usize::MAX);
-                }
+        for conn in self.conns.values_mut() {
+            if conn.has_pending_write() {
+                let _ = conn.write_ready(now, usize::MAX);
             }
         }
-        // Finalize every surviving connection's sessions.
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             self.teardown(token, true);
         }
-        // job_tx drops with self: workers see a closed channel and exit.
     }
 }
 
-// ---------------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::time::Duration;
 
-fn worker_loop(
-    svc: Arc<NavService>,
-    rx: Arc<Mutex<Receiver<Job>>>,
-    completions: Arc<Mutex<Vec<Completion>>>,
-    waker: Arc<Waker>,
-    cache: Arc<Cache>,
-    stats: Arc<NetStats>,
-) {
-    loop {
-        let job = {
-            let Ok(guard) = rx.lock() else { break };
-            guard.recv()
-        };
-        let Ok(job) = job else { break };
-        let completion = serve_one(&svc, &cache, &stats, job);
-        if let Ok(mut q) = completions.lock() {
-            q.push(completion);
-        }
-        waker.wake();
+    use dln_org::eval::NavConfig;
+    use dln_org::{clustering_org, OrgContext};
+    use dln_serve::{ServeConfig, WallClock};
+    use dln_synth::TagCloudConfig;
+
+    use crate::Client;
+
+    fn server() -> NetServer {
+        let bench = TagCloudConfig::small().generate();
+        let ctx = OrgContext::full(&bench.lake);
+        let org = clustering_org(&ctx);
+        let svc = NavService::new(ctx, org, NavConfig::default(), ServeConfig::default());
+        NetServer::start(
+            Arc::new(svc),
+            NetConfig::default(),
+            Arc::new(WallClock::new()),
+        )
+        .expect("server starts")
     }
-}
 
-fn serve_one(svc: &NavService, cache: &Cache, stats: &NetStats, job: Job) -> Completion {
-    let mut completion = Completion {
-        token: job.token,
-        framed: None,
-        opened: None,
-        closed: None,
-        drop_conn: false,
-    };
+    #[test]
+    fn pipelined_frames_are_answered_in_order() {
+        const N: u64 = 10_000;
+        let server = server();
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let mut frames = Vec::new();
+        for seq in 1..=N {
+            wire::encode_frame(&wire::encode_request(seq, &ApiRequest::Ping), &mut frames);
+        }
+        // One `write_all` of every frame, from a second thread so neither
+        // side's socket buffers can wedge the other while this one reads.
+        let mut tx = stream.try_clone().expect("clone");
+        let writer = std::thread::spawn(move || tx.write_all(&frames));
 
-    // Exactly-once: a resent Step (same session, same seq) replays the
-    // cached response instead of re-applying the step.
-    let step_session = match &job.req {
-        ApiRequest::Step { session, .. } => Some(*session),
-        _ => None,
-    };
-    if let Some(session) = step_session {
-        if let Ok(cache) = cache.lock() {
-            if let Some((seq, framed)) = cache.get(&session.0) {
-                if *seq == job.seq {
-                    stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                    completion.framed = Some(framed.clone());
-                    return completion;
-                }
+        let mut rbuf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        let mut next = 1;
+        while next <= N {
+            while let Some((payload, consumed)) =
+                wire::try_decode_frame(&rbuf, wire::MAX_FRAME_LEN, "t").expect("clean frame")
+            {
+                let (seq, resp) = wire::decode_response(payload, "t").expect("response");
+                assert_eq!(seq, next, "pongs arrive in seq order");
+                assert!(matches!(resp, ApiResponse::Pong), "{resp:?}");
+                rbuf.drain(..consumed);
+                next += 1;
             }
-        }
-    }
-
-    let resp = svc.dispatch(&job.req);
-
-    // Session bookkeeping for graceful-shutdown finalization.
-    match (&job.req, &resp) {
-        (_, ApiResponse::Opened { session }) => completion.opened = Some(*session),
-        (ApiRequest::Close { session }, _) => completion.closed = Some(*session),
-        _ => {}
-    }
-
-    let payload = wire::encode_response(job.seq, &resp);
-    let mut framed = Vec::new();
-    wire::encode_frame(&payload, &mut framed);
-
-    if let Some(session) = step_session {
-        let gone = matches!(
-            resp,
-            ApiResponse::Error(WireError::SessionNotFound { .. })
-                | ApiResponse::Error(WireError::SessionExpired { .. })
-        );
-        if let Ok(mut cache) = cache.lock() {
-            if gone {
-                cache.remove(&session.0);
-            } else {
-                // Store BEFORE the write attempt: this ordering is what
-                // makes net.conn_drop recoverable without replaying.
-                cache.insert(session.0, (job.seq, framed.clone()));
+            if next > N {
+                break;
             }
+            let n = stream.read(&mut chunk).expect("read");
+            assert!(n > 0, "server closed the conn after {} pongs", next - 1);
+            rbuf.extend_from_slice(&chunk[..n]);
         }
-        // Keyed on (session ⊕ rotated seq): deterministic in the request
-        // identity, independent of thread interleaving. Fires only on the
-        // first application (a retry is a cache hit and returns above),
-        // so a dropped conn cannot loop forever.
-        if !gone && failpoints::should_fail_keyed(FP_CONN_DROP, session.0 ^ job.seq.rotate_left(32))
-        {
-            completion.drop_conn = true;
-            return completion;
-        }
-    }
-    if let (ApiRequest::Close { session }, ApiResponse::Closed { .. }) = (&job.req, &resp) {
-        if let Ok(mut cache) = cache.lock() {
-            cache.remove(&session.0);
-        }
-    }
+        writer.join().expect("writer thread").expect("write_all");
+        assert!(rbuf.is_empty(), "no bytes past the last pong");
+        assert_eq!(server.stats().requests.load(Ordering::Relaxed), N);
 
-    completion.framed = Some(framed);
-    completion
+        let mut other = Client::connect(server.local_addr().to_string()).expect("connect");
+        other.ping().expect("a second client is served afterwards");
+        server.shutdown();
+    }
 }

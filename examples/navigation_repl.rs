@@ -45,8 +45,8 @@
 //! cargo run --release --example navigation_repl -- --connect 127.0.0.1:7070
 //! ```
 //! `--listen` builds the organization and serves it through the
-//! `dln-net` epoll front-end (honoring `DLN_NET_MAX_CONNS`,
-//! `DLN_NET_WORKERS`, `DLN_NET_IDLE_TTL_MS`; reads stdin until EOF/`q`,
+//! `dln-net` epoll front-end (honoring `DLN_NET_MAX_CONNS` and
+//! `DLN_NET_IDLE_TTL_MS`; reads stdin until EOF/`q`,
 //! then shuts down gracefully, finalizing remote sessions into the
 //! navigation log). `--connect` drives the walk through the blocking
 //! `net::Client` — same commands, same views, every step a wire frame;
