@@ -36,14 +36,6 @@
 //! |                      | `SessionExpired { injected: true }` to the client)     |
 //! | `serve.swap_race`    | a step yields mid-request to widen the snapshot        |
 //! |                      | hot-swap race window, then re-resolves its epoch       |
-//! | `reopt.log_torn`     | an evidence-log WAL append is truncated mid-frame and  |
-//! |                      | reported as an error (the drain is not acknowledged)   |
-//! | `reopt.crash_mid_cycle` | the optimizer aborts right after durably committing |
-//! |                      | a planned cycle, before any search work               |
-//! | `reopt.crash_mid_publish` | the optimizer aborts after the shard search and   |
-//! |                      | graft complete, before the snapshot is published       |
-//! | `reopt.search_kill`  | the optimizer aborts between deadline-bounded search   |
-//! |                      | slices (the checkpoint on disk is the restart point)   |
 //! | `store.torn`         | an organization-store write is truncated mid-buffer    |
 //! | `store.mmap`         | the store's mmap open fails → heap-buffer fallback     |
 //! | `churn.log_torn`     | a CDC change-log append is truncated mid-frame and     |

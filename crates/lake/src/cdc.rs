@@ -3,9 +3,7 @@
 //! describe.
 //!
 //! Production lakes ingest continuously; the organization must follow
-//! without a full rebuild (DESIGN.md §5h/5i). The change log shares its
-//! durable log implementation with the feedback evidence log of
-//! `org::reopt`:
+//! without a full rebuild (DESIGN.md §5h/5i):
 //!
 //! * [`ChangeEvent`] — one ingest-side mutation, identified by *table
 //!   name* (names are the stable identity across lake rebuilds; dense
@@ -22,10 +20,9 @@
 //! * [`replay`] — the pure fold `(seed lake, events) → lake`. Replay is
 //!   deterministic and idempotent, which is what lets a crashed maintainer
 //!   reconstruct the exact lake any committed plan was made against from
-//!   `(seed, events ≤ applied_seq)` alone. Unlike compaction of the
-//!   evidence log, compacting the change log keeps the **full** event
-//!   history in the snapshot — the seed lake is the replay anchor, so no
-//!   event is ever folded away.
+//!   `(seed, events ≤ applied_seq)` alone. Compacting the change log keeps
+//!   the **full** event history in the snapshot — the seed lake is the
+//!   replay anchor, so no event is ever folded away.
 //!
 //! Apply-level no-ops (removing an absent table, re-adding an existing
 //! name, retagging an absent table) are *not* errors: CDC producers

@@ -45,8 +45,8 @@
 //! [`NetServer::shutdown`] stops accepting, flushes pending responses
 //! (best effort), then closes every connection's sessions through
 //! [`NavService::close_session`] — finalizing their walks into the
-//! [`NavigationLog`](dln_org::NavigationLog) so feedback evidence
-//! survives the restart.
+//! service's merged [`NavigationLog`](dln_org::NavigationLog), so no
+//! wire walk is lost when the front-end stops.
 
 use std::collections::HashMap;
 use std::io::Write;

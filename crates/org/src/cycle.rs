@@ -1,45 +1,40 @@
-//! The epoch-committed cycle engine behind both background loops:
-//! feedback re-optimization ([`Reoptimizer`](crate::Reoptimizer), §2.4 of
-//! the paper) and churn maintenance ([`Maintainer`](crate::Maintainer)).
+//! The epoch-committed cycle engine of the [`Maintainer`]: its durable
+//! state file, the advance / mark-published state machine, and the
+//! checkpointed shard re-search and graft. [`crate::maintain`] decides
+//! what a cycle changes (the plan and the rebase); this module carries it
+//! out crash-safely:
 //!
-//! A cycle re-runs the paper's local search on the tag groups of a few
-//! shards and publishes the graft as a shard epoch. A [`Planner`] decides
-//! *which* shards over *which* tags; the [`Cycle`] engine owns everything
-//! else, once for both:
-//!
-//! 1. **Plan commit** — an idle engine asks its planner for a plan (a pure
-//!    function of the planner's durable log and the served organization)
-//!    and commits it to the state file before any mutation, so a crashed
-//!    cycle resumes the identical plan.
+//! 1. **Plan commit** — an idle maintainer plans a cycle (a pure function
+//!    of its change log and the served organization) and commits it to
+//!    the state file before any mutation, so a crashed cycle resumes the
+//!    identical plan.
 //! 2. **Fingerprint check** — every advance verifies that the served
 //!    organization still carries the plan's pre-cycle fingerprint.
-//! 3. **Apply** — the planner prepares a clone of the organization (the
-//!    maintainer rebases it onto the post-churn lake), then each planned
-//!    shard's subtree is stripped, re-searched in deadline-bounded,
-//!    checkpointed slices, grafted back and re-linked under its junction
-//!    parents. The result is validated and staged ([`Advance::Staged`]).
+//! 3. **Apply** — a clone of the organization is rebased onto the
+//!    post-churn lake, then each affected shard's subtree is stripped,
+//!    re-searched in deadline-bounded, checkpointed slices, grafted back
+//!    and re-linked under its junction parents. Routing tags and
+//!    memberships are refreshed and the result is validated and staged
+//!    ([`Advance::Staged`]).
 //! 4. **Publish** — the caller publishes the stage as a shard-scoped
-//!    republish, then calls [`Cycle::mark_published`]: one atomic state
-//!    write commits the new shard roots, the planner compacts its log and
-//!    the search checkpoints are dropped.
+//!    republish, then calls [`Maintainer::mark_published`]: one atomic
+//!    state write commits the new shard roots and assignment, the change
+//!    log is compacted and the search checkpoints are dropped.
 //!
-//! State file (`<dir>/<Planner::STATE_FILE>`, published with
-//! [`dln_persist::atomic_write`]): a sealed record of `[magic:8]
-//! [version:u8][cycle:u64][planner head][n_roots:u64][roots:u32…]` and a
-//! plan flag byte, followed by the planner's plan when it is 1.
+//! State file (`<dir>/maint.state`, published with
+//! [`dln_persist::atomic_write`]): a sealed record of `[magic "DLNMAINT"]
+//! [version:u8][cycle:u64][applied_seq:u64][shard labels][n_roots:u64]
+//! [roots:u32…]` and a plan flag byte, followed by the plan when it is 1.
 //!
-//! Every phase boundary is a crash point whose failpoint name the planner
-//! supplies ([`Sites`]); errors are crashes, and a new engine over the same
-//! directory continues bit-identically.
+//! Every phase boundary is a `churn.*` crash point; errors are crashes,
+//! and a new maintainer over the same directory continues bit-identically.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use std::time::Duration;
 
 use dln_fault::{DlnError, DlnResult};
-use dln_lake::{DataLake, TagId};
+use dln_lake::{replay, DataLake, TagId};
 use dln_persist::{self as persist, Reader, Writer};
 
 use crate::bitset::BitSet;
@@ -47,10 +42,15 @@ use crate::checkpoint::{Checkpoint, CheckpointConfig};
 use crate::ctx::OrgContext;
 use crate::graph::{Organization, StateId};
 use crate::init;
+use crate::maintain::Maintainer;
 use crate::search::{self, SearchConfig, SearchStats, ShardPolicy, StopReason};
 
-/// State file format version (both planners).
+/// Magic prefix of the state file.
+const STATE_MAGIC: &[u8; 8] = b"DLNMAINT";
+/// State file format version.
 const STATE_VERSION: u8 = 1;
+/// State file name under [`MaintConfig::dir`](crate::MaintConfig::dir).
+pub(crate) const STATE_FILE: &str = "maint.state";
 
 /// Root marker of a shard whose last label left the lake. The slot id is
 /// never a valid state (organizations are far smaller than `u32::MAX`).
@@ -66,169 +66,76 @@ pub enum CyclePhase {
     Searching,
 }
 
-/// What one [`Cycle::advance`] produced.
+/// What one [`Maintainer::advance`] produced.
 pub enum Advance {
-    /// Nothing to do: no new evidence or events, or no shard to re-search.
+    /// Nothing to do: no new events and no label drifted.
     Skipped,
     /// A cycle is staged; the caller must publish it and then call
-    /// [`Cycle::mark_published`] with its `shard_roots`.
+    /// [`Maintainer::mark_published`] with its `shard_roots`.
     Staged(Box<CycleStage>),
 }
 
 /// A staged shard-scoped republish.
 pub struct CycleStage {
-    /// The post-cycle context when the cycle changed the tag universe
-    /// (maintenance); `None` keeps the served context.
-    pub ctx: Option<OrgContext>,
-    /// The organization with the planned shards grafted in.
+    /// The post-churn context the organization is built over.
+    pub ctx: OrgContext,
+    /// The organization with the affected shards grafted in.
     pub org: Organization,
     /// Sorted changed slots (tombstones ∪ appended or re-linked states;
     /// junctions excluded) — the shard-republish scope, so sessions on
     /// untouched shards ride in place.
     pub changed: Vec<u32>,
-    /// The shards whose subtree was replaced, in plan order.
-    pub shards: Vec<usize>,
     /// Every shard root in `org` ([`EMPTY_SHARD`] for emptied shards);
-    /// pass back to [`Cycle::mark_published`].
+    /// pass back to [`Maintainer::mark_published`].
     pub shard_roots: Vec<StateId>,
-    /// Change events folded in by this cycle (0 for re-optimization).
+    /// Change events folded in by this cycle.
     pub applied_events: u64,
     /// Statistics of the shard searches, in plan order (shards rebuilt
     /// without a search have none).
     pub search_stats: Vec<SearchStats>,
 }
 
-/// Failpoint names of the engine's phase sites, per planner.
-pub struct Sites {
-    /// Right after the plan commit.
-    pub(crate) plan: &'static str,
-    /// After the planner's preparation, before any shard search.
-    pub(crate) apply: Option<&'static str>,
-    /// Between deadline-bounded search slices.
-    pub(crate) search_kill: &'static str,
-    /// After validation, before the stage is returned.
-    pub(crate) publish: &'static str,
+/// A planned cross-shard label move.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct PlannedMove {
+    pub(crate) label: String,
+    pub(crate) from: u32,
+    pub(crate) to: u32,
 }
 
-/// The engine knobs a planner's configuration carries.
-pub struct Knobs<'c> {
-    /// Directory of the state file and search checkpoints.
-    pub(crate) dir: &'c Path,
-    /// Base search configuration; seed, shards, weights, deadline and
-    /// checkpoint are set per slice.
-    pub(crate) search: &'c SearchConfig,
-    /// Wall-clock budget per search slice (`None`: one slice).
-    pub(crate) slice: Option<Duration>,
-    /// Rounds between periodic search checkpoints.
-    pub(crate) ckpt_every: usize,
-}
-
-/// One shard to rebuild.
-pub struct ShardJob {
-    /// Shard index.
-    pub(crate) shard: usize,
-    /// The shard's tags in the search lake: none empties the shard, one
-    /// makes its tag state the root, more are searched.
-    pub(crate) tags: Vec<TagId>,
-    /// Search seed.
+/// The in-flight maintenance plan — a pure function of (change log ≤
+/// `to_seq`, shard assignment), durably committed before any mutation.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct PlanState {
+    /// Log horizon: the cycle applies exactly the events in
+    /// `(applied_seq, to_seq]`.
+    pub(crate) to_seq: u64,
+    /// Base search seed for this cycle (per-shard seeds derived from it).
     pub(crate) seed: u64,
-    /// Per-table demand weights of the shard context, if any.
-    pub(crate) weights: Option<Vec<f64>>,
+    /// Fingerprint the served organization must still carry.
+    pub(crate) pre_fp: u64,
+    /// The full next shard→labels assignment.
+    pub(crate) shard_labels: Vec<Vec<String>>,
+    /// Sorted indices of shards that need a rebuild.
+    pub(crate) affected: Vec<u32>,
+    /// Cross-shard rebalance moves (donors not in `affected` are handled
+    /// by pure edge surgery).
+    pub(crate) moves: Vec<PlannedMove>,
 }
 
-/// What a planner hands the engine for one planned cycle.
-pub struct Prepared<'l> {
-    /// The lake the shard searches run over.
-    pub(crate) lake: Cow<'l, DataLake>,
-    /// The post-cycle context when the tag universe changed.
-    pub(crate) ctx: Option<OrgContext>,
-    /// The shards to rebuild, in order.
-    pub(crate) jobs: Vec<ShardJob>,
-    /// Change events this cycle folds in.
-    pub(crate) applied_events: u64,
-}
-
-/// The durable engine state: the cycle counter, the planner's head, the
-/// served shard roots and the in-flight plan.
-pub struct State<P: Planner> {
+/// The durable maintainer state: the cycle counter, what the served
+/// organization is built from, its shard roots and the in-flight plan.
+pub(crate) struct State {
     /// Completed-cycle counter.
     pub(crate) cycle: u64,
-    /// Planner-owned durable fields.
-    pub(crate) head: P::Head,
+    /// Last change-log sequence number folded into the served lake.
+    pub(crate) applied_seq: u64,
+    /// Shard→labels assignment of the served organization.
+    pub(crate) shard_labels: Vec<Vec<String>>,
     /// Shard roots in the served organization.
     pub(crate) shard_roots: Vec<StateId>,
     /// The in-flight plan, if any.
-    pub(crate) plan: Option<P::Plan>,
-}
-
-/// What decides a cycle: one implementation per background loop.
-pub trait Planner: Sized {
-    /// Planner-owned durable fields, stored after the cycle counter.
-    type Head;
-    /// A committed plan.
-    type Plan: Clone;
-    /// Magic prefix of the state file.
-    const MAGIC: &'static [u8; 8];
-    /// State file name under the engine directory.
-    const STATE_FILE: &'static str;
-    /// The loop's name in errors (`"optimizer"`).
-    const NAME: &'static str;
-    /// Failpoint names of the phase sites.
-    const SITES: Sites;
-
-    /// The engine knobs of this planner's configuration.
-    fn knobs(&self) -> Knobs<'_>;
-    /// Checkpoint file name of `shard`'s search.
-    fn ckpt_file(shard: usize) -> String;
-    /// Encode the head.
-    fn write_head(head: &Self::Head, w: &mut Writer);
-    /// Decode the head.
-    fn read_head(r: &mut Reader<'_>) -> DlnResult<Self::Head>;
-    /// Encode a plan.
-    fn write_plan(plan: &Self::Plan, w: &mut Writer);
-    /// Decode a plan over `n_shards` shards.
-    fn read_plan(r: &mut Reader<'_>, n_shards: usize, context: &str) -> DlnResult<Self::Plan>;
-    /// Fingerprint of the organization the plan was made against.
-    fn pre_fp(plan: &Self::Plan) -> u64;
-    /// Plan the next cycle, or `None` when there is nothing to do. Must be
-    /// a pure function of durable state and `org`.
-    fn plan(
-        &self,
-        st: &State<Self>,
-        ctx: &OrgContext,
-        org: &Organization,
-    ) -> DlnResult<Option<Self::Plan>>;
-    /// Mutate `out` (a clone of the served organization) before the shard
-    /// rebuilds, recording changed slots, and name the rebuilds.
-    fn prepare(
-        &self,
-        st: &State<Self>,
-        plan: &Self::Plan,
-        ctx: &OrgContext,
-        out: &mut Organization,
-        changed: &mut Vec<u32>,
-    ) -> DlnResult<Prepared<'_>>;
-    /// Final touches after the rebuilds, before validation.
-    fn finish(
-        &self,
-        _out: &mut Organization,
-        _ctx: &OrgContext,
-        _roots: &[StateId],
-    ) -> DlnResult<()> {
-        Ok(())
-    }
-    /// Fold a published plan into the head (before the state write).
-    fn adopt(_head: &mut Self::Head, _plan: Self::Plan) {}
-    /// After the committing state write: compact the planner's log.
-    fn committed(&mut self, head: &Self::Head) -> DlnResult<()>;
-}
-
-/// The crash-safe cycle engine over a [`Planner`]. All durable state lives
-/// under the planner's directory, so "restart after a crash" is opening a
-/// new engine over the same directory.
-pub struct Cycle<P: Planner> {
-    pub(crate) planner: P,
-    pub(crate) state: State<P>,
+    pub(crate) plan: Option<PlanState>,
 }
 
 /// The typed error for an injected crash at `site` — the in-process
@@ -247,18 +154,6 @@ fn crash_point(site: &str) -> DlnResult<()> {
     Ok(())
 }
 
-/// Environment variable `var` parsed, or `None` when unset or malformed.
-pub(crate) fn env_var<T: FromStr>(var: &str) -> Option<T> {
-    std::env::var(var).ok()?.trim().parse().ok()
-}
-
-/// A positive millisecond slice budget from environment variable `var`.
-pub(crate) fn env_slice(var: &str) -> Option<Duration> {
-    env_var::<u64>(var)
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
-}
-
 /// Derive a per-cycle search seed from the base seed (splitmix-style
 /// mixing, matching the repo's substream discipline).
 pub(crate) fn derive_cycle_seed(base: u64, cycle: u64, shard: u64) -> u64 {
@@ -275,48 +170,133 @@ fn remove_with_prev(path: &Path) {
     let _ = std::fs::remove_file(persist::prev_path(path));
 }
 
-impl<P: Planner> State<P> {
+fn write_labels(w: &mut Writer, labels: &[Vec<String>]) {
+    w.u64(labels.len() as u64);
+    for shard in labels {
+        w.u64(shard.len() as u64);
+        for l in shard {
+            w.str(l);
+        }
+    }
+}
+
+fn read_labels(r: &mut Reader<'_>) -> DlnResult<Vec<Vec<String>>> {
+    let n_shards = r.len_prefix()?;
+    (0..n_shards)
+        .map(|_| {
+            let n = r.len_prefix()?;
+            (0..n).map(|_| r.str()).collect()
+        })
+        .collect()
+}
+
+impl PlanState {
+    fn write(&self, w: &mut Writer) {
+        w.u64(self.to_seq);
+        w.u64(self.seed);
+        w.u64(self.pre_fp);
+        write_labels(w, &self.shard_labels);
+        w.u64(self.affected.len() as u64);
+        for &s in &self.affected {
+            w.u32(s);
+        }
+        w.u64(self.moves.len() as u64);
+        for m in &self.moves {
+            w.str(&m.label);
+            w.u32(m.from);
+            w.u32(m.to);
+        }
+    }
+
+    /// Decode a plan over `n_shards` shards.
+    fn read(r: &mut Reader<'_>, n_shards: usize, context: &str) -> DlnResult<PlanState> {
+        let shard = |r: &mut Reader<'_>| -> DlnResult<u32> {
+            let s = r.u32()?;
+            if s as usize >= n_shards {
+                return Err(DlnError::corrupt(context, "plan shard out of range"));
+            }
+            Ok(s)
+        };
+        let to_seq = r.u64()?;
+        let seed = r.u64()?;
+        let pre_fp = r.u64()?;
+        let shard_labels = read_labels(r)?;
+        if shard_labels.len() != n_shards {
+            return Err(DlnError::corrupt(context, "plan shard count mismatch"));
+        }
+        let n_affected = r.len_prefix()?;
+        let affected = (0..n_affected)
+            .map(|_| shard(r))
+            .collect::<DlnResult<_>>()?;
+        let n_moves = r.len_prefix()?;
+        let moves = (0..n_moves)
+            .map(|_| {
+                Ok(PlannedMove {
+                    label: r.str()?,
+                    from: shard(r)?,
+                    to: shard(r)?,
+                })
+            })
+            .collect::<DlnResult<_>>()?;
+        Ok(PlanState {
+            to_seq,
+            seed,
+            pre_fp,
+            shard_labels,
+            affected,
+            moves,
+        })
+    }
+}
+
+impl State {
     /// Load the durable state file under `dir` (falling back to `.prev`),
-    /// or start idle at cycle 0 with `head` and `shard_roots` when there
-    /// is none. A durable state overrides both but must describe as many
-    /// shards as the caller. Creates `dir` if missing.
+    /// or start idle at cycle 0 with `shard_labels` and `shard_roots` when
+    /// there is none. A durable state overrides both but must describe as
+    /// many shards as the caller. Creates `dir` if missing.
     pub(crate) fn open(
         dir: &Path,
-        head: P::Head,
+        shard_labels: Vec<Vec<String>>,
         shard_roots: Vec<StateId>,
-    ) -> DlnResult<State<P>> {
+    ) -> DlnResult<State> {
         std::fs::create_dir_all(dir).map_err(|e| DlnError::io(dir.display().to_string(), e))?;
-        let path = dir.join(P::STATE_FILE);
+        let path = dir.join(STATE_FILE);
         if !path.exists() && !persist::prev_path(&path).exists() {
             return Ok(State {
                 cycle: 0,
-                head,
+                applied_seq: 0,
+                shard_labels,
                 shard_roots,
                 plan: None,
             });
         }
-        let what = format!("{} state", P::NAME);
-        let state = persist::load_with_fallback(&path, &what, |p| {
+        let state = persist::load_with_fallback(&path, "maintainer state", |p| {
             let bytes = std::fs::read(p).map_err(|e| DlnError::io(p.display().to_string(), e))?;
             State::decode(&bytes, &p.display().to_string())
         })?;
         if state.shard_roots.len() != shard_roots.len() {
             return Err(DlnError::InvalidConfig(format!(
-                "durable {} state has {} shards, caller supplied {}",
-                P::NAME,
+                "durable maintainer state has {} shards, caller supplied {}",
                 state.shard_roots.len(),
                 shard_roots.len()
             )));
         }
+        if state.shard_labels.len() != state.shard_roots.len() {
+            return Err(DlnError::corrupt(
+                path.display().to_string(),
+                "shard label/root mismatch",
+            ));
+        }
         Ok(state)
     }
 
-    pub(crate) fn encode(&self) -> Vec<u8> {
+    fn encode(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(256);
-        w.bytes(P::MAGIC);
+        w.bytes(STATE_MAGIC);
         w.u8(STATE_VERSION);
         w.u64(self.cycle);
-        P::write_head(&self.head, &mut w);
+        w.u64(self.applied_seq);
+        write_labels(&mut w, &self.shard_labels);
         w.u64(self.shard_roots.len() as u64);
         for r in &self.shard_roots {
             w.u32(r.0);
@@ -325,37 +305,35 @@ impl<P: Planner> State<P> {
             None => w.u8(0),
             Some(p) => {
                 w.u8(1);
-                P::write_plan(p, &mut w);
+                p.write(&mut w);
             }
         }
         w.seal()
     }
 
-    pub(crate) fn decode(bytes: &[u8], context: &str) -> DlnResult<State<P>> {
+    fn decode(bytes: &[u8], context: &str) -> DlnResult<State> {
         let payload = persist::verify_sealed(bytes, context)?;
         let mut r = Reader::new(payload, 0, context);
-        if r.take(8)? != P::MAGIC {
-            return Err(DlnError::corrupt(
-                context,
-                format!("not a {} state file", P::NAME),
-            ));
+        if r.take(8)? != STATE_MAGIC {
+            return Err(DlnError::corrupt(context, "not a maintainer state file"));
         }
         let version = r.u8()?;
         if version != STATE_VERSION {
             return Err(DlnError::corrupt(
                 context,
-                format!("unsupported {} state version {version}", P::NAME),
+                format!("unsupported maintainer state version {version}"),
             ));
         }
         let cycle = r.u64()?;
-        let head = P::read_head(&mut r)?;
+        let applied_seq = r.u64()?;
+        let shard_labels = read_labels(&mut r)?;
         let n_roots = r.len_prefix()?;
         let shard_roots = (0..n_roots)
             .map(|_| r.u32().map(StateId))
             .collect::<DlnResult<Vec<_>>>()?;
         let plan = match r.u8()? {
             0 => None,
-            1 => Some(P::read_plan(&mut r, n_roots, context)?),
+            1 => Some(PlanState::read(&mut r, n_roots, context)?),
             b => {
                 return Err(DlnError::corrupt(
                     context,
@@ -368,14 +346,15 @@ impl<P: Planner> State<P> {
         }
         Ok(State {
             cycle,
-            head,
+            applied_seq,
+            shard_labels,
             shard_roots,
             plan,
         })
     }
 }
 
-impl<P: Planner> Cycle<P> {
+impl Maintainer<'_> {
     /// Current phase of the cycle state machine.
     pub fn phase(&self) -> CyclePhase {
         if self.state.plan.is_some() {
@@ -402,11 +381,11 @@ impl<P: Planner> Cycle<P> {
     }
 
     fn state_path(&self) -> PathBuf {
-        self.planner.knobs().dir.join(P::STATE_FILE)
+        self.cfg.dir.join(STATE_FILE)
     }
 
     fn ckpt_path(&self, shard: usize) -> PathBuf {
-        self.planner.knobs().dir.join(P::ckpt_file(shard))
+        self.cfg.dir.join(format!("maint.s{shard}.ckpt"))
     }
 
     fn save_state(&self) -> DlnResult<()> {
@@ -415,24 +394,24 @@ impl<P: Planner> Cycle<P> {
 
     /// Run the next step of the cycle state machine against the served
     /// organization: plan a cycle if idle (durably, before any mutation),
-    /// then rebuild the planned shards and stage the republish. Errors are
-    /// crashes: the durable state is consistent and a new engine over the
-    /// same directory continues bit-identically.
+    /// then rebuild the affected shards and stage the republish. Errors
+    /// are crashes: the durable state is consistent and a new maintainer
+    /// over the same directory continues bit-identically.
     pub fn advance(&mut self, ctx: &OrgContext, org: &Organization) -> DlnResult<Advance> {
         if self.state.plan.is_none() {
-            let Some(plan) = self.planner.plan(&self.state, ctx, org)? else {
+            let Some(plan) = self.plan(org)? else {
                 return Ok(Advance::Skipped);
             };
             self.state.plan = Some(plan);
             self.save_state()?;
-            crash_point(P::SITES.plan)?;
+            crash_point("churn.crash_mid_plan")?;
         }
         let plan = self
             .state
             .plan
             .clone()
             .ok_or_else(|| DlnError::corrupt("cycle", "plan vanished mid-advance"))?;
-        if org.fingerprint() != P::pre_fp(&plan) {
+        if org.fingerprint() != plan.pre_fp {
             return Err(DlnError::corrupt(
                 self.state_path().display().to_string(),
                 "served organization diverged from the planned cycle; refusing to apply",
@@ -459,63 +438,83 @@ impl<P: Planner> Cycle<P> {
             })
             .collect();
         let mut changed: Vec<u32> = Vec::new();
-        let prep = self
-            .planner
-            .prepare(&self.state, &plan, ctx, &mut out, &mut changed)?;
-        if let Some(site) = P::SITES.apply {
-            crash_point(site)?;
-        }
-        let ctx_next = prep.ctx.as_ref().unwrap_or(ctx);
+        let (lake_next, ctx_next) = self.rebase(&plan, ctx, &mut out, &mut changed)?;
+        crash_point("churn.crash_mid_apply")?;
         let mut roots = self.state.shard_roots.clone();
         let mut search_stats = Vec::new();
-        for job in &prep.jobs {
-            let junctions = &junctions[job.shard];
-            strip_shard(&mut out, roots[job.shard], junctions, &mut changed);
-            if job.tags.is_empty() {
-                roots[job.shard] = EMPTY_SHARD;
+        for &si in &plan.affected {
+            let shard = si as usize;
+            let tags = plan.shard_labels[shard]
+                .iter()
+                .map(|l| {
+                    lake_next.tag_by_label(l).ok_or_else(|| {
+                        DlnError::corrupt(
+                            "maintain.graft",
+                            format!("label {l:?} missing from the new lake"),
+                        )
+                    })
+                })
+                .collect::<DlnResult<Vec<TagId>>>()?;
+            let junctions = &junctions[shard];
+            strip_shard(&mut out, roots[shard], junctions, &mut changed);
+            if tags.is_empty() {
+                roots[shard] = EMPTY_SHARD;
                 continue;
             }
             if junctions.is_empty() {
                 return Err(DlnError::corrupt(
                     "cycle.graft",
-                    format!("shard {} has tags but no junction parents", job.shard),
+                    format!("shard {shard} has tags but no junction parents"),
                 ));
             }
-            let new_root = if let [tag] = job.tags[..] {
+            let new_root = if let [tag] = tags[..] {
                 // Singleton shard: the tag state itself is the root,
                 // matching the fresh-build layout — no search needed.
-                out.tag_state(full_tag(ctx_next, tag)?)
+                out.tag_state(full_tag(&ctx_next, tag)?)
             } else {
-                let (sctx, sorg, stats) = self.run_shard_search(&prep.lake, job)?;
+                let seed = derive_cycle_seed(plan.seed, self.state.cycle, si as u64);
+                let (sctx, sorg, stats) = self.run_shard_search(&lake_next, shard, &tags, seed)?;
                 search_stats.push(stats);
-                graft_subtree(&mut out, ctx_next, &sctx, &sorg, &mut changed)?
+                graft_subtree(&mut out, &ctx_next, &sctx, &sorg, &mut changed)?
             };
             for &j in junctions {
                 out.add_edge(j, new_root);
             }
-            roots[job.shard] = new_root;
+            roots[shard] = new_root;
         }
-        self.planner.finish(&mut out, ctx_next, &roots)?;
-        out.validate(ctx_next)
+        // Routing tier and memberships last, over the live shard roots.
+        let live_roots: Vec<StateId> = roots
+            .iter()
+            .copied()
+            .filter(|&r| r != EMPTY_SHARD)
+            .collect();
+        if live_roots.is_empty() {
+            return Err(DlnError::InvalidConfig(
+                "churn emptied every shard; refusing to publish an unrouted organization"
+                    .to_string(),
+            ));
+        }
+        out.refresh_routing_tags(&live_roots);
+        out.refresh_memberships(&ctx_next);
+        out.validate(&ctx_next)
             .map_err(|m| DlnError::corrupt("cycle", m))?;
-        crash_point(P::SITES.publish)?;
+        crash_point("churn.crash_mid_publish")?;
         changed.sort_unstable();
         changed.dedup();
         Ok(Advance::Staged(Box::new(CycleStage {
-            ctx: prep.ctx,
+            ctx: ctx_next,
             org: out,
             changed,
-            shards: prep.jobs.iter().map(|j| j.shard).collect(),
             shard_roots: roots,
-            applied_events: prep.applied_events,
+            applied_events: plan.to_seq.saturating_sub(self.state.applied_seq),
             search_stats,
         })))
     }
 
     /// Commit a published cycle: adopt the staged shard roots and the
-    /// plan, bump the cycle counter (all durably, in one atomic state
-    /// write), then let the planner compact its log and discard the search
-    /// checkpoints.
+    /// plan's assignment and log horizon, bump the cycle counter (all
+    /// durably, in one atomic state write), then compact the change log
+    /// and discard the search checkpoints.
     pub fn mark_published(&mut self, shard_roots: &[StateId]) -> DlnResult<()> {
         if shard_roots.len() != self.state.shard_roots.len() {
             return Err(DlnError::InvalidConfig(format!(
@@ -530,10 +529,16 @@ impl<P: Planner> Cycle<P> {
             ));
         };
         self.state.shard_roots = shard_roots.to_vec();
-        P::adopt(&mut self.state.head, plan);
+        self.state.applied_seq = plan.to_seq;
+        self.state.shard_labels = plan.shard_labels;
         self.state.cycle += 1;
         self.save_state()?;
-        self.planner.committed(&self.state.head)?;
+        self.log.compact()?;
+        self.lake = replay(
+            self.seed_lake,
+            self.log.state().events_through(self.state.applied_seq),
+        )
+        .0;
         for shard in 0..shard_roots.len() {
             remove_with_prev(&self.ckpt_path(shard));
         }
@@ -546,11 +551,12 @@ impl<P: Planner> Cycle<P> {
     fn run_shard_search(
         &self,
         lake: &DataLake,
-        job: &ShardJob,
+        shard: usize,
+        tags: &[TagId],
+        seed: u64,
     ) -> DlnResult<(OrgContext, Organization, SearchStats)> {
-        let knobs = self.planner.knobs();
-        let sctx = OrgContext::for_tag_group(lake, &job.tags);
-        let ckpt_path = self.ckpt_path(job.shard);
+        let sctx = OrgContext::for_tag_group(lake, tags);
+        let ckpt_path = self.ckpt_path(shard);
         loop {
             let mut sorg = init::clustering_org(&sctx);
             let ck = if ckpt_path.exists() || persist::prev_path(&ckpt_path).exists() {
@@ -566,15 +572,17 @@ impl<P: Planner> Cycle<P> {
                 .map(|c| Duration::from_nanos(c.elapsed_nanos))
                 .unwrap_or(Duration::ZERO);
             let scfg = SearchConfig {
-                seed: job.seed,
+                seed,
                 shards: ShardPolicy::Fixed(1),
-                table_weights: job.weights.clone(),
-                deadline: knobs.slice.map(|s| prior + s),
+                // Per-table weights index the full lake's tables, not a
+                // shard context's.
+                table_weights: None,
+                deadline: self.cfg.slice.map(|s| prior + s),
                 checkpoint: Some(CheckpointConfig {
                     path: ckpt_path.clone(),
-                    every_rounds: knobs.ckpt_every.max(1),
+                    every_rounds: self.cfg.ckpt_every.max(1),
                 }),
-                ..knobs.search.clone()
+                ..self.cfg.search.clone()
             };
             let stats = match &ck {
                 Some(ck) => match search::resume(&sctx, &mut sorg, &scfg, ck) {
@@ -583,8 +591,7 @@ impl<P: Planner> Cycle<P> {
                         // Stale (previous cycle) or torn checkpoint: start
                         // this shard's search from scratch.
                         eprintln!(
-                            "warning: {} checkpoint {} unusable ({e}); restarting shard search",
-                            P::NAME,
+                            "warning: maintainer checkpoint {} unusable ({e}); restarting shard search",
                             ckpt_path.display()
                         );
                         remove_with_prev(&ckpt_path);
@@ -596,7 +603,7 @@ impl<P: Planner> Cycle<P> {
             };
             match stats.stop {
                 // Slice exhausted; the final checkpoint is on disk.
-                StopReason::Deadline => crash_point(P::SITES.search_kill)?,
+                StopReason::Deadline => crash_point("churn.search_kill")?,
                 // `search.kill` fired at a round boundary: the crash
                 // leaves only the last periodic checkpoint behind.
                 StopReason::Killed => return Err(injected("search.kill")),
@@ -704,6 +711,78 @@ mod tests {
     use super::*;
     use crate::shard::build_sharded;
     use dln_synth::TagCloudConfig;
+
+    fn labels(groups: &[&[&str]]) -> Vec<Vec<String>> {
+        groups
+            .iter()
+            .map(|g| g.iter().map(|l| l.to_string()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn state_roundtrip_with_and_without_plan() {
+        let no_plan = State {
+            cycle: 3,
+            applied_seq: 17,
+            shard_labels: labels(&[&["a", "b"], &[]]),
+            shard_roots: vec![StateId(4), EMPTY_SHARD],
+            plan: None,
+        };
+        let got = State::decode(&no_plan.encode(), "test").unwrap();
+        assert_eq!(got.cycle, 3);
+        assert_eq!(got.applied_seq, 17);
+        assert_eq!(got.shard_labels, no_plan.shard_labels);
+        assert_eq!(got.shard_roots, no_plan.shard_roots);
+        assert!(got.plan.is_none());
+
+        let with_plan = State {
+            plan: Some(PlanState {
+                to_seq: 29,
+                seed: 0xDEAD_BEEF,
+                pre_fp: 42,
+                shard_labels: labels(&[&["a"], &["b", "c"]]),
+                affected: vec![1],
+                moves: vec![PlannedMove {
+                    label: "c".into(),
+                    from: 0,
+                    to: 1,
+                }],
+            }),
+            ..no_plan
+        };
+        let got = State::decode(&with_plan.encode(), "test").unwrap();
+        assert_eq!(got.plan, with_plan.plan);
+    }
+
+    #[test]
+    fn every_flipped_byte_is_rejected_or_roundtrips() {
+        let state = State {
+            cycle: 1,
+            applied_seq: 5,
+            shard_labels: labels(&[&["x"], &["y", "z"]]),
+            shard_roots: vec![StateId(7), StateId(9)],
+            plan: Some(PlanState {
+                to_seq: 9,
+                seed: 1,
+                pre_fp: 2,
+                shard_labels: labels(&[&["x"], &["y", "z"]]),
+                affected: vec![0, 1],
+                moves: vec![],
+            }),
+        };
+        let bytes = state.encode();
+        for i in 0..bytes.len() {
+            let mut corrupted = bytes.clone();
+            corrupted[i] ^= 0xFF;
+            // Never panics: either a typed error or (for bytes the format
+            // doesn't pin down) a clean decode.
+            let _ = State::decode(&corrupted, "flip");
+        }
+        // And the checksum catches at least the payload bytes.
+        let mut corrupted = bytes.clone();
+        corrupted[10] ^= 0xFF;
+        assert!(State::decode(&corrupted, "flip").is_err());
+    }
 
     #[test]
     fn graft_preserves_untouched_shards_and_is_deterministic() {

@@ -142,8 +142,8 @@ pub struct Evaluator {
     sum_table_prob: f64,
     /// Optional per-table demand weights (empty = uniform). When set, the
     /// maintained sum aggregates `w_t · P(T_t | O)` and effectiveness is
-    /// the demand-weighted mean — how the feedback loop steers the search
-    /// toward the tables users actually look for.
+    /// the demand-weighted mean. Only `SearchConfig::table_weights`, which
+    /// no caller sets, installs them.
     table_weight: Vec<f64>,
     /// Σ of `table_weight` (0.0 when unweighted).
     weight_total: f64,
@@ -276,7 +276,9 @@ impl Evaluator {
     /// Install per-table demand weights (one per local table, finite,
     /// non-negative, positive total) and re-aggregate the maintained
     /// effectiveness sum from the cached per-table probabilities. Passing
-    /// an empty slice restores the uniform (paper Eq 6) objective.
+    /// an empty slice restores the uniform (paper Eq 6) objective. Its
+    /// only caller is the search, for `SearchConfig::table_weights`, which
+    /// no caller sets; it goes with that knob.
     ///
     /// # Panics
     /// If the weight vector has the wrong length, contains a non-finite or

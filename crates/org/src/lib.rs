@@ -46,11 +46,14 @@
 //! * [`shard`] — sharded single-dimension construction: tags split into
 //!   embedding clusters, per-shard parallel search, shard roots stitched
 //!   under a top-level router state (DESIGN.md §5e).
-//! * `cycle` — the crash-safe epoch-committed [`Cycle`] engine: durable
+//! * `maintain` — [`Maintainer`]: crash-safe incremental maintenance of
+//!   a served organization under ingest churn, planned from the CDC
+//!   change log (DESIGN.md §5h/5i).
+//! * `cycle` — the maintainer's epoch-committed cycle engine: durable
 //!   plan commit, checkpointed shard re-search, graft-back shard
-//!   republish (DESIGN.md §5h/5i). Two planners drive it: `reopt`
-//!   ([`Reoptimizer`], feedback over a durable [`EvidenceLog`]) and
-//!   `maintain` ([`Maintainer`], ingest churn over the CDC change log).
+//!   republish.
+//! * [`feedback`] — [`NavigationLog`]: recorded walks and the blended
+//!   Eq 1 transitions of §2.4.
 //! * [`success`] — the success-probability evaluation measure (§4.2).
 //! * [`navigate`] — interactive navigation over a built organization
 //!   (state labelling and query-conditioned transitions, §4.4 prototype).
@@ -74,7 +77,6 @@ mod maintain;
 pub mod multidim;
 pub mod navigate;
 pub mod ops;
-mod reopt;
 pub mod search;
 pub mod shard;
 pub mod store;
@@ -86,7 +88,7 @@ pub use bitset::BitSet;
 pub use builder::{BuiltOrganization, OrganizerBuilder};
 pub use checkpoint::{Checkpoint, CheckpointConfig};
 pub use ctx::{LocalAttr, LocalTag, OrgContext};
-pub use cycle::{Advance, Cycle, CyclePhase, CycleStage, Planner, EMPTY_SHARD};
+pub use cycle::{Advance, CyclePhase, CycleStage, EMPTY_SHARD};
 pub use eval::{Evaluator, NavConfig};
 pub use export::{load_json, save_json, to_dot};
 pub use feedback::NavigationLog;
@@ -98,7 +100,6 @@ pub use navigate::{
     transition_probs_from, transition_probs_from_mat, transition_probs_over, Navigator,
 };
 pub use ops::{OpKind, OpOutcome};
-pub use reopt::{EvidenceLog, ReoptConfig, Reoptimizer};
 pub use search::{IterStats, SearchConfig, SearchStats, ShardPolicy, StopReason};
 pub use shard::{
     build_sharded, build_sharded_group, derive_shard_seed, ShardedBuild, AUTO_SHARD_MAX,

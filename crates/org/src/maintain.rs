@@ -1,18 +1,18 @@
 //! Crash-safe incremental organization maintenance under ingest churn.
 //!
-//! Where [`crate::reopt`] re-optimizes a *fixed* lake in response to user
-//! feedback, a [`Maintainer`] keeps a served organization aligned with a
-//! *moving* lake: tables arrive, disappear and get retagged while
-//! navigation sessions are live. It is the [`Cycle`] engine driven by the
-//! churn planner:
+//! A [`Maintainer`] keeps a served organization aligned with a *moving*
+//! lake: tables arrive, disappear and get retagged while navigation
+//! sessions are live. This module holds its configuration, its change log
+//! and its planning; the epoch-committed cycle that carries a plan out is
+//! in `crate::cycle`.
 //!
 //! 1. **Ingest** — CDC events ([`ChangeEvent`]) are durably appended to
 //!    the [`ChangeLog`] (`dln-lake`); the ack is the returned sequence
 //!    number (*ack-after-durable*). A torn append (`churn.log_torn`)
 //!    acknowledges nothing and the tail is discarded on recovery.
-//! 2. **Plan** — the planner replays the log onto the seed lake (a pure
-//!    fold) and derives the next shard assignment: surviving labels stay
-//!    put, labels whose tag left the lake are dropped, new labels are
+//! 2. **Plan** — the maintainer replays the log onto the seed lake (a
+//!    pure fold) and derives the next shard assignment: surviving labels
+//!    stay put, labels whose tag left the lake are dropped, new labels are
 //!    admitted into the nearest shard by topic-centroid cosine, and a
 //!    label whose centroid affinity drifted past
 //!    [`MaintConfig::rebalance_drift`] is moved across shards. The plan —
@@ -32,88 +32,31 @@
 //!    staging).
 //! 4. **Publish** — the stage carries the post-churn context and the
 //!    changed-slot set, so the serving layer republishes it shard-scoped.
-//!    [`Cycle::mark_published`] then advances `applied_seq`, adopts the
-//!    new assignment and compacts the change log.
+//!    [`Maintainer::mark_published`] then advances `applied_seq`, adopts
+//!    the new assignment and compacts the change log.
 //!
 //! The invariant, enforced by `tests/churn_chaos.rs`: for any failpoint
 //! schedule, a killed maintainer restarted from its durable directory
 //! converges to the bit-identical organization of an uninterrupted run,
 //! and no change event is ever lost or applied twice.
 
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Duration;
 
 use dln_fault::{DlnError, DlnResult};
 use dln_lake::{replay, ChangeEvent, ChangeLog, DataLake};
-use dln_persist::{Reader, Writer};
 
 use crate::ctx::OrgContext;
-use crate::cycle::{
-    derive_cycle_seed, env_slice, env_var, Cycle, Knobs, Planner, Prepared, ShardJob, Sites, State,
-    EMPTY_SHARD,
-};
+use crate::cycle::{derive_cycle_seed, PlanState, PlannedMove, State, EMPTY_SHARD, STATE_FILE};
 use crate::graph::{Organization, StateId};
 use crate::search::SearchConfig;
 use crate::shard::ShardedBuild;
 
-/// A planned cross-shard label move.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PlannedMove {
-    label: String,
-    from: u32,
-    to: u32,
-}
-
-/// The in-flight maintenance plan — a pure function of (change log ≤
-/// `to_seq`, shard assignment), durably committed before any mutation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PlanState {
-    /// Log horizon: the cycle applies exactly the events in
-    /// `(applied_seq, to_seq]`.
-    to_seq: u64,
-    /// Base search seed for this cycle (per-shard seeds derived from it).
-    seed: u64,
-    /// Fingerprint the served organization must still carry.
-    pre_fp: u64,
-    /// The full next shard→labels assignment.
-    shard_labels: Vec<Vec<String>>,
-    /// Sorted indices of shards that need a rebuild.
-    affected: Vec<u32>,
-    /// Cross-shard rebalance moves (donors not in `affected` are handled
-    /// by pure edge surgery).
-    moves: Vec<PlannedMove>,
-}
-
-/// The maintainer's durable head: what the served organization is built
-/// from.
-#[derive(Clone, Debug)]
-pub struct MaintHead {
-    /// Last change-log sequence number folded into the served lake.
-    applied_seq: u64,
-    /// Shard→labels assignment of the served organization.
-    shard_labels: Vec<Vec<String>>,
-}
-
-fn write_labels(w: &mut Writer, labels: &[Vec<String>]) {
-    w.u64(labels.len() as u64);
-    for shard in labels {
-        w.u64(shard.len() as u64);
-        for l in shard {
-            w.str(l);
-        }
-    }
-}
-
-fn read_labels(r: &mut Reader<'_>) -> DlnResult<Vec<Vec<String>>> {
-    let n_shards = r.len_prefix()?;
-    (0..n_shards)
-        .map(|_| {
-            let n = r.len_prefix()?;
-            (0..n).map(|_| r.str()).collect()
-        })
-        .collect()
+/// Environment variable `var` parsed, or `None` when unset or malformed.
+fn env_var<T: FromStr>(var: &str) -> Option<T> {
+    std::env::var(var).ok()?.trim().parse().ok()
 }
 
 /// Configuration of a [`Maintainer`].
@@ -125,7 +68,8 @@ pub struct MaintConfig {
     pub dir: PathBuf,
     /// Base search configuration for the per-shard incremental searches.
     /// `seed` is re-derived per (cycle, shard) and `shards` /
-    /// `checkpoint` / `deadline` are overridden per slice.
+    /// `table_weights` / `checkpoint` / `deadline` are overridden per
+    /// slice.
     pub search: SearchConfig,
     /// Wall-clock budget per search slice; between slices the maintainer
     /// checks `churn.search_kill` and resumes from the shard's
@@ -156,7 +100,9 @@ impl MaintConfig {
         MaintConfig {
             dir: dir.into(),
             search: SearchConfig::default(),
-            slice: env_slice("DLN_CHURN_DEADLINE_MS"),
+            slice: env_var::<u64>("DLN_CHURN_DEADLINE_MS")
+                .filter(|&ms| ms > 0)
+                .map(Duration::from_millis),
             ckpt_every: 8,
             rebalance_drift: env_var::<f64>("DLN_REBALANCE_DRIFT")
                 .filter(|d| d.is_finite())
@@ -167,24 +113,21 @@ impl MaintConfig {
     }
 }
 
-/// The churn planner: folds CDC events into the next shard assignment.
-/// It exclusively owns the change log; producers ingest through
-/// [`Maintainer::ingest`] and treat the returned sequence number as the
-/// durable ack.
-pub struct Churn<'a> {
-    seed_lake: &'a DataLake,
-    cfg: MaintConfig,
-    log: ChangeLog,
+/// The crash-safe incremental maintainer. It exclusively owns the change
+/// log; producers ingest through [`Maintainer::ingest`] and treat the
+/// returned sequence number as the durable ack. All durable state lives
+/// under [`MaintConfig::dir`], so "restart after a crash" is just
+/// constructing a new `Maintainer` over the same directory. The cycle
+/// engine itself (`advance`, `mark_published`) is in `crate::cycle`.
+pub struct Maintainer<'a> {
+    pub(crate) seed_lake: &'a DataLake,
+    pub(crate) cfg: MaintConfig,
+    pub(crate) log: ChangeLog,
     /// `replay(seed_lake, events ≤ applied_seq)` — the lake the served
     /// organization is built over.
-    lake: DataLake,
+    pub(crate) lake: DataLake,
+    pub(crate) state: State,
 }
-
-/// The crash-safe incremental maintainer: the [`Cycle`] engine over the
-/// churn planner. All durable state lives under [`MaintConfig::dir`], so
-/// "restart after a crash" is just constructing a new `Maintainer` over
-/// the same directory.
-pub type Maintainer<'a> = Cycle<Churn<'a>>;
 
 impl<'a> Maintainer<'a> {
     /// Open (or create) a maintainer over `cfg.dir`. `shard_labels` /
@@ -211,37 +154,25 @@ impl<'a> Maintainer<'a> {
         }
         let cdc_base = cfg.cdc_path.clone().unwrap_or_else(|| cfg.dir.join("cdc"));
         let log = ChangeLog::open(&cdc_base)?;
-        let head = MaintHead {
-            applied_seq: 0,
-            shard_labels,
-        };
-        let state = State::<Churn>::open(&cfg.dir, head, shard_roots)?;
-        let state_path = cfg.dir.join(Churn::STATE_FILE).display().to_string();
-        if state.head.shard_labels.len() != state.shard_roots.len() {
-            return Err(DlnError::corrupt(state_path, "shard label/root mismatch"));
-        }
-        if state.head.applied_seq > log.last_seq() {
+        let state = State::open(&cfg.dir, shard_labels, shard_roots)?;
+        if state.applied_seq > log.last_seq() {
             return Err(DlnError::corrupt(
-                state_path,
+                cfg.dir.join(STATE_FILE).display().to_string(),
                 format!(
                     "maintainer state is ahead of the change log ({} > {})",
-                    state.head.applied_seq,
+                    state.applied_seq,
                     log.last_seq()
                 ),
             ));
         }
-        let lake = replay(
-            seed_lake,
-            log.state().events_through(state.head.applied_seq),
-        )
-        .0;
-        let planner = Churn {
+        let lake = replay(seed_lake, log.state().events_through(state.applied_seq)).0;
+        Ok(Maintainer {
             seed_lake,
             cfg,
             log,
             lake,
-        };
-        Ok(Cycle { planner, state })
+            state,
+        })
     }
 
     /// Convenience constructor from a [`ShardedBuild`] over `seed_lake`.
@@ -266,140 +197,38 @@ impl<'a> Maintainer<'a> {
     /// ack: on error (torn append) nothing was acknowledged and the event
     /// must be re-ingested.
     pub fn ingest(&mut self, event: &ChangeEvent) -> DlnResult<u64> {
-        self.planner.log.append(event)
+        self.log.append(event)
     }
 
     /// Events ingested but not yet folded into a committed cycle.
     pub fn pending(&self) -> u64 {
-        self.planner
-            .log
-            .last_seq()
-            .saturating_sub(self.state.head.applied_seq)
+        self.log.last_seq().saturating_sub(self.state.applied_seq)
     }
 
     /// The lake the served organization is built over:
     /// `replay(seed, events ≤ applied_seq)`.
     pub fn lake(&self) -> &DataLake {
-        &self.planner.lake
+        &self.lake
     }
 
     /// Last change-log sequence number folded into the served lake.
     pub fn applied_seq(&self) -> u64 {
-        self.state.head.applied_seq
+        self.state.applied_seq
     }
 
     /// Current shard→labels assignment.
     pub fn shard_labels(&self) -> &[Vec<String>] {
-        &self.state.head.shard_labels
+        &self.state.shard_labels
     }
 
     /// Malformed-but-checksummed events quarantined by the change log.
     pub fn quarantined(&self) -> u64 {
-        self.planner.log.quarantined()
+        self.log.quarantined()
     }
 
     /// The configuration this maintainer runs under.
     pub fn config(&self) -> &MaintConfig {
-        &self.planner.cfg
-    }
-}
-
-impl Planner for Churn<'_> {
-    type Head = MaintHead;
-    type Plan = PlanState;
-    const MAGIC: &'static [u8; 8] = b"DLNMAINT";
-    const STATE_FILE: &'static str = "maint.state";
-    const NAME: &'static str = "maintainer";
-    const SITES: Sites = Sites {
-        plan: "churn.crash_mid_plan",
-        apply: Some("churn.crash_mid_apply"),
-        search_kill: "churn.search_kill",
-        publish: "churn.crash_mid_publish",
-    };
-
-    fn knobs(&self) -> Knobs<'_> {
-        Knobs {
-            dir: &self.cfg.dir,
-            search: &self.cfg.search,
-            slice: self.cfg.slice,
-            ckpt_every: self.cfg.ckpt_every,
-        }
-    }
-
-    fn ckpt_file(shard: usize) -> String {
-        format!("maint.s{shard}.ckpt")
-    }
-
-    fn write_head(head: &MaintHead, w: &mut Writer) {
-        w.u64(head.applied_seq);
-        write_labels(w, &head.shard_labels);
-    }
-
-    fn read_head(r: &mut Reader<'_>) -> DlnResult<MaintHead> {
-        Ok(MaintHead {
-            applied_seq: r.u64()?,
-            shard_labels: read_labels(r)?,
-        })
-    }
-
-    fn write_plan(p: &PlanState, w: &mut Writer) {
-        w.u64(p.to_seq);
-        w.u64(p.seed);
-        w.u64(p.pre_fp);
-        write_labels(w, &p.shard_labels);
-        w.u64(p.affected.len() as u64);
-        for &s in &p.affected {
-            w.u32(s);
-        }
-        w.u64(p.moves.len() as u64);
-        for m in &p.moves {
-            w.str(&m.label);
-            w.u32(m.from);
-            w.u32(m.to);
-        }
-    }
-
-    fn read_plan(r: &mut Reader<'_>, n_shards: usize, context: &str) -> DlnResult<PlanState> {
-        let shard = |r: &mut Reader<'_>| -> DlnResult<u32> {
-            let s = r.u32()?;
-            if s as usize >= n_shards {
-                return Err(DlnError::corrupt(context, "plan shard out of range"));
-            }
-            Ok(s)
-        };
-        let to_seq = r.u64()?;
-        let seed = r.u64()?;
-        let pre_fp = r.u64()?;
-        let shard_labels = read_labels(r)?;
-        if shard_labels.len() != n_shards {
-            return Err(DlnError::corrupt(context, "plan shard count mismatch"));
-        }
-        let n_affected = r.len_prefix()?;
-        let affected = (0..n_affected)
-            .map(|_| shard(r))
-            .collect::<DlnResult<_>>()?;
-        let n_moves = r.len_prefix()?;
-        let moves = (0..n_moves)
-            .map(|_| {
-                Ok(PlannedMove {
-                    label: r.str()?,
-                    from: shard(r)?,
-                    to: shard(r)?,
-                })
-            })
-            .collect::<DlnResult<_>>()?;
-        Ok(PlanState {
-            to_seq,
-            seed,
-            pre_fp,
-            shard_labels,
-            affected,
-            moves,
-        })
-    }
-
-    fn pre_fp(plan: &PlanState) -> u64 {
-        plan.pre_fp
+        &self.cfg
     }
 
     /// Plan the next cycle: replay the log to its durable horizon, keep
@@ -408,16 +237,11 @@ impl Planner for Churn<'_> {
     /// shard whose label set or label populations changed as affected.
     /// Pure function of (change log, shard assignment) — a replanned
     /// crash reproduces the identical plan.
-    fn plan(
-        &self,
-        st: &State<Self>,
-        _ctx: &OrgContext,
-        org: &Organization,
-    ) -> DlnResult<Option<PlanState>> {
+    pub(crate) fn plan(&self, org: &Organization) -> DlnResult<Option<PlanState>> {
         let to_seq = self.log.last_seq();
-        let has_events = to_seq > st.head.applied_seq;
+        let has_events = to_seq > self.state.applied_seq;
         let (lake_next, _) = replay(self.seed_lake, self.log.state().events_through(to_seq));
-        let n_shards = st.head.shard_labels.len();
+        let n_shards = self.state.shard_labels.len();
 
         // Labels whose population (set of attributes, identified by
         // table/attr name) changed, plus labels on one side only.
@@ -426,7 +250,7 @@ impl Planner for Churn<'_> {
         // Surviving assignment (original order preserved per shard).
         let mut labels_next: Vec<Vec<String>> = Vec::with_capacity(n_shards);
         let mut removed_any = vec![false; n_shards];
-        for (i, labels) in st.head.shard_labels.iter().enumerate() {
+        for (i, labels) in self.state.shard_labels.iter().enumerate() {
             let survivors: Vec<String> = labels
                 .iter()
                 .filter(|l| lake_next.tag_by_label(l).is_some())
@@ -577,7 +401,8 @@ impl Planner for Churn<'_> {
 
         Ok(Some(PlanState {
             to_seq,
-            seed: derive_cycle_seed(self.cfg.search.seed, st.cycle, 0x0063_6875_726e) ^ st.cycle,
+            seed: derive_cycle_seed(self.cfg.search.seed, self.state.cycle, 0x0063_6875_726e)
+                ^ self.state.cycle,
             pre_fp: org.fingerprint(),
             shard_labels: labels_next,
             affected,
@@ -585,17 +410,18 @@ impl Planner for Churn<'_> {
         }))
     }
 
-    /// Rebase the organization onto the post-churn lake and shed moved
-    /// labels from donors that keep enough labels for pure edge surgery;
-    /// every other affected shard is rebuilt by the engine.
-    fn prepare(
+    /// Rebase `out` (a clone of the served organization over `ctx`) onto
+    /// the post-churn lake and shed moved labels from donors that keep
+    /// enough labels for pure edge surgery, recording changed slots; every
+    /// affected shard is rebuilt by the cycle engine. Returns the
+    /// post-churn lake and its full context.
+    pub(crate) fn rebase(
         &self,
-        st: &State<Self>,
         plan: &PlanState,
         ctx: &OrgContext,
         out: &mut Organization,
         changed: &mut Vec<u32>,
-    ) -> DlnResult<Prepared<'_>> {
+    ) -> DlnResult<(DataLake, OrgContext)> {
         // Deterministic recomputation of the post-churn lake and context.
         let (lake_next, _) = replay(self.seed_lake, self.log.state().events_through(plan.to_seq));
         if lake_next.n_tags() == 0 {
@@ -629,7 +455,7 @@ impl Planner for Churn<'_> {
                     format!("moved label {:?} missing from the new lake", m.label),
                 ));
             };
-            let donor_root = st.shard_roots[m.from as usize];
+            let donor_root = self.state.shard_roots[m.from as usize];
             if donor_root == EMPTY_SHARD {
                 return Err(DlnError::corrupt(
                     "maintain",
@@ -638,69 +464,7 @@ impl Planner for Churn<'_> {
             }
             changed.extend(out.shed_tag_from_subtree(donor_root, t_new));
         }
-
-        let jobs = plan
-            .affected
-            .iter()
-            .map(|&si| {
-                let tags = plan.shard_labels[si as usize]
-                    .iter()
-                    .map(|l| {
-                        lake_next.tag_by_label(l).ok_or_else(|| {
-                            DlnError::corrupt(
-                                "maintain.graft",
-                                format!("label {l:?} missing from the new lake"),
-                            )
-                        })
-                    })
-                    .collect::<DlnResult<_>>()?;
-                Ok(ShardJob {
-                    shard: si as usize,
-                    tags,
-                    seed: derive_cycle_seed(plan.seed, st.cycle, si as u64),
-                    weights: None,
-                })
-            })
-            .collect::<DlnResult<_>>()?;
-        Ok(Prepared {
-            lake: Cow::Owned(lake_next),
-            ctx: Some(ctx_next),
-            jobs,
-            applied_events: plan.to_seq.saturating_sub(st.head.applied_seq),
-        })
-    }
-
-    /// Routing tier and memberships last, over the live shard roots.
-    fn finish(&self, out: &mut Organization, ctx: &OrgContext, roots: &[StateId]) -> DlnResult<()> {
-        let live_roots: Vec<StateId> = roots
-            .iter()
-            .copied()
-            .filter(|&r| r != EMPTY_SHARD)
-            .collect();
-        if live_roots.is_empty() {
-            return Err(DlnError::InvalidConfig(
-                "churn emptied every shard; refusing to publish an unrouted organization"
-                    .to_string(),
-            ));
-        }
-        out.refresh_routing_tags(&live_roots);
-        out.refresh_memberships(ctx);
-        Ok(())
-    }
-
-    fn adopt(head: &mut MaintHead, plan: PlanState) {
-        head.applied_seq = plan.to_seq;
-        head.shard_labels = plan.shard_labels;
-    }
-
-    fn committed(&mut self, head: &MaintHead) -> DlnResult<()> {
-        self.log.compact()?;
-        self.lake = replay(
-            self.seed_lake,
-            self.log.state().events_through(head.applied_seq),
-        )
-        .0;
-        Ok(())
+        Ok((lake_next, ctx_next))
     }
 }
 
@@ -739,7 +503,7 @@ fn diff_labels(cur: &DataLake, next: &DataLake) -> HashSet<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cycle::{Advance, CycleStage};
+    use crate::cycle::Advance;
     use crate::search::ShardPolicy;
     use crate::shard::build_sharded;
     use dln_lake::{AttrChange, LakeBuilder};
@@ -797,85 +561,6 @@ mod tests {
         }
     }
 
-    type MaintState = State<Churn<'static>>;
-
-    fn next_ctx(stage: &CycleStage) -> &OrgContext {
-        stage
-            .ctx
-            .as_ref()
-            .expect("a maintenance stage carries its context")
-    }
-
-    fn head(applied_seq: u64, shard_labels: Vec<Vec<String>>) -> MaintHead {
-        MaintHead {
-            applied_seq,
-            shard_labels,
-        }
-    }
-
-    #[test]
-    fn state_roundtrip_with_and_without_plan() {
-        let no_plan = MaintState {
-            cycle: 3,
-            head: head(17, vec![vec!["a".into(), "b".into()], vec![]]),
-            shard_roots: vec![StateId(4), EMPTY_SHARD],
-            plan: None,
-        };
-        let got = MaintState::decode(&no_plan.encode(), "test").unwrap();
-        assert_eq!(got.cycle, 3);
-        assert_eq!(got.head.applied_seq, 17);
-        assert_eq!(got.head.shard_labels, no_plan.head.shard_labels);
-        assert_eq!(got.shard_roots, no_plan.shard_roots);
-        assert!(got.plan.is_none());
-
-        let with_plan = MaintState {
-            plan: Some(PlanState {
-                to_seq: 29,
-                seed: 0xDEAD_BEEF,
-                pre_fp: 42,
-                shard_labels: vec![vec!["a".into()], vec!["b".into(), "c".into()]],
-                affected: vec![1],
-                moves: vec![PlannedMove {
-                    label: "c".into(),
-                    from: 0,
-                    to: 1,
-                }],
-            }),
-            ..no_plan
-        };
-        let got = MaintState::decode(&with_plan.encode(), "test").unwrap();
-        assert_eq!(got.plan, with_plan.plan);
-    }
-
-    #[test]
-    fn every_flipped_byte_is_rejected_or_roundtrips() {
-        let state = MaintState {
-            cycle: 1,
-            head: head(5, vec![vec!["x".into()], vec!["y".into(), "z".into()]]),
-            shard_roots: vec![StateId(7), StateId(9)],
-            plan: Some(PlanState {
-                to_seq: 9,
-                seed: 1,
-                pre_fp: 2,
-                shard_labels: vec![vec!["x".into()], vec!["y".into(), "z".into()]],
-                affected: vec![0, 1],
-                moves: vec![],
-            }),
-        };
-        let bytes = state.encode();
-        for i in 0..bytes.len() {
-            let mut corrupted = bytes.clone();
-            corrupted[i] ^= 0xFF;
-            // Never panics: either a typed error or (for bytes the format
-            // doesn't pin down) a clean decode.
-            let _ = MaintState::decode(&corrupted, "flip");
-        }
-        // And the checksum catches at least the payload bytes.
-        let mut corrupted = bytes.clone();
-        corrupted[10] ^= 0xFF;
-        assert!(MaintState::decode(&corrupted, "flip").is_err());
-    }
-
     #[test]
     fn skipped_when_no_events_and_no_drift() {
         let (lake, scfg) = small_setup();
@@ -918,8 +603,8 @@ mod tests {
             panic!("expected staged cycle");
         };
         assert_eq!(stage.applied_events, 1);
-        stage.org.validate(next_ctx(&stage)).unwrap();
-        assert!(next_ctx(&stage).n_tags() == ctx.n_tags() + 1);
+        stage.org.validate(&stage.ctx).unwrap();
+        assert!(stage.ctx.n_tags() == ctx.n_tags() + 1);
         let roots = stage.shard_roots.clone();
         maint.mark_published(&roots).unwrap();
         assert_eq!(maint.applied_seq(), 1);
@@ -928,7 +613,7 @@ mod tests {
 
         // Remove the table again: the brand-new label leaves the lake.
         let org1 = stage.org;
-        let ctx1 = stage.ctx.expect("post-churn context");
+        let ctx1 = stage.ctx;
         maint
             .ingest(&ChangeEvent::TableRemoved {
                 name: "churn_t0".to_string(),
@@ -937,8 +622,8 @@ mod tests {
         let Advance::Staged(stage2) = maint.advance(&ctx1, &org1).unwrap() else {
             panic!("expected staged cycle");
         };
-        stage2.org.validate(next_ctx(&stage2)).unwrap();
-        assert_eq!(next_ctx(&stage2).n_tags(), ctx.n_tags());
+        stage2.org.validate(&stage2.ctx).unwrap();
+        assert_eq!(stage2.ctx.n_tags(), ctx.n_tags());
         let roots2 = stage2.shard_roots.clone();
         maint.mark_published(&roots2).unwrap();
         assert!(maint.lake().tag_by_label("churn_new_tag").is_none());
@@ -1038,7 +723,7 @@ mod tests {
         let Advance::Staged(stage) = maint.advance(&ctx, &build.built.organization).unwrap() else {
             panic!("expected staged cycle");
         };
-        stage.org.validate(next_ctx(&stage)).unwrap();
+        stage.org.validate(&stage.ctx).unwrap();
         // Donor was not re-searched: only the receiver shard was.
         assert_eq!(stage.search_stats.len(), 1);
         let roots = stage.shard_roots.clone();

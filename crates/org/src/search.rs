@@ -124,8 +124,9 @@ pub struct SearchConfig {
     /// with `Fixed(1)`.
     pub shards: ShardPolicy,
     /// Optional per-table demand weights for the objective (one per local
-    /// table; see [`Evaluator::set_table_weights`]): the feedback loop's
-    /// way of steering the search toward tables users actually look for.
+    /// table; see [`Evaluator::set_table_weights`]). No caller sets it:
+    /// it stays only because `perfbench` builds `SearchConfig` with a
+    /// struct literal, and goes with the next change to the benchmark.
     /// `None` (the default) is the paper's uniform Eq 6 objective,
     /// bit-identical to a config without this knob. `Some` changes the
     /// walk, so it participates in the checkpoint fingerprint.

@@ -2,10 +2,10 @@
 //! the atomic write / `.prev` rotation / fallback-load protocol, and the
 //! sequenced snapshot + WAL log.
 //!
-//! Every durable artifact in the workspace — search checkpoints and
-//! organization stores (`dln-org`), the feedback evidence log
-//! (`org::reopt`), and the CDC change log (`lake::cdc`) — shares one
-//! torn-write story, implemented here once:
+//! Every durable artifact in the workspace — search checkpoints,
+//! organization stores and the maintainer's state file (`dln-org`), and
+//! the CDC change log (`lake::cdc`) — shares one torn-write story,
+//! implemented here once:
 //!
 //! * **FNV-1a 64 checksums** ([`fnv1a`]) over every byte that matters.
 //! * **Atomic publish** ([`atomic_write`]): the encoded buffer is written
@@ -18,9 +18,8 @@
 //!   the files on disk are left byte-for-byte untouched for forensics.
 //! * **Sequenced logs** ([`SeqLog`]): a compacted snapshot plus a WAL of
 //!   checksummed, sequence-numbered frames with ack-after-durable appends.
-//!   The evidence log and the change log are its two instantiations; each
-//!   supplies a [`SeqState`] that folds events in and owns the snapshot
-//!   body.
+//!   The change log instantiates it with a [`SeqState`] that folds
+//!   events in and owns the snapshot body.
 //!
 //! [`Writer`] and [`Reader`] are the little-endian codec halves used by
 //! the record-style formats; the store's fixed-width section format uses
@@ -275,7 +274,7 @@ pub trait SeqState: Default {
     const MAGIC: &'static [u8; 8];
     /// Snapshot format version.
     const VERSION: u8;
-    /// The log's name in warnings and errors (`"evidence"`).
+    /// The log's name in warnings and errors (`"change-log"`).
     const NAME: &'static str;
     /// Failpoint site that tears an append after ⅔ of its frame.
     const TORN_SITE: &'static str;

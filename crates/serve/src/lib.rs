@@ -43,7 +43,7 @@ pub use gate::{AdmissionGate, Permit};
 pub use registry::{EvictedSession, Session, SessionId, SessionRegistry};
 pub use retry::RetryPolicy;
 pub use service::{
-    tables_at, ChildView, CycleReport, MaintReport, NavService, ServeConfig, ServeStats,
-    StepAction, StepRequest, StepResponse, SwapOutcome, SwapPolicy,
+    tables_at, ChildView, MaintReport, NavService, ServeConfig, ServeStats, StepAction,
+    StepRequest, StepResponse, SwapOutcome, SwapPolicy,
 };
 pub use snapshot::{replay_path, OrgSnapshot, PublishScope, SnapshotStore};

@@ -5,8 +5,8 @@
 //! hot-swap cannot pull the organization out from under it), the path from
 //! the root, and the per-session [`NavigationLog`] that is merged into the
 //! service-wide log at close or eviction (walks observed only while a
-//! session is live must not be lost when it times out — the paper's §6
-//! reorganization loop feeds on exactly these logs).
+//! session is live must not be lost when it times out — they are the
+//! behaviour logs the §2.4 transition update reads).
 //!
 //! The registry is *bounded*: at most `capacity` live sessions. Open
 //! first evicts everything past its TTL (so an idle-session pileup cannot

@@ -34,8 +34,8 @@ use dln_fault::{should_fail_keyed, DlnError, DlnResult};
 use dln_lake::TableId;
 use dln_org::eval::NavConfig;
 use dln_org::{
-    Advance, BuiltOrganization, Cycle, CycleStage, Maintainer, MappedSnapshot, NavigationLog,
-    OrgContext, Organization, Planner, Reoptimizer, StateId,
+    Advance, BuiltOrganization, Maintainer, MappedSnapshot, NavigationLog, OrgContext,
+    Organization, StateId,
 };
 
 use crate::clock::{Clock, WallClock};
@@ -264,25 +264,9 @@ macro_rules! bump {
     };
 }
 
-/// What one service-driven re-optimization cycle did
-/// ([`NavService::run_reopt_cycle`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CycleReport {
-    /// TTL-expired sessions swept at cycle start; their walks finalize
-    /// into the merged log *before* the drain, so feedback from abandoned
-    /// sessions still reaches the optimizer.
-    pub swept: usize,
-    /// Sessions durably drained into the evidence log this cycle.
-    pub drained_sessions: u64,
-    /// Epoch of the shard republish, when one was published.
-    pub epoch: Option<u64>,
-    /// Index of the re-optimized shard, when one was published.
-    pub shard: Option<usize>,
-}
-
 /// What one service-driven maintenance cycle did
 /// ([`NavService::run_maintenance_cycle`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintReport {
     /// TTL-expired sessions swept at cycle start.
     pub swept: usize,
@@ -297,18 +281,6 @@ pub struct MaintReport {
     pub searched_shards: usize,
 }
 
-/// What one [`NavService::run_cycle`] published (all empty when the
-/// cycle was skipped).
-#[derive(Default)]
-struct Published {
-    epoch: Option<u64>,
-    /// The first replaced shard.
-    shard: Option<usize>,
-    applied_events: u64,
-    n_changed: usize,
-    searched_shards: usize,
-}
-
 /// The concurrent navigation service.
 pub struct NavService {
     store: SnapshotStore,
@@ -317,7 +289,7 @@ pub struct NavService {
     cfg: ServeConfig,
     clock: Arc<dyn Clock>,
     /// Service-wide merged navigation log (fed by closed/evicted
-    /// sessions); input to the next reorganization.
+    /// sessions): the §2.4 behaviour log.
     log: Mutex<NavigationLog>,
     stats: ServeStats,
 }
@@ -451,48 +423,6 @@ impl NavService {
         e
     }
 
-    /// Subtract a durably drained delta from the merged log — the
-    /// ack-after-durable half of the evidence drain. Call only with a
-    /// delta the evidence log reported written; walks recorded since the
-    /// delta was cloned are preserved exactly.
-    pub fn ack_drained(&self, drained: &NavigationLog) {
-        lock(&self.log).subtract(drained);
-    }
-
-    /// Run one re-optimization cycle against this service:
-    ///
-    /// 1. sweep TTL-expired sessions (their walks finalize into the merged
-    ///    log, so abandoned sessions still count as feedback);
-    /// 2. drain the merged log into the optimizer's durable evidence log —
-    ///    ack-after-durable, so a torn append loses nothing and a repeated
-    ///    drain double-counts nothing;
-    /// 3. advance the optimizer's cycle state machine (plan → checkpointed
-    ///    shard search → graft);
-    /// 4. publish a staged graft as a shard-level republish and commit the
-    ///    cycle.
-    ///
-    /// Errors are optimizer crashes: the service keeps serving its current
-    /// snapshot, and a fresh [`Reoptimizer`] over the same directory
-    /// resumes the cycle bit-identically.
-    pub fn run_reopt_cycle(&self, reopt: &mut Reoptimizer<'_>) -> DlnResult<CycleReport> {
-        let swept = self.sweep_expired();
-        let delta = self.merged_log();
-        let drained_sessions = if delta.n_sessions() > 0 {
-            reopt.drain(&delta)?;
-            self.ack_drained(&delta);
-            delta.n_sessions()
-        } else {
-            0
-        };
-        let published = self.run_cycle(reopt, "re-optimization")?;
-        Ok(CycleReport {
-            swept,
-            drained_sessions,
-            epoch: published.epoch,
-            shard: published.shard,
-        })
-    }
-
     /// Run one incremental maintenance cycle against this service:
     ///
     /// 1. sweep TTL-expired sessions (live sessions keep serving either
@@ -509,50 +439,32 @@ impl NavService {
     /// directory resumes the cycle bit-identically.
     pub fn run_maintenance_cycle(&self, maint: &mut Maintainer<'_>) -> DlnResult<MaintReport> {
         let swept = self.sweep_expired();
-        let published = self.run_cycle(maint, "maintenance")?;
-        Ok(MaintReport {
-            swept,
-            epoch: published.epoch,
-            applied_events: published.applied_events,
-            n_changed: published.n_changed,
-            searched_shards: published.searched_shards,
-        })
-    }
-
-    /// Advance `engine` against the current snapshot; publish a staged
-    /// cycle as a shard-scoped republish (under the stage's own context
-    /// when it brings one) and commit it. `what` names the cycle kind in
-    /// the owned-snapshot error.
-    fn run_cycle<P: Planner>(&self, engine: &mut Cycle<P>, what: &str) -> DlnResult<Published> {
         let snap = self.snapshot();
         let Some((ctx, org)) = snap.owned_parts() else {
-            return Err(DlnError::InvalidConfig(format!(
-                "{what} requires an owned snapshot; republish the mapped store \
+            return Err(DlnError::InvalidConfig(
+                "maintenance requires an owned snapshot; republish the mapped store \
                  as an in-memory organization first"
-            )));
+                    .to_string(),
+            ));
         };
-        let Advance::Staged(stage) = engine.advance(&ctx, &org)? else {
-            return Ok(Published::default());
+        let Advance::Staged(stage) = maint.advance(&ctx, &org)? else {
+            return Ok(MaintReport {
+                swept,
+                ..MaintReport::default()
+            });
         };
-        let CycleStage {
-            ctx: next_ctx,
-            org: next_org,
-            changed,
-            shards,
-            shard_roots,
-            applied_events,
-            search_stats,
-        } = *stage;
-        let n_changed = changed.len();
-        let ctx = next_ctx.map(Arc::new).unwrap_or(ctx);
-        let epoch = self.publish_shard(ctx, next_org, snap.nav(), changed);
-        engine.mark_published(&shard_roots)?;
-        Ok(Published {
+        let report = MaintReport {
+            swept,
+            epoch: None,
+            applied_events: stage.applied_events,
+            n_changed: stage.changed.len(),
+            searched_shards: stage.search_stats.len(),
+        };
+        let epoch = self.publish_shard(Arc::new(stage.ctx), stage.org, snap.nav(), stage.changed);
+        maint.mark_published(&stage.shard_roots)?;
+        Ok(MaintReport {
             epoch: Some(epoch),
-            shard: shards.first().copied(),
-            applied_events,
-            n_changed,
-            searched_shards: search_stats.len(),
+            ..report
         })
     }
 

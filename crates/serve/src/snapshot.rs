@@ -12,7 +12,7 @@
 //!   store file (DESIGN.md §5g); child matrices were laid out at save
 //!   time, so the Eq 1 ranking streams straight off the map.
 //!
-//! Snapshots are never mutated after publication: a re-optimized
+//! Snapshots are never mutated after publication: a maintained
 //! organization is installed by [`SnapshotStore::publish`] (or
 //! [`SnapshotStore::publish_mapped`] for a store file), which swaps the
 //! *whole* `Arc` under a short write lock and bumps the epoch. Readers
@@ -174,8 +174,8 @@ impl OrgSnapshot {
     }
 
     /// The owned `(ctx, org)` pair behind this snapshot, when it is owned.
-    /// The re-optimization loop needs the live structures to plan and
-    /// graft against; a mapped snapshot returns `None` (re-optimizing a
+    /// The maintenance cycle needs the live structures to plan and
+    /// graft against; a mapped snapshot returns `None` (maintaining a
     /// store file requires re-materializing it first).
     pub fn owned_parts(&self) -> Option<(Arc<OrgContext>, Arc<Organization>)> {
         match &self.source {

@@ -1,14 +1,13 @@
 //! Cross-version golden images of the durable cycle formats.
 //!
 //! The chaos suites compare faulted and unfaulted runs of one build; this
-//! suite pins the bytes themselves. `tests/fixtures/golden/` holds what a
-//! fixed re-optimization cycle and two fixed maintenance cycles leave on
-//! disk: the evidence-log and change-log WAL frames and compacted
-//! snapshots (`DLNEVSNP`, `DLNCDCSN`) and both state files (`DLNREOPT`,
-//! `DLNMAINT`) with and without an in-flight plan. Each test checks that
-//! the current code writes those exact bytes from scratch, that it resumes
-//! a crashed cycle from the pinned files, and that the published
-//! organizations carry the pinned fingerprints.
+//! suite pins the bytes themselves. `tests/fixtures/golden/` holds what two
+//! fixed maintenance cycles leave on disk: the change-log WAL frames and
+//! compacted snapshot (`DLNCDCSN`) and the state file (`DLNMAINT`) with and
+//! without an in-flight plan. The test checks that the current code writes
+//! those exact bytes from scratch, that it resumes a crashed cycle from the
+//! pinned files, and that the published organization carries the pinned
+//! fingerprint.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -16,15 +15,12 @@ use std::sync::Arc;
 use datalake_nav::embed::TopicAccumulator;
 use datalake_nav::lake::{AttrChange, ChangeEvent};
 use datalake_nav::org::{
-    build_sharded, CyclePhase, MaintConfig, Maintainer, ReoptConfig, Reoptimizer, SearchConfig,
-    ShardPolicy, ShardedBuild,
+    build_sharded, MaintConfig, Maintainer, SearchConfig, ShardPolicy, ShardedBuild,
 };
 use datalake_nav::prelude::*;
 use datalake_nav::serve::ManualClock;
 use datalake_nav::synth::TagCloudConfig;
 
-/// Fingerprint of the organization published by the re-optimization cycle.
-const REOPT_FP: u64 = 0x8b64_9014_6b28_85fd;
 /// Fingerprint of the organization published by the second maintenance
 /// cycle.
 const MAINT_FP: u64 = 0x670c_4064_97ec_c336;
@@ -98,16 +94,6 @@ fn cycle_search() -> SearchConfig {
 }
 
 /// Every knob pinned, so environment overrides cannot move the images.
-fn reopt_cfg(dir: &Path) -> ReoptConfig {
-    let mut cfg = ReoptConfig::new(dir);
-    cfg.search = cycle_search();
-    cfg.slice = None;
-    cfg.ckpt_every = 2;
-    cfg.prior_strength = 4.0;
-    cfg.evidence_path = None;
-    cfg
-}
-
 fn maint_cfg(dir: &Path) -> MaintConfig {
     let mut cfg = MaintConfig::new(dir);
     cfg.search = cycle_search();
@@ -116,25 +102,6 @@ fn maint_cfg(dir: &Path) -> MaintConfig {
     cfg.rebalance_drift = 0.05;
     cfg.cdc_path = None;
     cfg
-}
-
-/// Six deterministic walks, each descending up to three levels.
-fn drive_walks(svc: &NavService) {
-    for i in 0..6u64 {
-        let sid = svc.open_session_keyed(i).expect("open session");
-        for d in 0..3 {
-            let view = svc
-                .step(sid, &StepRequest::action(StepAction::Stay))
-                .expect("view");
-            if view.children.is_empty() {
-                break;
-            }
-            let pick = view.children[(i as usize + d) % view.children.len()].state;
-            svc.step(sid, &StepRequest::action(StepAction::Descend(pick)))
-                .expect("descend");
-        }
-        svc.close_session(sid).expect("close session");
-    }
 }
 
 fn topic_near(lake: &DataLake, tag_ix: usize, nudge: f32) -> TopicAccumulator {
@@ -196,52 +163,9 @@ fn batch_two(lake: &DataLake) -> Vec<ChangeEvent> {
     ]
 }
 
-fn publish_reopt(svc: &NavService, lake: &DataLake, build: &ShardedBuild, dir: &Path) {
-    let mut reopt = Reoptimizer::for_build(lake, build, reopt_cfg(dir)).expect("open");
-    let report = svc.run_reopt_cycle(&mut reopt).expect("cycle");
-    assert!(report.epoch.is_some(), "the cycle publishes");
-}
-
 fn publish_maint(svc: &NavService, maint: &mut Maintainer<'_>) {
     let report = svc.run_maintenance_cycle(maint).expect("cycle");
     assert!(report.epoch.is_some(), "the cycle publishes");
-}
-
-#[test]
-fn reopt_cycle_writes_and_resumes_the_pinned_images() {
-    let (lake, build) = setup();
-
-    // From scratch: a cycle crashed right after its plan commit, then
-    // finished by a restarted optimizer.
-    let svc = service(&build);
-    drive_walks(&svc);
-    let dir = tmp("reopt");
-    {
-        let _fp = dln_fault::scoped("reopt.crash_mid_cycle:1.0:0").expect("arm");
-        let mut reopt = Reoptimizer::for_build(&lake, &build, reopt_cfg(&dir)).expect("open");
-        assert!(svc.run_reopt_cycle(&mut reopt).is_err(), "injected crash");
-    }
-    let _clean = dln_fault::scoped("").expect("disarm");
-    check(&dir.join("reopt.state"), "reopt.state.planned");
-    check(&dir.join("evidence.wal"), "evidence.wal");
-    publish_reopt(&svc, &lake, &build, &dir);
-    check(&dir.join("reopt.state"), "reopt.state");
-    check(&dir.join("evidence"), "evidence");
-    assert_eq!(served_fp(&svc), REOPT_FP);
-
-    // From the pinned images: the crashed cycle resumes to the same bytes.
-    let dir = tmp("reopt_resume");
-    install("reopt.state.planned", &dir, "reopt.state");
-    install("evidence.wal", &dir, "evidence.wal");
-    let reopt = Reoptimizer::for_build(&lake, &build, reopt_cfg(&dir)).expect("open");
-    assert_eq!(reopt.phase(), CyclePhase::Searching);
-    assert_eq!(reopt.evidence().n_sessions(), 6);
-    drop(reopt);
-    let svc = service(&build);
-    publish_reopt(&svc, &lake, &build, &dir);
-    check(&dir.join("reopt.state"), "reopt.state");
-    check(&dir.join("evidence"), "evidence");
-    assert_eq!(served_fp(&svc), REOPT_FP);
 }
 
 #[test]
