@@ -42,7 +42,7 @@ pub use gram::{gram_into, GRAM_TILE_COLS, GRAM_TILE_ROWS};
 pub use model::{
     EmbeddingModel, SyntheticEmbedding, SyntheticEmbeddingConfig, VecFileModel, VecLoadReport,
 };
-pub use tokenize::{is_numeric_value, tokenize};
+pub use tokenize::{for_each_token, is_numeric_value, tokenize};
 pub use vector::{
     batch_dot_wide, cosine, dot, dot_scalar_ref, l2_norm, mean, normalize, normalized,
     TopicAccumulator,

@@ -27,6 +27,7 @@
 //! | site                 | effect when it fires                                  |
 //! |----------------------|-------------------------------------------------------|
 //! | `ingest.read`        | a CSV file read is treated as an IO error → quarantine |
+//! |                      | (keyed by the file's index in sorted order)            |
 //! | `checkpoint.torn`    | a checkpoint write is truncated mid-buffer (torn write)|
 //! | `search.spec_panic`  | a speculative draft evaluation panics on its worker    |
 //! | `search.kill`        | the search stops at a round boundary (simulated crash) |
@@ -62,13 +63,16 @@
 //! test binary exercising it — lives in the README's fault-tolerance
 //! section.
 //!
-//! The `serve.*` sites and `net.conn_drop` use [`should_fail_keyed`]: the
-//! fire decision is a pure function of `(armed seed, caller key)`,
-//! independent of the global hit counter, so concurrent sessions see the
-//! same fault schedule no matter how the scheduler interleaves them
-//! (`net.conn_drop` keys on the request identity `session ⊕ seq`, which
-//! is also what guarantees a client's retried request — a dedup-cache hit
-//! that skips the failpoint — terminates the fault loop).
+//! The `serve.*` sites, `net.conn_drop` and `ingest.read` use
+//! [`should_fail_keyed`]: the fire decision is a pure function of
+//! `(armed seed, caller key)`, independent of the global hit counter, so
+//! concurrent sessions see the same fault schedule no matter how the
+//! scheduler interleaves them (`net.conn_drop` keys on the request
+//! identity `session ⊕ seq`, which is also what guarantees a client's
+//! retried request — a dedup-cache hit that skips the failpoint —
+//! terminates the fault loop; `ingest.read` keys on the file's index in
+//! sorted order, so file-parallel ingest faults the same files at every
+//! thread count).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, Once, OnceLock};

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use dln_embed::{tokenize, EmbeddingModel, TopicAccumulator};
+use dln_embed::{for_each_token, EmbeddingModel, TopicAccumulator};
 use dln_fault::{DlnError, DlnResult};
 
 use crate::model::{AttrId, Attribute, DataLake, Table, TableId, Tag, TagId};
@@ -142,15 +142,12 @@ impl LakeBuilder {
             });
         }
         let mut topic = TopicAccumulator::new(self.dim);
+        let mut token = String::new();
         let mut stored = Vec::new();
         let mut n_values = 0u32;
         for v in values {
             n_values += 1;
-            for tok in tokenize(v) {
-                if let Some(vec) = model.embed(&tok) {
-                    topic.add(vec);
-                }
-            }
+            embed_value(model, v, &mut token, &mut topic);
             if self.store_values {
                 stored.push(v.to_string());
             }
@@ -298,6 +295,22 @@ impl LakeBuilder {
             tag_index: self.tag_index,
         }
     }
+}
+
+/// Add the embedding of every token of `value` to `topic`, tokenizing in
+/// the reusable buffer `token`: the one place a raw value becomes topic
+/// mass, shared by [`LakeBuilder::try_add_attribute`] and CSV ingest.
+pub(crate) fn embed_value<M: EmbeddingModel>(
+    model: &M,
+    value: &str,
+    token: &mut String,
+    topic: &mut TopicAccumulator,
+) {
+    for_each_token(value, token, |tok| {
+        if let Some(vec) = model.embed(tok) {
+            topic.add(vec);
+        }
+    });
 }
 
 #[cfg(test)]

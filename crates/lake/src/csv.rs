@@ -9,15 +9,27 @@
 //!
 //! The parser is a minimal RFC-4180 subset implemented here to stay within
 //! the allowed dependency set: quoted fields, embedded commas, doubled
-//! quotes, and both `\n` / `\r\n` row terminators.
+//! quotes, and both `\n` / `\r\n` row terminators. It runs over a `&str`
+//! validated once per file and yields fields borrowed from it; only a
+//! quoted field with a doubled quote (or bytes after its closing quote)
+//! needs an owned copy.
+//!
+//! [`ingest_dir`] works file-parallel: each worker reads, validates,
+//! parses and classifies one file, profiles its numeric columns, reads its
+//! sidecar and accumulates each text column's topic. The per-file results
+//! are then applied to the report, the numeric catalog and the lake
+//! builder serially in sorted file order, so ids, warnings and quarantine
+//! order do not depend on the thread count. The `ingest.read` failpoint is
+//! keyed by the file's index in that order for the same reason.
 
+use std::borrow::Cow;
 use std::io::BufRead;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use dln_embed::{is_numeric_value, EmbeddingModel};
+use dln_embed::{is_numeric_value, EmbeddingModel, TopicAccumulator};
 use dln_fault::DlnError;
 
-use crate::builder::LakeBuilder;
+use crate::builder::{embed_value, LakeBuilder};
 use crate::model::DataLake;
 use crate::numeric::{NumericCatalog, NumericColumn, NumericProfile};
 
@@ -44,66 +56,122 @@ impl Default for CsvOptions {
 }
 
 /// Parse one CSV record from `input` starting at byte `pos`.
+/// `width` is the expected field count (the previous record's).
 /// Returns the fields, the position after the record, and whether the
 /// record was terminated by EOF *inside* an open quote (an unbalanced
 /// quote — the classic torn/truncated-CSV symptom). `None` at EOF.
-fn parse_record(input: &[u8], mut pos: usize) -> Option<(Vec<String>, usize, bool)> {
-    if pos >= input.len() {
+///
+/// A field opening with `"` is quoted (see [`quoted_field`]). An unquoted
+/// field keeps every byte up to the next `,`, `\r` or `\n`, quotes
+/// included.
+fn parse_record(
+    input: &str,
+    mut pos: usize,
+    width: usize,
+) -> Option<(Vec<Cow<'_, str>>, usize, bool)> {
+    let bytes = input.as_bytes();
+    if pos >= bytes.len() {
         return None;
     }
-    let mut fields = Vec::new();
-    let mut field = Vec::new();
-    let mut in_quotes = false;
+    let mut fields = Vec::with_capacity(width);
     loop {
-        if pos >= input.len() {
-            fields.push(String::from_utf8_lossy(&field).into_owned());
-            return Some((fields, pos, in_quotes));
-        }
-        let b = input[pos];
-        if in_quotes {
-            if b == b'"' {
-                if pos + 1 < input.len() && input[pos + 1] == b'"' {
-                    field.push(b'"');
-                    pos += 2;
-                } else {
-                    in_quotes = false;
-                    pos += 1;
-                }
-            } else {
-                field.push(b);
-                pos += 1;
+        if bytes.get(pos) == Some(&b'"') {
+            let (field, end, eof_in_quotes) = quoted_field(input, pos + 1);
+            fields.push(field);
+            if eof_in_quotes {
+                return Some((fields, end, true));
             }
+            pos = end;
         } else {
-            match b {
-                b'"' if field.is_empty() => {
-                    in_quotes = true;
+            let end = separator_from(bytes, pos);
+            fields.push(Cow::Borrowed(&input[pos..end]));
+            pos = end;
+        }
+        match bytes.get(pos) {
+            Some(b',') => pos += 1,
+            Some(b'\r') => {
+                pos += 1;
+                if bytes.get(pos) == Some(&b'\n') {
                     pos += 1;
                 }
-                b',' => {
-                    fields.push(String::from_utf8_lossy(&field).into_owned());
-                    field.clear();
-                    pos += 1;
-                }
-                b'\r' => {
-                    pos += 1;
-                    if pos < input.len() && input[pos] == b'\n' {
-                        pos += 1;
-                    }
-                    fields.push(String::from_utf8_lossy(&field).into_owned());
-                    return Some((fields, pos, false));
-                }
-                b'\n' => {
-                    pos += 1;
-                    fields.push(String::from_utf8_lossy(&field).into_owned());
-                    return Some((fields, pos, false));
-                }
-                _ => {
-                    field.push(b);
-                    pos += 1;
-                }
+                return Some((fields, pos, false));
             }
+            Some(_) => return Some((fields, pos + 1, false)), // `\n`
+            None => return Some((fields, pos, false)),
         }
     }
+}
+
+/// The position of the first `,`, `\r` or `\n` at or after `from`, or the
+/// end of `bytes`.
+fn separator_from(bytes: &[u8], from: usize) -> usize {
+    bytes[from..]
+        .iter()
+        .position(|b| matches!(b, b',' | b'\r' | b'\n'))
+        .map_or(bytes.len(), |i| from + i)
+}
+
+/// The quoted field whose content starts at `start` (just past its
+/// opening quote): the content up to the next lone `"` with each `""`
+/// unescaped, followed verbatim by any bytes between the closing quote and
+/// the next separator. Returns the field, the position after it, and
+/// whether EOF came before the closing quote (the field is then the
+/// unescaped rest of `input`). The field borrows from `input` unless it
+/// holds an escaped quote or bytes after its closing quote.
+fn quoted_field(input: &str, start: usize) -> (Cow<'_, str>, usize, bool) {
+    let bytes = input.as_bytes();
+    // The unescaped content before `seg`, once an escape forces a copy.
+    let mut owned: Option<String> = None;
+    let mut seg = start;
+    loop {
+        let Some(close) = bytes[seg..].iter().position(|&b| b == b'"') else {
+            let field = match owned {
+                Some(mut o) => {
+                    o.push_str(&input[seg..]);
+                    Cow::Owned(o)
+                }
+                None => Cow::Borrowed(&input[seg..]),
+            };
+            return (field, bytes.len(), true);
+        };
+        let close = seg + close;
+        if bytes.get(close + 1) == Some(&b'"') {
+            owned
+                .get_or_insert_with(String::new)
+                .push_str(&input[seg..=close]);
+            seg = close + 2;
+            continue;
+        }
+        let end = separator_from(bytes, close + 1);
+        let field = match owned {
+            None if end == close + 1 => Cow::Borrowed(&input[seg..close]),
+            owned => {
+                let mut o = owned.unwrap_or_default();
+                o.push_str(&input[seg..close]);
+                o.push_str(&input[close + 1..end]);
+                Cow::Owned(o)
+            }
+        };
+        return (field, end, false);
+    }
+}
+
+/// Parse a whole CSV text into rows of borrowed fields, skipping blank
+/// lines; the flag reports an unbalanced quote at EOF.
+fn parse_rows(input: &str) -> (Vec<Vec<Cow<'_, str>>>, bool) {
+    let mut rows = Vec::new();
+    let mut pos = 0usize;
+    let mut unbalanced = false;
+    let mut width = 1;
+    while let Some((fields, next, eof_in_quotes)) = parse_record(input, pos, width) {
+        unbalanced |= eof_in_quotes;
+        if !(fields.len() == 1 && fields[0].is_empty()) {
+            width = fields.len();
+            rows.push(fields);
+        }
+        pos = next;
+    }
+    (rows, unbalanced)
 }
 
 /// Parse an entire CSV byte buffer into rows of fields.
@@ -114,19 +182,15 @@ pub fn parse_csv(input: &[u8]) -> Vec<Vec<String>> {
 /// As [`parse_csv`], but also reporting whether the buffer ended inside an
 /// open quote (unbalanced quotes / truncated file). The ingest path
 /// quarantines such files; [`parse_csv`] keeps the lenient salvage
-/// behavior for programmatic callers.
+/// behavior for programmatic callers: invalid UTF-8 is replaced with
+/// U+FFFD rather than rejected.
 pub fn parse_csv_checked(input: &[u8]) -> (Vec<Vec<String>>, bool) {
-    let mut rows = Vec::new();
-    let mut pos = 0usize;
-    let mut unbalanced = false;
-    while let Some((fields, next, eof_in_quotes)) = parse_record(input, pos) {
-        unbalanced |= eof_in_quotes;
-        // Skip blank lines.
-        if !(fields.len() == 1 && fields[0].is_empty()) {
-            rows.push(fields);
-        }
-        pos = next;
-    }
+    let text = String::from_utf8_lossy(input);
+    let (rows, unbalanced) = parse_rows(&text);
+    let rows = rows
+        .into_iter()
+        .map(|row| row.into_iter().map(Cow::into_owned).collect())
+        .collect();
     (rows, unbalanced)
 }
 
@@ -145,8 +209,13 @@ pub struct ParsedTable {
     pub numeric_values: Vec<(String, Vec<String>)>,
 }
 
-/// Classify and extract the text columns of a parsed CSV.
-pub fn extract_text_columns(name: &str, rows: &[Vec<String>], opts: &CsvOptions) -> ParsedTable {
+/// Classify and extract the text columns of a parsed CSV. Each kept value
+/// is trimmed and copied once; the copy is what the lake stores.
+pub fn extract_text_columns<S: AsRef<str>>(
+    name: &str,
+    rows: &[Vec<S>],
+    opts: &CsvOptions,
+) -> ParsedTable {
     let mut table = ParsedTable {
         name: name.to_string(),
         tags: Vec::new(),
@@ -154,28 +223,28 @@ pub fn extract_text_columns(name: &str, rows: &[Vec<String>], opts: &CsvOptions)
         numeric_columns: Vec::new(),
         numeric_values: Vec::new(),
     };
-    if rows.is_empty() {
+    let Some(first) = rows.first() else {
         return table;
-    }
-    let (header, data_rows): (Vec<String>, &[Vec<String>]) = if opts.has_header {
-        (rows[0].clone(), &rows[1..])
-    } else {
+    };
+    let (header, data_rows): (Vec<String>, &[Vec<S>]) = if opts.has_header {
         (
-            (0..rows[0].len()).map(|i| format!("col{i}")).collect(),
-            rows,
+            first.iter().map(|h| h.as_ref().to_string()).collect(),
+            &rows[1..],
         )
+    } else {
+        ((0..first.len()).map(|i| format!("col{i}")).collect(), rows)
     };
     let limit = if opts.max_rows == 0 {
         data_rows.len()
     } else {
         data_rows.len().min(opts.max_rows)
     };
-    for (ci, col_name) in header.iter().enumerate() {
-        let mut values = Vec::new();
+    for (ci, col_name) in header.into_iter().enumerate() {
+        let mut values = Vec::with_capacity(limit);
         let mut numeric = 0usize;
         for row in &data_rows[..limit] {
             let Some(v) = row.get(ci) else { continue };
-            let v = v.trim();
+            let v = v.as_ref().trim();
             if v.is_empty() {
                 continue;
             }
@@ -189,10 +258,10 @@ pub fn extract_text_columns(name: &str, rows: &[Vec<String>], opts: &CsvOptions)
         }
         let text_fraction = 1.0 - numeric as f64 / values.len() as f64;
         if text_fraction >= opts.text_threshold {
-            table.text_columns.push((col_name.clone(), values));
+            table.text_columns.push((col_name, values));
         } else {
             table.numeric_columns.push(col_name.clone());
-            table.numeric_values.push((col_name.clone(), values));
+            table.numeric_values.push((col_name, values));
         }
     }
     table
@@ -234,11 +303,23 @@ impl IngestReport {
         self.io_errors + self.invalid_utf8 + self.malformed_csv
     }
 
-    fn quarantine(&mut self, path: &Path, reason: impl Into<String>) {
-        let reason = reason.into();
+    fn quarantine(&mut self, path: &Path, kind: Quarantine, reason: String) {
+        match kind {
+            Quarantine::Io => self.io_errors += 1,
+            Quarantine::InvalidUtf8 => self.invalid_utf8 += 1,
+            Quarantine::Malformed => self.malformed_csv += 1,
+        }
         eprintln!("warning: quarantined {}: {reason}", path.display());
         self.quarantined.push((path.display().to_string(), reason));
     }
+}
+
+/// Why a CSV file was skipped entirely (one [`IngestReport`] counter each).
+#[derive(Clone, Copy, Debug)]
+enum Quarantine {
+    Io,
+    InvalidUtf8,
+    Malformed,
 }
 
 /// Result of [`ingest_dir`]: the lake, the numeric-column catalog, and the
@@ -290,9 +371,15 @@ pub fn load_dir_with_numeric<M: EmbeddingModel>(
 /// quarantining unreadable / malformed files into the [`IngestReport`]
 /// instead of aborting. Only a failure to list `dir` itself is fatal.
 ///
+/// Files are read, parsed and embedded in parallel (one file per task) and
+/// applied to the lake in sorted path order, so the result is identical
+/// for every thread count.
+///
 /// Fault-injection site `ingest.read` (see `dln-fault`): when armed, a
 /// successful file read is turned into a synthetic IO error, exercising the
-/// quarantine path deterministically.
+/// quarantine path deterministically. The draw is keyed by the file's
+/// index in sorted order, so the schedule does not depend on which worker
+/// reads the file or when.
 pub fn ingest_dir<M: EmbeddingModel>(
     dir: &Path,
     model: &M,
@@ -303,7 +390,7 @@ pub fn ingest_dir<M: EmbeddingModel>(
     let mut builder = LakeBuilder::new(model.dim());
     let listing = std::fs::read_dir(dir)
         .map_err(|e| DlnError::io(format!("listing {}", dir.display()), e))?;
-    let mut entries: Vec<_> = Vec::new();
+    let mut entries: Vec<PathBuf> = Vec::new();
     for entry in listing {
         match entry {
             Ok(e) => entries.push(e.path()),
@@ -321,77 +408,31 @@ pub fn ingest_dir<M: EmbeddingModel>(
     }
     entries.retain(|p| p.extension().is_some_and(|e| e == "csv"));
     entries.sort();
-    for path in entries {
-        let stem = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "table".to_string());
-        let bytes = match std::fs::read(&path) {
-            Ok(b) if dln_fault::should_fail("ingest.read") => {
-                let _ = b;
-                report.io_errors += 1;
-                report.quarantine(&path, "injected IO fault (ingest.read)");
-                continue;
-            }
-            Ok(b) => b,
-            Err(e) => {
-                report.io_errors += 1;
-                report.quarantine(&path, format!("read failed: {e}"));
+    let files = rayon::par_map(entries.len(), |i| ingest_file(i, &entries[i], model, opts));
+    for (path, file) in entries.iter().zip(files) {
+        let table = match file {
+            Ok(table) => table,
+            Err((kind, reason)) => {
+                report.quarantine(path, kind, reason);
                 continue;
             }
         };
-        if std::str::from_utf8(&bytes).is_err() {
-            report.invalid_utf8 += 1;
-            report.quarantine(&path, "invalid UTF-8 content");
-            continue;
+        if let Some(warning) = table.sidecar_warning {
+            report.tag_sidecar_errors += 1;
+            eprintln!("{warning}");
         }
-        let (rows, unbalanced) = parse_csv_checked(&bytes);
-        if unbalanced {
-            report.malformed_csv += 1;
-            report.quarantine(&path, "unbalanced quote (truncated or corrupt CSV)");
-            continue;
-        }
-        let mut parsed = extract_text_columns(&stem, &rows, opts);
-        let tags_path = path.with_extension("tags");
-        if tags_path.exists() {
-            match read_tag_sidecar(&tags_path) {
-                Ok(tags) => parsed.tags.extend(tags),
-                Err(e) => {
-                    // The table itself is fine; fall back to the stem tag.
-                    report.tag_sidecar_errors += 1;
-                    eprintln!(
-                        "warning: unreadable tag sidecar {}: {e} (using table name)",
-                        tags_path.display()
-                    );
-                }
-            }
-        }
-        if parsed.tags.is_empty() {
-            parsed.tags.push(stem.clone());
-        }
-        // Profile numeric columns before deciding whether the table enters
-        // the (text-only) lake.
-        for (col, values) in &parsed.numeric_values {
-            if let Some(profile) =
-                NumericProfile::from_strings(values.iter().map(String::as_str), 2)
-            {
-                catalog.columns.push(NumericColumn {
-                    table_name: parsed.name.clone(),
-                    column: col.clone(),
-                    profile,
-                });
-            }
-        }
-        if parsed.text_columns.is_empty() {
+        catalog.columns.extend(table.numeric);
+        if table.text.is_empty() {
             report.tables_without_text += 1;
             continue; // no organizable content (§3.1: text attributes only)
         }
-        let t = builder.begin_table(&parsed.name);
-        for tag in &parsed.tags {
+        let t = builder.begin_table(&table.name);
+        for tag in &table.tags {
             builder.add_tag(t, tag);
         }
-        for (col, values) in &parsed.text_columns {
-            builder.try_add_attribute(t, col, values.iter().map(String::as_str), model)?;
+        for col in table.text {
+            let n_values = col.values.len() as u32;
+            builder.try_add_attribute_raw(t, &col.name, col.topic, n_values, col.values)?;
         }
         report.tables_loaded += 1;
     }
@@ -399,6 +440,113 @@ pub fn ingest_dir<M: EmbeddingModel>(
         lake: builder.build(),
         numeric: catalog,
         report,
+    })
+}
+
+/// What one CSV file contributes to the lake, computed on a worker.
+struct FileTable {
+    name: String,
+    /// Sidecar tags, or the table name when there are none.
+    tags: Vec<String>,
+    /// The warning to print when the sidecar existed but was unreadable.
+    sidecar_warning: Option<String>,
+    numeric: Vec<NumericColumn>,
+    text: Vec<TextColumn>,
+}
+
+/// A text column with its topic accumulated in value-then-token order.
+struct TextColumn {
+    name: String,
+    topic: TopicAccumulator,
+    values: Vec<String>,
+}
+
+/// Read, validate, parse, classify and embed the `index`-th CSV file.
+fn ingest_file<M: EmbeddingModel>(
+    index: usize,
+    path: &Path,
+    model: &M,
+    opts: &CsvOptions,
+) -> Result<FileTable, (Quarantine, String)> {
+    let bytes = match std::fs::read(path) {
+        Ok(_) if dln_fault::should_fail_keyed("ingest.read", index as u64) => {
+            return Err((Quarantine::Io, "injected IO fault (ingest.read)".into()));
+        }
+        Ok(b) => b,
+        Err(e) => return Err((Quarantine::Io, format!("read failed: {e}"))),
+    };
+    let Ok(text) = std::str::from_utf8(&bytes) else {
+        return Err((Quarantine::InvalidUtf8, "invalid UTF-8 content".into()));
+    };
+    let (rows, unbalanced) = parse_rows(text);
+    if unbalanced {
+        return Err((
+            Quarantine::Malformed,
+            "unbalanced quote (truncated or corrupt CSV)".into(),
+        ));
+    }
+    let stem = path
+        .file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "table".to_string());
+    let parsed = extract_text_columns(&stem, &rows, opts);
+    drop(rows);
+    drop(bytes);
+
+    let mut tags = Vec::new();
+    let mut sidecar_warning = None;
+    let tags_path = path.with_extension("tags");
+    if tags_path.exists() {
+        match read_tag_sidecar(&tags_path) {
+            Ok(t) => tags = t,
+            // The table itself is fine; fall back to the stem tag.
+            Err(e) => {
+                sidecar_warning = Some(format!(
+                    "warning: unreadable tag sidecar {}: {e} (using table name)",
+                    tags_path.display()
+                ));
+            }
+        }
+    }
+    if tags.is_empty() {
+        tags.push(stem);
+    }
+    // Numeric columns are profiled whether or not the table enters the
+    // (text-only) lake.
+    let numeric = parsed
+        .numeric_values
+        .iter()
+        .filter_map(|(col, values)| {
+            let profile = NumericProfile::from_strings(values.iter().map(String::as_str), 2)?;
+            Some(NumericColumn {
+                table_name: parsed.name.clone(),
+                column: col.clone(),
+                profile,
+            })
+        })
+        .collect();
+    let mut token = String::new();
+    let text = parsed
+        .text_columns
+        .into_iter()
+        .map(|(name, values)| {
+            let mut topic = TopicAccumulator::new(model.dim());
+            for v in &values {
+                embed_value(model, v, &mut token, &mut topic);
+            }
+            TextColumn {
+                name,
+                topic,
+                values,
+            }
+        })
+        .collect();
+    Ok(FileTable {
+        name: parsed.name,
+        tags,
+        sidecar_warning,
+        numeric,
+        text,
     })
 }
 
@@ -462,7 +610,7 @@ mod tests {
 
     #[test]
     fn empty_rows_give_empty_table() {
-        let t = extract_text_columns("t", &[], &CsvOptions::default());
+        let t = extract_text_columns::<String>("t", &[], &CsvOptions::default());
         assert!(t.text_columns.is_empty());
     }
 
@@ -485,6 +633,7 @@ mod tests {
             format!("city,pop,score\n{w0},61000,0.5\n{w0},99000,0.7\n{w0},45000,0.9\n"),
         )
         .unwrap();
+        let _fp = dln_fault::scoped("").unwrap();
         let (lake, catalog) = load_dir_with_numeric(&dir, &m, &CsvOptions::default()).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         assert_eq!(lake.n_tables(), 1);
@@ -528,6 +677,7 @@ mod tests {
         std::fs::write(dir.join("alpha.tags"), "health\nfood safety\n").unwrap();
         std::fs::write(dir.join("beta.csv"), format!("c1,c2\n{w1},7\n{w1},9\n")).unwrap();
         std::fs::write(dir.join("ignore.txt"), "not a csv").unwrap();
+        let _fp = dln_fault::scoped("").unwrap();
         let lake = load_dir(&dir, &m, &CsvOptions::default()).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         assert_eq!(lake.n_tables(), 2);
@@ -570,6 +720,7 @@ mod tests {
         std::fs::write(dir.join("good.csv"), format!("col\n{w0}\n{w0}\n")).unwrap();
         std::fs::write(dir.join("junk.csv"), [0xFFu8, 0xFE, 0x00, 0x41]).unwrap();
         std::fs::write(dir.join("torn.csv"), b"col\n\"cut mid-quo").unwrap();
+        let _fp = dln_fault::scoped("").unwrap();
         let ingest = ingest_dir(&dir, &m, &CsvOptions::default()).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         assert_eq!(ingest.lake.n_tables(), 1, "only the healthy table loads");
@@ -617,5 +768,45 @@ mod tests {
         );
         assert_eq!(some.report.io_errors + some.report.tables_loaded, 4);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn faulted_ingest_is_thread_count_invariant() {
+        let m = SyntheticEmbedding::with_vocab_config(VocabularyConfig {
+            n_topics: 2,
+            words_per_topic: 4,
+            dim: 8,
+            sigma: 0.3,
+            seed: 4,
+            n_supertopics: 0,
+            supertopic_sigma: 0.7,
+        });
+        let words: Vec<String> = m.vocab().iter().map(|(_, w)| w.to_string()).collect();
+        let dir = std::env::temp_dir().join(format!("dln_csv_threads_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for i in 0..16 {
+            let (a, b) = (&words[i % words.len()], &words[(i * 3 + 1) % words.len()]);
+            let body = format!("name,kind,n\n{a},{b} x,{i}\n{b},{a},{}\n", i + 1);
+            std::fs::write(dir.join(format!("t{i:02}.csv")), body).unwrap();
+        }
+        std::fs::write(dir.join("t16.csv"), b"col\n\"torn").unwrap();
+        let _fp = dln_fault::scoped("ingest.read:0.5:9").unwrap();
+        let run = |threads: usize| {
+            rayon::set_num_threads(threads);
+            let ingest = ingest_dir(&dir, &m, &CsvOptions::default()).unwrap();
+            rayon::set_num_threads(0);
+            let lake = &ingest.lake;
+            let image = format!("{:?}{:?}{:?}", lake.tables(), lake.attrs(), lake.tags());
+            (ingest.report, image)
+        };
+        let (serial, serial_lake) = run(1);
+        let (parallel, parallel_lake) = run(4);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(
+            serial.io_errors > 0 && serial.tables_loaded > 0,
+            "{serial:?}"
+        );
+        assert_eq!(serial, parallel, "same report and quarantine order");
+        assert_eq!(serial_lake, parallel_lake, "same lake");
     }
 }
