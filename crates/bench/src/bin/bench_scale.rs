@@ -14,7 +14,7 @@
 //!    initial-organization step at full attribute scale;
 //! 3. **k-medoids** — a matrix-free [`KMedoids`] fit over the full
 //!    attribute set (strip-blocked through the tiled kernel; working
-//!    memory is kilobytes, never `n × n`);
+//!    memory is `O(n)`, never `n × n`);
 //! 4. **Sharded construction** — [`build_sharded`] on the same lake under
 //!    `ShardPolicy::Auto` (knee of the k-medoids cost curve) and the
 //!    fixed-4 baseline, with stitched effectiveness and the auto

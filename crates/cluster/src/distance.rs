@@ -90,9 +90,14 @@ impl PairwiseDistance for CosinePoints<'_> {
         if rows.is_empty() || nc == 0 {
             return;
         }
-        let rrefs: Vec<&[f32]> = rows.iter().map(|&i| self.points[i]).collect();
-        let crefs: Vec<&[f32]> = cols.iter().map(|&j| self.points[j]).collect();
-        gram_into(&rrefs, &crefs, out);
+        let points = &self.points;
+        gram_into(
+            rows.len(),
+            nc,
+            |r| points[rows[r]],
+            |c| points[cols[c]],
+            out,
+        );
         // Same post-transform as `dist`, element by element; the diagonal
         // check compares *indices*, matching `dist`'s exact-zero contract.
         for (r, &i) in rows.iter().enumerate() {

@@ -20,10 +20,19 @@
 //! last. Tiling only interleaves *independent* per-element accumulators —
 //! it never reassociates a single element's sum — so
 //! `gram_into(rows, cols, out)` satisfies
-//! `out[r·C + c].to_bits() == dot(rows[r], cols[c]).to_bits()` for every
+//! `out[r·C + c].to_bits() == dot(row(r), col(c)).to_bits()` for every
 //! shape, including ragged edges where the row/column counts or the
-//! dimension are not multiples of the tile size. Property-tested against
+//! dimension are not multiples of the tile size. Those edges run the same
+//! micro-tile at narrower shapes: the ragged column edge of each full row
+//! band as `GRAM_TILE_ROWS × 1` tiles, the ragged row edge as `1 × 1`
+//! tiles. A one-column block (a k-means++ seeding sweep) therefore rides
+//! the tile kernel too, never a plain `dot` loop. Property-tested against
 //! [`dot_scalar_ref`].
+//!
+//! Operands are reached through `row(r)` / `col(c)` accessors rather than
+//! slices of slices, so a caller holding a point table and index lists
+//! (`CosinePoints::dist_block` in `dln-cluster`) gathers nothing per call:
+//! each tile builds its `R + C` operand references on the stack.
 //!
 //! **SIMD widening.** On `x86_64` hosts with AVX2 the micro-tile's eight
 //! accumulator lanes are held in one `__m256` register per output element
@@ -39,20 +48,20 @@
 //! [`dot`]: crate::vector::dot
 //! [`dot_scalar_ref`]: crate::vector::dot_scalar_ref
 
-use crate::vector::dot;
-
 /// Rows per micro-tile of [`gram_into`].
 pub const GRAM_TILE_ROWS: usize = 4;
 /// Columns per micro-tile of [`gram_into`].
 pub const GRAM_TILE_COLS: usize = 4;
 
-/// One full `R × C` micro-tile: a single pass over the shared dimension,
+/// One `R × C` micro-tile: a single pass over the shared dimension,
 /// maintaining an independent 8-lane accumulator group per output element
 /// so each element reproduces the [`dot`] reduction bit-for-bit.
+///
+/// [`dot`]: crate::vector::dot
 #[inline]
 fn gram_tile<const R: usize, const C: usize>(
-    rows: &[&[f32]],
-    cols: &[&[f32]],
+    rows: &[&[f32]; R],
+    cols: &[&[f32]; C],
     out: &mut [f32],
     out_stride: usize,
 ) {
@@ -61,9 +70,9 @@ fn gram_tile<const R: usize, const C: usize>(
     let mut acc = [[[0.0f32; 8]; C]; R];
     let mut i = 0;
     while i < chunks {
-        for (r, row) in rows.iter().enumerate().take(R) {
+        for (r, row) in rows.iter().enumerate() {
             let a = &row[i..i + 8];
-            for (c, col) in cols.iter().enumerate().take(C) {
+            for (c, col) in cols.iter().enumerate() {
                 let b = &col[i..i + 8];
                 let lanes = &mut acc[r][c];
                 for k in 0..8 {
@@ -73,8 +82,8 @@ fn gram_tile<const R: usize, const C: usize>(
         }
         i += 8;
     }
-    for (r, row) in rows.iter().enumerate().take(R) {
-        for (c, col) in cols.iter().enumerate().take(C) {
+    for (r, row) in rows.iter().enumerate() {
+        for (c, col) in cols.iter().enumerate() {
             let mut tail = 0.0f32;
             for j in chunks..d {
                 tail += row[j] * col[j];
@@ -100,8 +109,8 @@ mod avx2 {
     /// column slice must hold at least `rows[0].len()` elements.
     #[target_feature(enable = "avx2")]
     pub unsafe fn gram_tile<const R: usize, const C: usize>(
-        rows: &[&[f32]],
-        cols: &[&[f32]],
+        rows: &[&[f32]; R],
+        cols: &[&[f32]; C],
         out: &mut [f32],
         out_stride: usize,
     ) {
@@ -111,12 +120,12 @@ mod avx2 {
         let mut i = 0;
         while i < chunks {
             let mut av: [__m256; R] = [_mm256_setzero_ps(); R];
-            for (r, row) in rows.iter().enumerate().take(R) {
+            for (r, row) in rows.iter().enumerate() {
                 av[r] = _mm256_loadu_ps(row.as_ptr().add(i));
             }
-            for (c, col) in cols.iter().enumerate().take(C) {
+            for (c, col) in cols.iter().enumerate() {
                 let bv = _mm256_loadu_ps(col.as_ptr().add(i));
-                for (r, &a) in av.iter().enumerate().take(R) {
+                for (r, &a) in av.iter().enumerate() {
                     // mul then add — NOT vfmadd: fusing would skip the
                     // product rounding and break bit-identity with `dot`.
                     acc[r][c] = _mm256_add_ps(acc[r][c], _mm256_mul_ps(a, bv));
@@ -124,8 +133,8 @@ mod avx2 {
             }
             i += 8;
         }
-        for (r, row) in rows.iter().enumerate().take(R) {
-            for (c, col) in cols.iter().enumerate().take(C) {
+        for (r, row) in rows.iter().enumerate() {
+            for (c, col) in cols.iter().enumerate() {
                 let mut l = [0.0f32; 8];
                 _mm256_storeu_ps(l.as_mut_ptr(), acc[r][c]);
                 let mut tail = 0.0f32;
@@ -153,68 +162,70 @@ fn use_avx2() -> bool {
 /// Run one micro-tile on the widest bit-identical kernel available.
 #[inline]
 fn gram_tile_dispatch<const R: usize, const C: usize>(
-    rows: &[&[f32]],
-    cols: &[&[f32]],
+    rows: &[&[f32]; R],
+    cols: &[&[f32]; C],
     out: &mut [f32],
     out_stride: usize,
 ) {
+    let d = rows[0].len();
+    assert!(
+        rows.iter().chain(cols).all(|v| v.len() == d),
+        "gram tile operands disagree on dimensionality"
+    );
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // SAFETY: AVX2 presence checked above; slice lengths validated by
-        // the gram_into debug asserts and the tile loop bounds.
+        // SAFETY: AVX2 presence checked above, and every operand holds the
+        // `rows[0].len()` elements the vector loads read (asserted above);
+        // `out` is written through bounds-checked indexing.
         unsafe { avx2::gram_tile::<R, C>(rows, cols, out, out_stride) };
         return;
     }
     gram_tile::<R, C>(rows, cols, out, out_stride)
 }
 
-/// Write the `rows.len() × cols.len()` gram block
-/// `out[r * cols.len() + c] = dot(rows[r], cols[c])` (row-major), walking
-/// full [`GRAM_TILE_ROWS`]`×`[`GRAM_TILE_COLS`] micro-tiles and finishing
-/// ragged edges with plain [`dot`] calls — every element is bit-identical
-/// to `dot(rows[r], cols[c])` either way.
+/// Write the `nr × nc` gram block `out[r * nc + c] = dot(row(r), col(c))`
+/// (row-major), walking full [`GRAM_TILE_ROWS`]`×`[`GRAM_TILE_COLS`]
+/// micro-tiles, the ragged column edge of each full row band as
+/// `GRAM_TILE_ROWS × 1` tiles and the ragged row edge as `1 × 1` tiles.
+/// Every shape runs the same recurrence, so every element is
+/// bit-identical to `dot(row(r), col(c))`.
 ///
 /// # Panics
-/// Panics in debug builds when `out.len() != rows.len() * cols.len()` or
-/// the vectors disagree on dimensionality.
-pub fn gram_into(rows: &[&[f32]], cols: &[&[f32]], out: &mut [f32]) {
-    let (nr, nc) = (rows.len(), cols.len());
+/// Panics when the vectors disagree on dimensionality, and in debug builds
+/// when `out.len() != nr * nc`.
+pub fn gram_into<'a>(
+    nr: usize,
+    nc: usize,
+    row: impl Fn(usize) -> &'a [f32],
+    col: impl Fn(usize) -> &'a [f32],
+    out: &mut [f32],
+) {
     debug_assert_eq!(out.len(), nr * nc, "gram_into: output shape mismatch");
     if nr == 0 || nc == 0 {
         return;
-    }
-    #[cfg(debug_assertions)]
-    {
-        let d = rows[0].len();
-        debug_assert!(rows.iter().chain(cols).all(|v| v.len() == d));
     }
     let full_r = nr / GRAM_TILE_ROWS * GRAM_TILE_ROWS;
     let full_c = nc / GRAM_TILE_COLS * GRAM_TILE_COLS;
     let mut r = 0;
     while r < full_r {
-        let rb = &rows[r..r + GRAM_TILE_ROWS];
+        let rb: [&[f32]; GRAM_TILE_ROWS] = std::array::from_fn(|i| row(r + i));
         let mut c = 0;
         while c < full_c {
-            gram_tile_dispatch::<GRAM_TILE_ROWS, GRAM_TILE_COLS>(
-                rb,
-                &cols[c..c + GRAM_TILE_COLS],
-                &mut out[r * nc + c..],
-                nc,
-            );
+            let cb: [&[f32]; GRAM_TILE_COLS] = std::array::from_fn(|i| col(c + i));
+            gram_tile_dispatch(&rb, &cb, &mut out[r * nc + c..], nc);
             c += GRAM_TILE_COLS;
         }
         // Ragged column edge of this row band.
-        for rr in r..r + GRAM_TILE_ROWS {
-            for cc in full_c..nc {
-                out[rr * nc + cc] = dot(rows[rr], cols[cc]);
-            }
+        for c in full_c..nc {
+            gram_tile_dispatch(&rb, &[col(c)], &mut out[r * nc + c..], nc);
         }
         r += GRAM_TILE_ROWS;
     }
     // Ragged row edge (all columns).
-    for rr in full_r..nr {
-        for cc in 0..nc {
-            out[rr * nc + cc] = dot(rows[rr], cols[cc]);
+    for r in full_r..nr {
+        let rv = [row(r)];
+        for c in 0..nc {
+            gram_tile_dispatch(&rv, &[col(c)], &mut out[r * nc + c..], nc);
         }
     }
 }
@@ -245,15 +256,24 @@ mod tests {
         // Satellite contract: tiled gram kernel bit-identity vs
         // dot_scalar_ref on ragged tile edges — every (n_rows, n_cols, d)
         // where neither the tile size (4) nor the lane width (8) divides
-        // the shape.
-        for &(nr, nc) in &[(1usize, 1usize), (3, 5), (4, 4), (5, 9), (8, 3), (9, 13)] {
+        // the shape, plus the one-column strips k-means++ seeding sends.
+        let shapes = [
+            (1usize, 1usize),
+            (3, 5),
+            (4, 4),
+            (5, 9),
+            (8, 3),
+            (9, 13),
+            (4, 1),
+            (67, 1),
+            (1, 6),
+        ];
+        for &(nr, nc) in &shapes {
             for &d in &[0usize, 1, 7, 8, 9, 16, 23, 50, 64, 100] {
                 let rs = vecs(nr, d, 0xA11CE ^ (nr as u64) << 8 ^ d as u64);
                 let cs = vecs(nc, d, 0xB0B ^ (nc as u64) << 8 ^ d as u64);
-                let rrefs: Vec<&[f32]> = rs.iter().map(|v| v.as_slice()).collect();
-                let crefs: Vec<&[f32]> = cs.iter().map(|v| v.as_slice()).collect();
                 let mut out = vec![f32::NAN; nr * nc];
-                gram_into(&rrefs, &crefs, &mut out);
+                gram_into(nr, nc, |r| &rs[r], |c| &cs[c], &mut out);
                 for r in 0..nr {
                     for c in 0..nc {
                         assert_eq!(
@@ -267,52 +287,64 @@ mod tests {
         }
     }
 
+    /// Run one `R × C` tile through the scalar and the AVX2 kernel and
+    /// require equal bits in every element.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_avx2_tile_matches_scalar<const R: usize, const C: usize>(d: usize) {
+        let rs = vecs(R, d, 0xDEAD ^ (R as u64) << 12 ^ d as u64);
+        let cs = vecs(C, d, 0xBEEF ^ (C as u64) << 12 ^ d as u64);
+        let rrefs: [&[f32]; R] = std::array::from_fn(|i| rs[i].as_slice());
+        let crefs: [&[f32]; C] = std::array::from_fn(|i| cs[i].as_slice());
+        let mut scalar = vec![f32::NAN; R * C];
+        let mut simd = vec![f32::NAN; R * C];
+        gram_tile(&rrefs, &crefs, &mut scalar, C);
+        // SAFETY: the caller checked AVX2 support; every operand has d
+        // elements.
+        unsafe { avx2::gram_tile(&rrefs, &crefs, &mut simd, C) };
+        for (i, (s, v)) in scalar.iter().zip(&simd).enumerate() {
+            assert_eq!(
+                s.to_bits(),
+                v.to_bits(),
+                "AVX2 {R}x{C} tile diverged at element {i}, d={d}"
+            );
+        }
+    }
+
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn avx2_tile_is_bit_identical_to_scalar_tile() {
         // The gating oracle for the SIMD path, run directly against the
         // scalar tile (not through dispatch) so it checks the vector
-        // kernel even if this binary's dispatch decided otherwise.
+        // kernel even if this binary's dispatch decided otherwise. Covers
+        // every shape gram_into dispatches: full tiles, the ragged column
+        // edge and the ragged row edge.
         if !std::arch::is_x86_feature_detected!("avx2") {
             return; // scalar fallback host: nothing to gate
         }
         for &d in &[0usize, 7, 8, 9, 31, 32, 64, 100, 129] {
-            let rs = vecs(GRAM_TILE_ROWS, d, 0xDEAD ^ d as u64);
-            let cs = vecs(GRAM_TILE_COLS, d, 0xBEEF ^ d as u64);
-            let rrefs: Vec<&[f32]> = rs.iter().map(|v| v.as_slice()).collect();
-            let crefs: Vec<&[f32]> = cs.iter().map(|v| v.as_slice()).collect();
-            let mut scalar = vec![f32::NAN; GRAM_TILE_ROWS * GRAM_TILE_COLS];
-            let mut simd = vec![f32::NAN; GRAM_TILE_ROWS * GRAM_TILE_COLS];
-            gram_tile::<GRAM_TILE_ROWS, GRAM_TILE_COLS>(
-                &rrefs,
-                &crefs,
-                &mut scalar,
-                GRAM_TILE_COLS,
-            );
-            unsafe {
-                avx2::gram_tile::<GRAM_TILE_ROWS, GRAM_TILE_COLS>(
-                    &rrefs,
-                    &crefs,
-                    &mut simd,
-                    GRAM_TILE_COLS,
-                )
-            };
-            for (i, (s, v)) in scalar.iter().zip(&simd).enumerate() {
-                assert_eq!(
-                    s.to_bits(),
-                    v.to_bits(),
-                    "AVX2 tile diverged at element {i}, d={d}"
-                );
-            }
+            assert_avx2_tile_matches_scalar::<GRAM_TILE_ROWS, GRAM_TILE_COLS>(d);
+            assert_avx2_tile_matches_scalar::<GRAM_TILE_ROWS, 1>(d);
+            assert_avx2_tile_matches_scalar::<1, 1>(d);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree on dimensionality")]
+    fn gram_rejects_operands_of_different_dimensionality() {
+        // A short column must not reach the vector loads, which read
+        // `rows[0].len()` elements from every operand.
+        let long = [1.0f32; 16];
+        let short = [1.0f32; 4];
+        let mut out = vec![0.0f32; 4];
+        gram_into(4, 1, |_| &long, |_| &short, &mut out);
     }
 
     #[test]
     fn gram_empty_sides_are_noops() {
         let a = [1.0f32, 2.0];
         let mut out: Vec<f32> = Vec::new();
-        gram_into(&[], &[&a], &mut out);
-        gram_into(&[&a], &[], &mut out);
+        gram_into(0, 1, |_| &a, |_| &a, &mut out);
+        gram_into(1, 0, |_| &a, |_| &a, &mut out);
         assert!(out.is_empty());
     }
 
@@ -320,13 +352,14 @@ mod tests {
     fn gram_matches_unrolled_dot_bitwise() {
         let rs = vecs(7, 33, 0x5EED);
         let cs = vecs(6, 33, 0xFACE);
-        let rrefs: Vec<&[f32]> = rs.iter().map(|v| v.as_slice()).collect();
-        let crefs: Vec<&[f32]> = cs.iter().map(|v| v.as_slice()).collect();
         let mut out = vec![0.0f32; 42];
-        gram_into(&rrefs, &crefs, &mut out);
+        gram_into(7, 6, |r| &rs[r], |c| &cs[c], &mut out);
         for r in 0..7 {
             for c in 0..6 {
-                assert_eq!(out[r * 6 + c].to_bits(), dot(&rs[r], &cs[c]).to_bits());
+                assert_eq!(
+                    out[r * 6 + c].to_bits(),
+                    crate::vector::dot(&rs[r], &cs[c]).to_bits()
+                );
             }
         }
     }
