@@ -490,7 +490,7 @@ fn main() {
         "a republish tore {invalid}/{checked} wire sessions"
     );
 
-    // Close the fleet (finalizes the walks into the log), then the server.
+    // Close the fleet's sessions, then the server.
     writeln!(child_in, "CLOSE").expect("command child");
     child_in.flush().expect("flush command");
     let status = child.wait().expect("fleet child exit");

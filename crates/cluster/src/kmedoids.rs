@@ -5,7 +5,7 @@
 //! * partitioning the tags of a lake into the `k` dimensions of a
 //!   multi-dimensional organization (§2.5: "we clustered the tags into N
 //!   clusters (using n-medoids)"; §4.3.4: "partitioning its tags into ten
-//!   groups using k-medoids clustering [23]");
+//!   groups using k-medoids clustering \[23\]");
 //! * selecting the attribute *representatives* for approximate evaluation
 //!   (§3.4: a one-to-one mapping between representatives and a partitioning
 //!   of attributes — the medoid of each partition is its representative).
@@ -43,7 +43,7 @@
 //!
 //! The algorithm is **matrix-free**: seeding sweeps every point against
 //! each new medoid in one [`PairwiseDistance::dist_block`] pass, and
-//! reassignment and the medoid update stream [`ASSIGN_BLOCK`]-point
+//! reassignment and the medoid update stream `ASSIGN_BLOCK`-point
 //! strips against the medoids or members they compare (scratch is
 //! `strip × k` or `strip × group`, never `n × n`), on top of `O(n)`
 //! per-point state. Every block distance is bit-identical to the

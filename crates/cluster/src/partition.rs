@@ -91,7 +91,7 @@ pub fn knee_of(candidates: &[usize], costs: &[f64]) -> usize {
     best
 }
 
-/// Sweep k-medoids over the [`shard_candidates`] ladder (clamped to
+/// Sweep k-medoids over the `shard_candidates` ladder (clamped to
 /// `k_max` and the point count) and return the cost spectrum with its
 /// knee. Each fit is deterministic in `seed` and invariant to the worker
 /// count, so the chosen count is too. `n ≤ 1` or `k_max ≤ 1` short-circuit

@@ -23,7 +23,7 @@
 //!   so the system can be pointed at genuine embeddings.
 //!
 //! The crate also supplies the dense-vector kernels ([`vector`]) and the
-//! tokenizer ([`tokenize`]) used to turn raw cell values into embedding
+//! tokenizer ([`tokenize`](mod@tokenize)) used to turn raw cell values into embedding
 //! lookups.
 
 #![warn(missing_docs)]

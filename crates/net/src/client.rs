@@ -1,10 +1,11 @@
 //! The blocking wire client.
 //!
 //! [`Client`] speaks the framed protocol over one `TcpStream` and
-//! presents the same typed surface as [`NavService`] itself — `open`,
-//! `step`, `path`, `close` — returning [`ServeResult`], so existing
-//! call sites (and [`RetryPolicy`]) work unchanged against a remote
-//! service.
+//! presents the same typed surface as
+//! [`NavService`](dln_serve::NavService) itself — `open`, `step`,
+//! `path`, `close` — returning [`ServeResult`], so existing call sites
+//! (and [`RetryPolicy`](dln_serve::RetryPolicy)) work unchanged against
+//! a remote service.
 //!
 //! ## Recovery contract
 //!
@@ -225,7 +226,7 @@ impl Client {
         }
     }
 
-    /// Close a session, merging its walk into the service log.
+    /// Close a session.
     pub fn close(&mut self, session: SessionId) -> ServeResult<()> {
         match self.request(&ApiRequest::Close { session })? {
             ApiResponse::Closed { .. } => Ok(()),

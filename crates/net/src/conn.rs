@@ -67,7 +67,7 @@ pub struct Conn {
     /// Clock-ms of the last byte in or out (idle-TTL accounting).
     pub last_active_ms: u64,
     /// Sessions opened over this connection and not yet closed; graceful
-    /// shutdown finalizes these into the navigation log.
+    /// shutdown closes these.
     pub sessions: HashSet<SessionId>,
 }
 

@@ -24,8 +24,7 @@
 //!   [`NavService::dispatch`](dln_serve::NavService::dispatch) inline,
 //!   accept-time shedding that composes with the admission gate, an
 //!   idle-TTL sweep on the injected clock, a per-session exactly-once
-//!   response cache, and graceful shutdown that finalizes sessions into
-//!   the navigation log.
+//!   response cache, and graceful shutdown that closes every session.
 //! * [`client`] — the blocking [`Client`] mirror of the service surface,
 //!   with reconnect-and-resend recovery and
 //!   [`RetryPolicy`](dln_serve::RetryPolicy) compatibility.

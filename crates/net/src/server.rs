@@ -44,9 +44,8 @@
 //!
 //! [`NetServer::shutdown`] stops accepting, flushes pending responses
 //! (best effort), then closes every connection's sessions through
-//! [`NavService::close_session`] — finalizing their walks into the
-//! service's merged [`NavigationLog`](dln_org::NavigationLog), so no
-//! wire walk is lost when the front-end stops.
+//! [`NavService::close_session`], so a stopped front-end leaves no
+//! sessions holding registry capacity.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -151,7 +150,7 @@ pub struct NetStats {
 
 /// The running network front-end. [`shutdown`](NetServer::shutdown) and
 /// dropping both take the graceful path: the reactor flushes what it can
-/// and finalizes every connection's sessions before it exits.
+/// and closes every connection's sessions before it exits.
 pub struct NetServer {
     local_addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
@@ -229,9 +228,8 @@ impl NetServer {
         &self.stats
     }
 
-    /// Graceful shutdown: stop accepting, flush pending responses,
-    /// finalize every connection's sessions into the navigation log, then
-    /// join the reactor.
+    /// Graceful shutdown: stop accepting, flush pending responses, close
+    /// every connection's sessions, then join the reactor.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -461,7 +459,7 @@ impl Reactor {
 
         let resp = self.svc.dispatch(&req);
 
-        // Session bookkeeping for graceful-shutdown finalization.
+        // Session bookkeeping for the graceful-shutdown close.
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
@@ -578,16 +576,16 @@ impl Reactor {
         }
     }
 
-    /// Remove a connection. With `finalize`, close its sessions into the
-    /// navigation log (graceful shutdown); without, sessions stay in the
-    /// registry for the service TTL sweep — the contract that lets a
-    /// client reconnect after a torn connection and continue its walk.
-    fn teardown(&mut self, token: u64, finalize: bool) {
+    /// Remove a connection. With `close_sessions`, close its sessions and
+    /// drop their cache entries (graceful shutdown); without, sessions stay
+    /// in the registry for the service TTL sweep — the contract that lets
+    /// a client reconnect after a torn connection and continue its walk.
+    fn teardown(&mut self, token: u64, close_sessions: bool) {
         let Some(conn) = self.conns.remove(&token) else {
             return;
         };
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        if finalize {
+        if close_sessions {
             for sid in &conn.sessions {
                 let _ = self.svc.close_session(*sid);
                 self.cache.remove(&sid.0);
@@ -598,7 +596,7 @@ impl Reactor {
     }
 
     /// The graceful path: no new accepts (loop already exited), flush
-    /// what a partial write left queued, finalize sessions.
+    /// what a partial write left queued, close sessions.
     fn graceful_drain(&mut self) {
         let _ = self.poller.deregister(self.listener.as_raw_fd());
         let now = self.now();

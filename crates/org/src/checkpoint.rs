@@ -31,7 +31,7 @@
 //! Two fingerprints guard against resuming under the wrong conditions:
 //! the *config* fingerprint (seed, batch width, plateau/iteration budgets,
 //! acceptance parameters) and the *initial-organization* fingerprint
-//! ([`Organization::fingerprint`]) — resuming replays the op log against
+//! ([`Organization::fingerprint`](crate::Organization::fingerprint)) — resuming replays the op log against
 //! the caller-provided initial organization, which must be the one the
 //! original run started from. The worker-thread count is deliberately
 //! excluded: results never depend on it.

@@ -52,8 +52,6 @@
 //! * `cycle` — the maintainer's epoch-committed cycle engine: durable
 //!   plan commit, checkpointed shard re-search, graft-back shard
 //!   republish.
-//! * [`feedback`] — [`NavigationLog`]: recorded walks and the blended
-//!   Eq 1 transitions of §2.4.
 //! * [`success`] — the success-probability evaluation measure (§4.2).
 //! * [`navigate`] — interactive navigation over a built organization
 //!   (state labelling and query-conditioned transitions, §4.4 prototype).
@@ -70,7 +68,6 @@ pub mod ctx;
 mod cycle;
 pub mod eval;
 pub mod export;
-pub mod feedback;
 pub mod graph;
 pub mod init;
 mod maintain;
@@ -91,7 +88,6 @@ pub use ctx::{LocalAttr, LocalTag, OrgContext};
 pub use cycle::{Advance, CyclePhase, CycleStage, EMPTY_SHARD};
 pub use eval::{Evaluator, NavConfig};
 pub use export::{load_json, save_json, to_dot};
-pub use feedback::NavigationLog;
 pub use graph::{Organization, StateId};
 pub use init::{bisecting_org, clustering_org, flat_org, random_org};
 pub use maintain::{MaintConfig, Maintainer};

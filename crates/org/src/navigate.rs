@@ -172,29 +172,6 @@ impl<'a> Navigator<'a> {
         transition_probs_from(self.org, self.nav, self.current(), query_unit)
     }
 
-    /// Transition probabilities blended with observed navigation behaviour
-    /// (§2.4's incremental model estimation): the Eq 1 distribution is the
-    /// Dirichlet prior, click-through counts from `log` are the evidence.
-    /// `prior_strength` is the prior's pseudo-count weight.
-    pub fn transition_probs_with_log(
-        &self,
-        query_unit: &[f32],
-        log: &crate::feedback::NavigationLog,
-        prior_strength: f64,
-    ) -> Vec<(StateId, f64)> {
-        let model = self.transition_probs(query_unit);
-        if model.is_empty() {
-            return model;
-        }
-        let prior: Vec<f64> = model.iter().map(|(_, p)| *p).collect();
-        let blended = log.blended_transitions(self.org, self.current(), &prior, prior_strength);
-        model
-            .into_iter()
-            .zip(blended)
-            .map(|((sid, _), p)| (sid, p))
-            .collect()
-    }
-
     /// Descend into `child`. Errors with
     /// [`DlnError::InvalidNavigation`] when `child` is not a child of the
     /// current state; the cursor does not move.
@@ -394,34 +371,6 @@ mod tests {
         nav.reset();
         assert_eq!(nav.current(), org.root());
         assert_eq!(nav.path().len(), 1);
-    }
-
-    #[test]
-    fn log_blending_shifts_transitions_toward_clicks() {
-        let (ctx, org) = setup();
-        let nav = Navigator::new(&ctx, &org, NavConfig::default());
-        let query = ctx.attr(0).unit_topic.clone();
-        let base = nav.transition_probs(&query);
-        // Log heavy traffic into the model's LEAST preferred child.
-        let (worst, _) = base
-            .iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .copied()
-            .unwrap();
-        let mut log = crate::feedback::NavigationLog::new();
-        for _ in 0..200 {
-            log.record_walk(&[org.root(), worst]);
-        }
-        let blended = nav.transition_probs_with_log(&query, &log, 5.0);
-        let sum: f64 = blended.iter().map(|(_, p)| p).sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-        let b_worst = blended.iter().find(|(s, _)| *s == worst).unwrap().1;
-        let m_worst = base.iter().find(|(s, _)| *s == worst).unwrap().1;
-        assert!(
-            b_worst > m_worst,
-            "click evidence must lift the clicked child: {b_worst} vs {m_worst}"
-        );
-        assert!(b_worst > 0.9, "200 clicks vs strength 5 dominates");
     }
 
     #[test]

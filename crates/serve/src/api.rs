@@ -47,7 +47,7 @@ pub enum ApiRequest {
         /// The session to inspect.
         session: SessionId,
     },
-    /// Close a session, merging its walk log into the service log.
+    /// Close a session.
     Close {
         /// The session to close.
         session: SessionId,

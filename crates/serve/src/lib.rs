@@ -17,8 +17,7 @@
 //!    client half. Requests that *are* admitted but blow their deadline
 //!    degrade gracefully ([`StepResponse::degraded`]) instead of erroring.
 //! 3. **State gets lost.** The bounded [`SessionRegistry`] TTL-evicts idle
-//!    sessions deterministically (injected [`Clock`]) and merges their
-//!    navigation logs instead of dropping them; `dln-fault` failpoints
+//!    sessions deterministically (injected [`Clock`]); `dln-fault` failpoints
 //!    (`serve.slow`, `serve.drop_session`, `serve.swap_race`) inject the
 //!    failures the chaos suite asserts recovery from.
 //!
@@ -40,7 +39,7 @@ pub use api::{ApiRequest, ApiResponse, WireError};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use error::{ServeError, ServeResult};
 pub use gate::{AdmissionGate, Permit};
-pub use registry::{EvictedSession, Session, SessionId, SessionRegistry};
+pub use registry::{Session, SessionId, SessionRegistry};
 pub use retry::RetryPolicy;
 pub use service::{
     tables_at, ChildView, MaintReport, NavService, ServeConfig, ServeStats, StepAction,

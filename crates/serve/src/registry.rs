@@ -2,23 +2,20 @@
 //!
 //! A session is the unit of navigation state the service keeps on behalf
 //! of one agent: which snapshot it is navigating (pinned by `Arc`, so a
-//! hot-swap cannot pull the organization out from under it), the path from
-//! the root, and the per-session [`NavigationLog`] that is merged into the
-//! service-wide log at close or eviction (walks observed only while a
-//! session is live must not be lost when it times out — they are the
-//! behaviour logs the §2.4 transition update reads).
+//! hot-swap cannot pull the organization out from under it) and the path
+//! from the root.
 //!
 //! The registry is *bounded*: at most `capacity` live sessions. Open
 //! first evicts everything past its TTL (so an idle-session pileup cannot
 //! wedge new traffic), then refuses with a typed
 //! [`SessionLimit`](crate::ServeError::SessionLimit) if still full.
-//! Eviction order is ascending session id — a deterministic function of
-//! (registry contents, clock reading), never of thread arrival order.
+//! The eviction set is a deterministic function of (registry contents,
+//! clock reading), never of thread arrival order.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use dln_org::{NavigationLog, StateId};
+use dln_org::StateId;
 
 use crate::error::{ServeError, ServeResult};
 use crate::snapshot::OrgSnapshot;
@@ -42,9 +39,6 @@ pub struct Session {
     pub snapshot: Arc<OrgSnapshot>,
     /// Root-anchored path of the session's current position.
     pub path: Vec<StateId>,
-    /// Walks recorded by this session, merged into the service log on
-    /// close/eviction.
-    pub log: NavigationLog,
     /// Clock reading of the last request touching this session.
     pub last_active: u64,
     /// Number of navigation steps served.
@@ -75,14 +69,6 @@ impl Session {
             .copied()
             .unwrap_or_else(|| self.snapshot.root())
     }
-}
-
-/// A session that was removed from the registry, with why.
-pub struct EvictedSession {
-    /// The evicted handle.
-    pub id: SessionId,
-    /// The session's accumulated walk log (for merging upstream).
-    pub log: NavigationLog,
 }
 
 /// Bounded map of live sessions.
@@ -123,17 +109,19 @@ impl SessionRegistry {
     /// Open a session rooted at `snapshot`'s root. Evicts expired sessions
     /// first; refuses with [`ServeError::SessionLimit`] when still at
     /// capacity. `fault_key` seeds the session's deterministic failpoint
-    /// draws; `evicted` receives any sessions TTL-evicted to make room.
+    /// draws. Returns the new id and the number of sessions TTL-evicted to
+    /// make room (a refusal evicted none: any eviction frees a slot).
     pub fn open(
         &mut self,
         snapshot: Arc<OrgSnapshot>,
         now: u64,
         fault_key: u64,
-        evicted: &mut Vec<EvictedSession>,
-    ) -> ServeResult<SessionId> {
-        if self.sessions.len() >= self.capacity {
-            evicted.extend(self.evict_expired(now));
-        }
+    ) -> ServeResult<(SessionId, usize)> {
+        let evicted = if self.sessions.len() >= self.capacity {
+            self.evict_expired(now)
+        } else {
+            0
+        };
         if self.sessions.len() >= self.capacity {
             return Err(ServeError::SessionLimit {
                 capacity: self.capacity,
@@ -146,24 +134,19 @@ impl SessionRegistry {
             id,
             snapshot,
             path: vec![root],
-            log: NavigationLog::new(),
             last_active: now,
             steps: 0,
             fault_key,
         };
         self.sessions.insert(id.0, Arc::new(Mutex::new(session)));
-        Ok(id)
+        Ok((id, evicted))
     }
 
     /// Look up a live session. `now` is used to *check* expiry (an expired
-    /// session is evicted on sight and reported as such), and to refresh
-    /// `last_active` on hit.
-    pub fn touch(
-        &mut self,
-        id: SessionId,
-        now: u64,
-        evicted: &mut Vec<EvictedSession>,
-    ) -> ServeResult<Arc<Mutex<Session>>> {
+    /// session is evicted on sight and reported as
+    /// [`ServeError::SessionExpired`] — the only way this returns it), and
+    /// to refresh `last_active` on hit.
+    pub fn touch(&mut self, id: SessionId, now: u64) -> ServeResult<Arc<Mutex<Session>>> {
         let Some(slot) = self.sessions.get(&id.0) else {
             return Err(ServeError::SessionNotFound { session: id });
         };
@@ -172,9 +155,7 @@ impl SessionRegistry {
             now.saturating_sub(s.last_active) > self.ttl
         };
         if expired {
-            if let Some(slot) = self.sessions.remove(&id.0) {
-                evicted.push(finalize(id, &slot));
-            }
+            self.sessions.remove(&id.0);
             return Err(ServeError::SessionExpired {
                 session: id,
                 injected: false,
@@ -185,39 +166,23 @@ impl SessionRegistry {
         Ok(slot)
     }
 
-    /// Close a session, returning its accumulated log (with the final walk
-    /// recorded into it).
-    pub fn close(&mut self, id: SessionId) -> ServeResult<NavigationLog> {
-        let Some(slot) = self.sessions.remove(&id.0) else {
-            return Err(ServeError::SessionNotFound { session: id });
-        };
-        Ok(finalize(id, &slot).log)
-    }
-
-    /// Drop a session without ceremony (the `serve.drop_session` chaos
-    /// failpoint: simulates a crashed worker losing its in-memory session).
-    /// The log is *discarded*, as a crash would discard it.
-    pub fn drop_abrupt(&mut self, id: SessionId) -> bool {
-        self.sessions.remove(&id.0).is_some()
-    }
-
-    /// Evict every session idle longer than the TTL. Iterates in ascending
-    /// id order, so the eviction set is a pure function of (contents, now).
-    pub fn evict_expired(&mut self, now: u64) -> Vec<EvictedSession> {
-        let ttl = self.ttl;
-        let dead: Vec<u64> = self
-            .sessions
-            .iter()
-            .filter(|(_, slot)| now.saturating_sub(lock(slot).last_active) > ttl)
-            .map(|(id, _)| *id)
-            .collect();
-        let mut out = Vec::with_capacity(dead.len());
-        for id in dead {
-            if let Some(slot) = self.sessions.remove(&id) {
-                out.push(finalize(SessionId(id), &slot));
-            }
+    /// Remove a session: a client close, or the `serve.drop_session` chaos
+    /// failpoint simulating a crashed worker losing it.
+    pub fn close(&mut self, id: SessionId) -> ServeResult<()> {
+        match self.sessions.remove(&id.0) {
+            Some(_) => Ok(()),
+            None => Err(ServeError::SessionNotFound { session: id }),
         }
-        out
+    }
+
+    /// Evict every session idle longer than the TTL and return how many
+    /// went. The eviction set is a pure function of (contents, now).
+    pub fn evict_expired(&mut self, now: u64) -> usize {
+        let ttl = self.ttl;
+        let before = self.sessions.len();
+        self.sessions
+            .retain(|_, slot| now.saturating_sub(lock(slot).last_active) <= ttl);
+        before - self.sessions.len()
     }
 
     /// Snapshot of the live session ids, ascending.
@@ -235,17 +200,6 @@ impl SessionRegistry {
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Drain a removed session into an [`EvictedSession`], recording its final
-/// walk (the path it ended on) so the merged log keeps the session's
-/// navigation evidence.
-fn finalize(id: SessionId, slot: &Mutex<Session>) -> EvictedSession {
-    let mut s = lock(slot);
-    let path = std::mem::take(&mut s.path);
-    let mut log = std::mem::take(&mut s.log);
-    log.record_walk(&path);
-    EvictedSession { id, log }
 }
 
 #[cfg(test)]
@@ -271,25 +225,22 @@ mod tests {
     fn open_respects_capacity_and_reports_typed_limit() {
         let snap = snap();
         let mut reg = SessionRegistry::new(2, 100);
-        let mut ev = Vec::new();
-        reg.open(Arc::clone(&snap), 0, 1, &mut ev).unwrap();
-        reg.open(Arc::clone(&snap), 0, 2, &mut ev).unwrap();
-        let err = reg.open(Arc::clone(&snap), 10, 3, &mut ev).unwrap_err();
+        reg.open(Arc::clone(&snap), 0, 1).unwrap();
+        reg.open(Arc::clone(&snap), 0, 2).unwrap();
+        let err = reg.open(Arc::clone(&snap), 10, 3).unwrap_err();
         assert!(matches!(err, ServeError::SessionLimit { capacity: 2 }));
-        assert!(ev.is_empty(), "nothing was expired at t=10");
+        assert_eq!(reg.len(), 2, "nothing was expired at t=10");
     }
 
     #[test]
     fn ttl_eviction_is_deterministic_and_frees_capacity() {
         let snap = snap();
         let mut reg = SessionRegistry::new(2, 100);
-        let mut ev = Vec::new();
-        let a = reg.open(Arc::clone(&snap), 0, 1, &mut ev).unwrap();
-        let b = reg.open(Arc::clone(&snap), 50, 2, &mut ev).unwrap();
+        let (a, _) = reg.open(Arc::clone(&snap), 0, 1).unwrap();
+        let (b, _) = reg.open(Arc::clone(&snap), 50, 2).unwrap();
         // t=120: a (idle 120) is past TTL, b (idle 70) is not.
-        let c = reg.open(Arc::clone(&snap), 120, 3, &mut ev).unwrap();
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].id, a);
+        let (c, evicted) = reg.open(Arc::clone(&snap), 120, 3).unwrap();
+        assert_eq!(evicted, 1);
         assert_ne!(c, a);
         assert_eq!(reg.ids(), vec![b, c]);
     }
@@ -298,13 +249,12 @@ mod tests {
     fn touch_refreshes_and_expires() {
         let snap = snap();
         let mut reg = SessionRegistry::new(4, 100);
-        let mut ev = Vec::new();
-        let a = reg.open(Arc::clone(&snap), 0, 1, &mut ev).unwrap();
+        let (a, _) = reg.open(Arc::clone(&snap), 0, 1).unwrap();
         // Touch at 90 refreshes; 190 is within TTL of 90.
-        reg.touch(a, 90, &mut ev).unwrap();
-        reg.touch(a, 190, &mut ev).unwrap();
+        reg.touch(a, 90).unwrap();
+        reg.touch(a, 190).unwrap();
         // 291 is 101 past 190: expired.
-        let err = reg.touch(a, 291, &mut ev).unwrap_err();
+        let err = reg.touch(a, 291).unwrap_err();
         assert!(matches!(
             err,
             ServeError::SessionExpired {
@@ -312,33 +262,27 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(ev.len(), 1, "expired-on-sight session yields its log");
-        let err2 = reg.touch(a, 291, &mut ev).unwrap_err();
+        assert!(reg.is_empty(), "expired-on-sight session is evicted");
+        let err2 = reg.touch(a, 291).unwrap_err();
         assert!(matches!(err2, ServeError::SessionNotFound { .. }));
     }
 
     #[test]
-    fn close_returns_log_and_drop_discards_it() {
+    fn close_removes_once_then_reports_not_found() {
         let snap = snap();
         let mut reg = SessionRegistry::new(4, 100);
-        let mut ev = Vec::new();
-        let a = reg.open(Arc::clone(&snap), 0, 1, &mut ev).unwrap();
-        let root = snap.root();
-        {
-            let slot = reg.touch(a, 1, &mut ev).unwrap();
-            let mut s = lock(&slot);
-            s.log.record_walk(&[root]);
-        }
-        let log = reg.close(a).unwrap();
-        // One walk recorded explicitly above + the final walk on close.
-        assert_eq!(log.n_sessions(), 2);
-        assert!(log.visits(root) >= 2);
+        let (a, _) = reg.open(Arc::clone(&snap), 0, 1).unwrap();
+        let (b, _) = reg.open(Arc::clone(&snap), 0, 2).unwrap();
+        reg.close(a).unwrap();
+        assert_eq!(reg.ids(), vec![b], "the closed id is gone");
+        assert!(reg.peek(a).is_none());
         assert!(matches!(
             reg.close(a),
             Err(ServeError::SessionNotFound { .. })
         ));
-        let b = reg.open(Arc::clone(&snap), 0, 2, &mut ev).unwrap();
-        assert!(reg.drop_abrupt(b));
-        assert!(!reg.drop_abrupt(b));
+        assert!(matches!(
+            reg.touch(a, 1),
+            Err(ServeError::SessionNotFound { .. })
+        ));
     }
 }

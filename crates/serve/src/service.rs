@@ -6,8 +6,7 @@
 //! 1. **Admission** — acquire a permit from the [`AdmissionGate`]; shed
 //!    with a typed `Overloaded` if the bounded queue is full.
 //! 2. **Session lookup** — TTL-checked; expired sessions are evicted on
-//!    sight (their logs merged, never lost) and reported as typed
-//!    `SessionExpired`.
+//!    sight and reported as typed `SessionExpired`.
 //! 3. **Chaos** — the `serve.drop_session` failpoint may tear the session
 //!    down (simulating a crashed worker); `serve.swap_race` yields the
 //!    thread mid-request to widen the hot-swap race window. Both draw
@@ -34,14 +33,13 @@ use dln_fault::{should_fail_keyed, DlnError, DlnResult};
 use dln_lake::TableId;
 use dln_org::eval::NavConfig;
 use dln_org::{
-    Advance, BuiltOrganization, Maintainer, MappedSnapshot, NavigationLog, OrgContext,
-    Organization, StateId,
+    Advance, BuiltOrganization, Maintainer, MappedSnapshot, OrgContext, Organization, StateId,
 };
 
 use crate::clock::{Clock, WallClock};
 use crate::error::{ServeError, ServeResult};
 use crate::gate::AdmissionGate;
-use crate::registry::{lock, EvictedSession, SessionId, SessionRegistry};
+use crate::registry::{lock, Session, SessionId, SessionRegistry};
 use crate::snapshot::{replay_path, OrgSnapshot, SnapshotStore};
 
 /// What a request does to a session's snapshot when a newer epoch has been
@@ -86,7 +84,7 @@ pub enum StepAction {
     Descend(StateId),
     /// Pop one path element (no-op at the root).
     Backtrack,
-    /// Jump back to the root, recording the finished walk.
+    /// Jump back to the root.
     Reset,
     /// Stay put (refresh the view / re-rank for a new query).
     Stay,
@@ -288,9 +286,6 @@ pub struct NavService {
     gate: AdmissionGate,
     cfg: ServeConfig,
     clock: Arc<dyn Clock>,
-    /// Service-wide merged navigation log (fed by closed/evicted
-    /// sessions): the §2.4 behaviour log.
-    log: Mutex<NavigationLog>,
     stats: ServeStats,
 }
 
@@ -348,7 +343,6 @@ impl NavService {
             gate: AdmissionGate::new(cfg.max_concurrency, cfg.queue_depth, cfg.retry_base_ms),
             cfg,
             clock,
-            log: Mutex::new(NavigationLog::new()),
             stats: ServeStats::default(),
         }
     }
@@ -376,11 +370,6 @@ impl NavService {
     /// Number of live sessions.
     pub fn live_sessions(&self) -> usize {
         lock(&self.registry).len()
-    }
-
-    /// Clone of the service-wide merged navigation log.
-    pub fn merged_log(&self) -> NavigationLog {
-        lock(&self.log).clone()
     }
 
     /// Hot-swap in a new organization; in-flight and pinned sessions keep
@@ -426,7 +415,7 @@ impl NavService {
     /// Run one incremental maintenance cycle against this service:
     ///
     /// 1. sweep TTL-expired sessions (live sessions keep serving either
-    ///    way — churn maintenance does not consume navigation feedback);
+    ///    way);
     /// 2. advance the maintainer's cycle state machine (durable plan →
     ///    rebase → localized re-search / rebalance surgery → validate);
     /// 3. publish the staged organization as a shard-scoped republish —
@@ -491,30 +480,24 @@ impl NavService {
     pub fn open_session_keyed(&self, fault_key: u64) -> ServeResult<SessionId> {
         let now = self.clock.now();
         let snap = self.store.current();
-        let mut evicted = Vec::new();
-        let out = lock(&self.registry).open(snap, now, fault_key, &mut evicted);
-        self.absorb_evicted(evicted);
-        if out.is_ok() {
-            bump!(self.stats, opened);
-        }
-        out
+        let (id, evicted) = lock(&self.registry).open(snap, now, fault_key)?;
+        self.stats
+            .evicted_ttl
+            .fetch_add(evicted as u64, Ordering::Relaxed);
+        bump!(self.stats, opened);
+        Ok(id)
     }
 
-    /// Close a session, merging its walk log into the service log.
+    /// Close a session.
     pub fn close_session(&self, id: SessionId) -> ServeResult<()> {
-        let log = lock(&self.registry).close(id)?;
-        lock(&self.log).merge(&log);
+        lock(&self.registry).close(id)?;
         bump!(self.stats, closed);
         Ok(())
     }
 
     /// The session's current root-anchored path.
     pub fn session_path(&self, id: SessionId) -> ServeResult<Vec<StateId>> {
-        let now = self.clock.now();
-        let mut evicted = Vec::new();
-        let slot = lock(&self.registry).touch(id, now, &mut evicted);
-        self.absorb_evicted(evicted);
-        let slot = slot?;
+        let slot = self.touch(id, self.clock.now())?;
         let path = lock(&slot).path.clone();
         Ok(path)
     }
@@ -523,11 +506,10 @@ impl NavService {
     /// `(checked, invalid)`; `invalid > 0` means a hot-swap tore a
     /// session's state — the property the chaos test asserts never holds.
     pub fn validate_live_paths(&self) -> (usize, usize) {
-        // Hold the registry lock across the whole audit: otherwise a
-        // concurrent close/evict can drain a session (its final walk moves
-        // into the merged log) after we cloned its slot, and the audit
-        // would mistake the drained carcass for a torn live session. Lock
-        // order registry → session matches every other path.
+        // Hold the registry lock across the whole audit, so it checks one
+        // consistent set of live sessions: a session closed or evicted
+        // concurrently is either counted before it goes or not at all.
+        // Lock order registry → session matches every other path.
         let reg = lock(&self.registry);
         let mut checked = 0;
         let mut invalid = 0;
@@ -546,9 +528,10 @@ impl NavService {
     pub fn sweep_expired(&self) -> usize {
         let now = self.clock.now();
         let evicted = lock(&self.registry).evict_expired(now);
-        let n = evicted.len();
-        self.absorb_evicted(evicted);
-        n
+        self.stats
+            .evicted_ttl
+            .fetch_add(evicted as u64, Ordering::Relaxed);
+        evicted
     }
 
     /// One navigation step. See the module docs for the lifecycle.
@@ -563,13 +546,8 @@ impl NavService {
         let t0 = self.clock.now();
         bump!(self.stats, requests);
 
-        // Session lookup (TTL-checked, evictions absorbed).
-        let slot = {
-            let mut evicted = Vec::new();
-            let out = lock(&self.registry).touch(id, t0, &mut evicted);
-            self.absorb_evicted(evicted);
-            out?
-        };
+        // Session lookup (TTL-checked, evictions counted).
+        let slot = self.touch(id, t0)?;
         let mut s = lock(&slot);
         s.steps += 1;
         // One key per (session, request); decorrelated from neighbouring
@@ -579,7 +557,7 @@ impl NavService {
         // Chaos: a "crashed worker" loses the session mid-request.
         if should_fail_keyed("serve.drop_session", fault_key) {
             drop(s);
-            lock(&self.registry).drop_abrupt(id);
+            let _ = lock(&self.registry).close(id);
             bump!(self.stats, dropped_fault);
             return Err(ServeError::SessionExpired {
                 session: id,
@@ -662,8 +640,8 @@ impl NavService {
                 }
             }
             StepAction::Reset => {
-                let walk = std::mem::replace(&mut s.path, vec![snap.root()]);
-                s.log.record_walk(&walk);
+                s.path.clear();
+                s.path.push(snap.root());
             }
             StepAction::Stay => {}
         }
@@ -722,15 +700,20 @@ impl NavService {
         })
     }
 
-    fn absorb_evicted(&self, evicted: Vec<EvictedSession>) {
-        if evicted.is_empty() {
-            return;
-        }
-        let mut log = lock(&self.log);
-        for ev in &evicted {
-            log.merge(&ev.log);
+    /// TTL-checked registry lookup; a session expired on sight counts as
+    /// a TTL eviction.
+    fn touch(&self, id: SessionId, now: u64) -> ServeResult<Arc<Mutex<Session>>> {
+        let out = lock(&self.registry).touch(id, now);
+        if matches!(
+            out,
+            Err(ServeError::SessionExpired {
+                injected: false,
+                ..
+            })
+        ) {
             bump!(self.stats, evicted_ttl);
         }
+        out
     }
 }
 
@@ -815,7 +798,7 @@ mod tests {
 
         svc.close_session(sid).unwrap();
         assert_eq!(svc.live_sessions(), 0);
-        assert_eq!(svc.merged_log().n_sessions(), 1, "close records the walk");
+        assert_eq!(svc.stats().closed.load(Ordering::Relaxed), 1);
         assert!(matches!(
             svc.step(sid, &StepRequest::action(StepAction::Stay)),
             Err(ServeError::SessionNotFound { .. })
@@ -1083,7 +1066,7 @@ mod tests {
     }
 
     #[test]
-    fn ttl_eviction_merges_logs_and_config_reads_env() {
+    fn ttl_eviction_counts_and_config_reads_env() {
         let cfg = ServeConfig {
             session_ttl_ms: 100,
             ..ServeConfig::default()
@@ -1095,11 +1078,6 @@ mod tests {
         clock.advance(500);
         assert_eq!(svc.sweep_expired(), 1);
         assert_eq!(svc.stats().evicted_ttl.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            svc.merged_log().n_sessions(),
-            1,
-            "evicted session's walk survives in the merged log"
-        );
         assert!(matches!(
             svc.step(sid, &StepRequest::action(StepAction::Stay)),
             Err(ServeError::SessionNotFound { .. })

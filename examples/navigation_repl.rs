@@ -47,8 +47,8 @@
 //! `--listen` builds the organization and serves it through the
 //! `dln-net` epoll front-end (honoring `DLN_NET_MAX_CONNS` and
 //! `DLN_NET_IDLE_TTL_MS`; reads stdin until EOF/`q`,
-//! then shuts down gracefully, finalizing remote sessions into the
-//! navigation log). `--connect` drives the walk through the blocking
+//! then shuts down gracefully, closing every remote session).
+//! `--connect` drives the walk through the blocking
 //! `net::Client` — same commands, same views, every step a wire frame;
 //! the lake is regenerated locally (the generator is deterministic) so
 //! table names and query embeddings resolve client-side.
@@ -189,8 +189,10 @@ fn serve_remote(addr: &str) {
     }
     server.shutdown();
     println!(
-        "(server stopped; merged log holds {} finalized walks)",
-        svc.merged_log().n_sessions()
+        "(server stopped; {} sessions closed)",
+        svc.stats()
+            .closed
+            .load(std::sync::atomic::Ordering::Relaxed)
     );
 }
 
