@@ -19,19 +19,25 @@
 //!
 //! Thread count resolution order: [`set_num_threads`] override, then the
 //! `RAYON_NUM_THREADS` / `DLN_THREADS` environment variables, then
-//! `std::thread::available_parallelism`. Work smaller than
+//! `std::thread::available_parallelism` (read once per process: on Linux
+//! it reads the cgroup CPU quota, which is too slow to ask per parallel
+//! call). Work smaller than
 //! [`MIN_ITEMS_PER_THREAD`] items per worker runs inline.
 
 #![warn(missing_docs)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Below this many items per would-be worker, `for_each` runs inline —
 /// spawn overhead (~tens of µs) would exceed the work.
 pub const MIN_ITEMS_PER_THREAD: usize = 2;
 
 static NUM_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+/// The host's parallelism, asked of the OS on first use.
+static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
 
 /// Override the worker count for subsequent parallel calls (0 clears the
 /// override, falling back to the environment / hardware default). Used by
@@ -42,7 +48,8 @@ pub fn set_num_threads(n: usize) {
 
 /// The number of workers parallel calls will use: the
 /// [`set_num_threads`] override, else `RAYON_NUM_THREADS`, else
-/// `DLN_THREADS`, else the hardware parallelism.
+/// `DLN_THREADS`, else the hardware parallelism (cached for the process;
+/// the override and the environment are read on every call).
 pub fn current_num_threads() -> usize {
     let o = NUM_THREADS_OVERRIDE.load(Ordering::Relaxed);
     if o > 0 {
@@ -58,9 +65,11 @@ pub fn current_num_threads() -> usize {
             }
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    *HARDWARE_THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 thread_local! {
@@ -457,6 +466,35 @@ mod tests {
         );
         // The guard is scoped: parallelism is restored after run_inline.
         assert!(current_num_threads() >= 1);
+    }
+
+    #[test]
+    fn hardware_count_is_cached_and_overrides_stay_live() {
+        let _guard = OVERRIDE_LOCK.lock().unwrap();
+        const VARS: [&str; 2] = ["RAYON_NUM_THREADS", "DLN_THREADS"];
+        let saved: Vec<_> = VARS.iter().map(std::env::var_os).collect();
+        VARS.iter().for_each(|v| std::env::remove_var(v));
+        let hardware = current_num_threads();
+        assert_eq!(
+            HARDWARE_THREADS.get(),
+            Some(&hardware),
+            "cached on first use"
+        );
+        std::env::set_var("DLN_THREADS", "5");
+        assert_eq!(current_num_threads(), 5);
+        std::env::set_var("RAYON_NUM_THREADS", "7");
+        assert_eq!(current_num_threads(), 7, "RAYON_NUM_THREADS wins");
+        set_num_threads(2);
+        assert_eq!(current_num_threads(), 2, "the override wins");
+        set_num_threads(0);
+        assert_eq!(current_num_threads(), 7);
+        VARS.iter().for_each(|v| std::env::remove_var(v));
+        assert_eq!(current_num_threads(), hardware);
+        for (var, value) in VARS.iter().zip(saved) {
+            if let Some(v) = value {
+                std::env::set_var(var, v);
+            }
+        }
     }
 
     #[test]
