@@ -14,6 +14,9 @@
 //!    `B = 1` (the lazy resolution path must stay cheap on small hosts).
 //!
 //! Every search time is the median of [`REPEATS`] runs of the same walk.
+//! The repeats are interleaved across the walks (one run of every walk,
+//! then the next round), so a slow stretch of a shared host falls on all
+//! of them instead of on the walks that happened to run during it.
 //!
 //! Flags: `--attrs <n>` target attribute count (default 800), `--seed <n>`,
 //! `--iters <n>` proposal budget per run (default 200), `--out <path>`
@@ -88,18 +91,10 @@ fn parse_args() -> Args {
 /// enough to move the single-worker overhead ratio across its 1.1 bar.
 const REPEATS: usize = 5;
 
-/// The median time of [`REPEATS`] runs of `run`, with the last run's
-/// output (every run performs the same walk).
-fn median_of_repeats<T>(mut run: impl FnMut() -> (f64, T)) -> (f64, T) {
-    let mut secs = Vec::with_capacity(REPEATS);
-    let mut last = None;
-    for _ in 0..REPEATS {
-        let (s, out) = run();
-        secs.push(s);
-        last = Some(out);
-    }
+/// The median of one walk's run times.
+fn median(mut secs: Vec<f64>) -> f64 {
     secs.sort_by(f64::total_cmp);
-    (secs[REPEATS / 2], last.expect("at least one run"))
+    secs[secs.len() / 2]
 }
 
 /// One timed optimize run with a fixed proposal budget (plateau disabled so
@@ -170,8 +165,8 @@ fn main() {
         ));
     }
 
-    // 2. Serial reference walk (A/B baseline), one worker.
-    rayon::set_num_threads(1);
+    // 2. The serial reference walk (A/B baseline, one worker) and the
+    //    batched search across B × threads, repeats interleaved.
     let ref_cfg = SearchConfig {
         max_iters: args.iters,
         plateau_iters: args.iters.max(1),
@@ -179,49 +174,62 @@ fn main() {
         seed: args.seed,
         ..Default::default()
     };
-    let (ref_secs, ref_stats) = median_of_repeats(|| {
+    let batches = [1usize, 2, 4, 8];
+    let cells: Vec<(usize, usize)> = batches
+        .iter()
+        .flat_map(|&b| sweep.iter().map(move |&t| (b, t)))
+        .collect();
+    let mut ref_secs = Vec::with_capacity(REPEATS);
+    let mut ref_stats = None;
+    let mut cell_secs = vec![Vec::with_capacity(REPEATS); cells.len()];
+    let mut cell_stats = vec![None; cells.len()];
+    for _ in 0..REPEATS {
+        rayon::set_num_threads(1);
         let mut ref_org = random_org(&ctx, args.seed ^ 0x0A11);
         let start = Instant::now();
         let stats = optimize_reference(&ctx, &mut ref_org, &ref_cfg);
-        (start.elapsed().as_secs_f64(), stats)
-    });
+        ref_secs.push(start.elapsed().as_secs_f64());
+        ref_stats = Some(stats);
+        for (i, &(batch, threads)) in cells.iter().enumerate() {
+            rayon::set_num_threads(threads);
+            let (secs, stats) = timed_search(&ctx, args.seed, args.iters, batch);
+            cell_secs[i].push(secs);
+            cell_stats[i] = Some(stats);
+        }
+    }
+    let ref_secs = median(ref_secs);
+    let ref_stats = ref_stats.expect("at least one repeat");
     eprintln!(
         "reference serial walk: {:.1} ms for {} proposals",
         ref_secs * 1e3,
         ref_stats.iterations
     );
-
-    // 3. Batched search across B × threads.
-    let batches = [1usize, 2, 4, 8];
     let mut search_lines = Vec::new();
     let mut b1_t1 = f64::NAN;
     let mut worst_overhead = f64::NAN;
-    for &batch in &batches {
-        for &threads in &sweep {
-            rayon::set_num_threads(threads);
-            let (secs, stats) =
-                median_of_repeats(|| timed_search(&ctx, args.seed, args.iters, batch));
-            eprintln!(
-                "optimize B={batch} @ {threads} thread(s): {:.1} ms, {} proposals, {} accepted, {} cancelled speculations",
-                secs * 1e3,
-                stats.iterations,
-                stats.accepted,
-                stats.speculative_evals
-            );
-            if batch == 1 && threads == 1 {
-                b1_t1 = secs;
-            }
-            if batch > 1 && threads == 1 {
-                let overhead = secs / b1_t1;
-                if worst_overhead.is_nan() || overhead > worst_overhead {
-                    worst_overhead = overhead;
-                }
-            }
-            search_lines.push(format!(
-                "    {{ \"batch\": {batch}, \"threads\": {threads}, \"seconds\": {secs:.6}, \"iterations\": {}, \"accepted\": {}, \"speculative_evals\": {}, \"final_effectiveness\": {:.9} }}",
-                stats.iterations, stats.accepted, stats.speculative_evals, stats.final_effectiveness
-            ));
+    for ((&(batch, threads), secs), stats) in cells.iter().zip(cell_secs).zip(cell_stats) {
+        let secs = median(secs);
+        let stats = stats.expect("at least one repeat");
+        eprintln!(
+            "optimize B={batch} @ {threads} thread(s): {:.1} ms, {} proposals, {} accepted, {} cancelled speculations",
+            secs * 1e3,
+            stats.iterations,
+            stats.accepted,
+            stats.speculative_evals
+        );
+        if batch == 1 && threads == 1 {
+            b1_t1 = secs;
         }
+        if batch > 1 && threads == 1 {
+            let overhead = secs / b1_t1;
+            if worst_overhead.is_nan() || overhead > worst_overhead {
+                worst_overhead = overhead;
+            }
+        }
+        search_lines.push(format!(
+            "    {{ \"batch\": {batch}, \"threads\": {threads}, \"seconds\": {secs:.6}, \"iterations\": {}, \"accepted\": {}, \"speculative_evals\": {}, \"final_effectiveness\": {:.9} }}",
+            stats.iterations, stats.accepted, stats.speculative_evals, stats.final_effectiveness
+        ));
     }
     rayon::set_num_threads(0); // restore the environment default
     eprintln!(

@@ -40,7 +40,38 @@ pub trait PairwiseDistance: Sync {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// A rounding-safe triangle bound on this distance, if it has one
+    /// (see [`ChordBound`]). k-medoids uses it to skip distances that
+    /// cannot change a point's owner. The default is no bound: every
+    /// distance a scan visits is evaluated.
+    fn chord_bound(&self) -> Option<ChordBound> {
+        None
+    }
 }
+
+/// The promise behind [`PairwiseDistance::chord_bound`]: the points have
+/// vectors `x` such that, for every pair `i, j` of `covered` points, the
+/// *evaluated* `dist(i, j)` (its `f32` bits, as `dist` and `dist_block`
+/// return them) is within `tau` of half their squared Euclidean distance:
+/// `|dist(i, j) − ‖x_i − x_j‖² / 2| ≤ tau`.
+///
+/// The chord `‖x_i − x_j‖` is a metric, so a medoid `m` provably loses
+/// point `p` to `p`'s owner `o` when `dist(o, m) > 4·dist(p, o) + 5·tau`:
+/// then `dist(p, m) > dist(p, o)` strictly. DESIGN §5f derives it.
+#[derive(Clone, Debug)]
+pub struct ChordBound {
+    /// The margin `τ`.
+    pub tau: f64,
+    /// Which points the margin holds for, indexed by point. An uncovered
+    /// point is never pruned and never serves as a pivot.
+    pub covered: Vec<bool>,
+}
+
+/// How far a squared norm may sit from 1 for [`CosinePoints`] to treat the
+/// vector as on the unit sphere. Normalized `f32` topics sit within about
+/// `dim · 2⁻²⁴` of it; zero topics (no embedded token) are far outside.
+const SPHERE_NORM_TOL: f64 = 1e-5;
 
 /// Unit-norm vectors under cosine distance (`1 − a·b`, in `[0, 2]`).
 ///
@@ -106,6 +137,28 @@ impl PairwiseDistance for CosinePoints<'_> {
                 *slot = if i == j { 0.0 } else { (1.0 - *slot).max(0.0) };
             }
         }
+    }
+
+    /// On the unit sphere `‖a − b‖² = 2·(1 − a·b)`. A covered vector's
+    /// squared norm is within `η = 1e-5` of 1, which moves that identity
+    /// by at most `η` per side; the `f32` dot product of
+    /// `dim` terms errs by at most `dim · 2⁻²⁴ · (1 + η)` and the `1 − dot`
+    /// rounding by `2⁻²³`, and clamping at zero only moves a value toward
+    /// the non-negative target. `τ = 2·(dim + 2)·ε_f32 + 2η` covers that
+    /// sum with room for the `f64` rounding of the norms and of the
+    /// pruning threshold.
+    fn chord_bound(&self) -> Option<ChordBound> {
+        let dim = self.points.first()?.len();
+        let covered = self
+            .points
+            .iter()
+            .map(|p| {
+                let sq: f64 = p.iter().map(|&x| f64::from(x) * f64::from(x)).sum();
+                (sq - 1.0).abs() <= SPHERE_NORM_TOL
+            })
+            .collect();
+        let tau = 2.0 * (dim as f64 + 2.0) * f64::from(f32::EPSILON) + 2.0 * SPHERE_NORM_TOL;
+        Some(ChordBound { tau, covered })
     }
 }
 

@@ -28,6 +28,6 @@ pub mod kmedoids;
 pub mod partition;
 
 pub use agglomerative::{Dendrogram, Merge};
-pub use distance::{CondensedMatrix, CosinePoints, PairwiseDistance};
+pub use distance::{ChordBound, CondensedMatrix, CosinePoints, PairwiseDistance};
 pub use kmedoids::KMedoids;
 pub use partition::{auto_partition_k, knee_of, partition_indices, ShardSpectrum};
