@@ -17,12 +17,10 @@
 //! socket or the read buffer and are parsed only after the response is
 //! out, which bounds per-connection memory to one frame each way.
 
-use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
 use dln_fault::DlnResult;
-use dln_serve::SessionId;
 
 use crate::wire;
 
@@ -66,9 +64,6 @@ pub struct Conn {
     woff: usize,
     /// Clock-ms of the last byte in or out (idle-TTL accounting).
     pub last_active_ms: u64,
-    /// Sessions opened over this connection and not yet closed; graceful
-    /// shutdown closes these.
-    pub sessions: HashSet<SessionId>,
 }
 
 impl Conn {
@@ -82,7 +77,6 @@ impl Conn {
             wbuf: Vec::new(),
             woff: 0,
             last_active_ms: now_ms,
-            sessions: HashSet::new(),
         }
     }
 

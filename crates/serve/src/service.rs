@@ -372,6 +372,13 @@ impl NavService {
         lock(&self.registry).len()
     }
 
+    /// Whether the registry still holds session `id` (closed and evicted
+    /// sessions are gone). Neither refreshes the session's TTL nor checks
+    /// its expiry.
+    pub fn holds_session(&self, id: SessionId) -> bool {
+        lock(&self.registry).peek(id).is_some()
+    }
+
     /// Hot-swap in a new organization; in-flight and pinned sessions keep
     /// their current snapshot until they migrate per policy. Returns the
     /// new epoch.

@@ -13,11 +13,13 @@
 //!   mid-walk migrates them exactly like library sessions: typed
 //!   `Migrated` outcome, zero invalid live paths.
 //! * **Graceful shutdown** — in-flight dispatches drain and every wire
-//!   session is closed, freeing its registry slot.
+//!   session is closed, freeing its registry slot, including sessions
+//!   resumed over a later connection.
 //! * **Shedding and hygiene** — accepts past `max_conns` get a typed
 //!   `Overloaded` frame; garbage bytes sever exactly one connection and
 //!   leave the server healthy; idle connections are reaped on the
-//!   injected clock without touching their sessions.
+//!   injected clock without touching their sessions, and the same sweep
+//!   drops the cache entries of sessions the service has evicted.
 //!
 //! The failpoint registry is process-global, so this suite has its own
 //! binary; the CI `chaos` matrix re-runs it with `DLN_FAILPOINTS`
@@ -454,4 +456,114 @@ fn idle_ttl_reaps_conns_but_preserves_sessions() {
     assert_eq!(resp.depth, 1);
     client.close(sid).expect("close");
     server.shutdown();
+}
+
+/// A service and a server sharing one manual clock: connections idle past
+/// 100 ms are reaped, sessions idle past 1 s are evictable.
+fn manual_clock_server() -> (Arc<NavService>, NetServer, Arc<ManualClock>) {
+    let bench = TagCloudConfig::small().generate();
+    let ctx = OrgContext::full(&bench.lake);
+    let org = clustering_org(&ctx);
+    let clock = Arc::new(ManualClock::new(0));
+    let cfg = ServeConfig {
+        deadline_ms: None,
+        session_ttl_ms: 1_000,
+        ..ServeConfig::default()
+    };
+    let svc = Arc::new(NavService::with_clock(
+        ctx,
+        org,
+        NavConfig::default(),
+        cfg,
+        Arc::clone(&clock) as Arc<dyn datalake_nav::serve::Clock>,
+    ));
+    let server = NetServer::start(
+        Arc::clone(&svc),
+        NetConfig {
+            idle_ttl_ms: 100,
+            ..NetConfig::default()
+        },
+        Arc::clone(&clock) as Arc<dyn datalake_nav::serve::Clock>,
+    )
+    .expect("server starts");
+    (svc, server, clock)
+}
+
+/// Poll `done` every 20 ms for up to 5 s of wall time.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "{what}");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+}
+
+/// Sessions abandoned with their connection leave no exactly-once cache
+/// entry behind: once the connection is reaped and the service evicts the
+/// sessions, the next idle sweep drops their entries.
+#[test]
+fn idle_sweep_drops_cache_entries_of_evicted_sessions() {
+    let _fp = dln_fault::scoped("net.accept_fail:0.0:1").expect("valid spec");
+    let (svc, server, clock) = manual_clock_server();
+    let cached = || server.stats().cached_sessions.load(Ordering::Relaxed);
+
+    let mut client = test_client(server.local_addr());
+    for _ in 0..2 {
+        let sid = client.open().expect("open");
+        client
+            .step(sid, &StepRequest::action(StepAction::Stay))
+            .expect("step");
+    }
+    assert_eq!(cached(), 2, "each stepped session holds a cache entry");
+
+    clock.advance(500);
+    wait_until("idle sweep never reaped the silent connection", || {
+        server.stats().idle_reaped.load(Ordering::Relaxed) > 0
+    });
+    assert_eq!(cached(), 2, "a reaped conn's sessions may still resume");
+
+    clock.advance(1_000);
+    assert_eq!(svc.sweep_expired(), 2, "both sessions outlived their TTL");
+    // One more sweep interval, so a sweep runs after the eviction.
+    clock.advance(100);
+    wait_until("the sweep kept entries of evicted sessions", || {
+        cached() == 0
+    });
+    server.shutdown();
+}
+
+/// A session resumed over a new connection after its first one was
+/// reaped is still closed by graceful shutdown.
+#[test]
+fn shutdown_closes_sessions_resumed_on_a_new_connection() {
+    let _fp = dln_fault::scoped("net.accept_fail:0.0:1").expect("valid spec");
+    let (svc, server, clock) = manual_clock_server();
+
+    let mut client = test_client(server.local_addr());
+    let sid = client.open().expect("open");
+    let root = client
+        .step(sid, &StepRequest::action(StepAction::Stay))
+        .expect("root");
+    clock.advance(500);
+    wait_until("idle sweep never reaped the silent connection", || {
+        server.stats().idle_reaped.load(Ordering::Relaxed) > 0
+    });
+
+    // The next step reconnects and continues the walk on a new connection.
+    let resp = client
+        .step(
+            sid,
+            &StepRequest::action(StepAction::Descend(root.children[0].state)),
+        )
+        .expect("reconnect resumes the walk");
+    assert_eq!(resp.depth, 1);
+    assert_eq!(svc.live_sessions(), 1);
+
+    server.shutdown();
+    assert_eq!(
+        svc.live_sessions(),
+        0,
+        "shutdown must close a session resumed on another connection"
+    );
+    assert_eq!(svc.stats().closed.load(Ordering::Relaxed), 1);
 }
