@@ -35,7 +35,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use dln_bench::git_commit;
+use dln_bench::{git_commit, host_threads};
 use dln_embed::TopicAccumulator;
 use dln_lake::{AttrChange, ChangeEvent, DataLake};
 use dln_org::{
@@ -326,6 +326,7 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"benchmark\": \"churn\",");
     let _ = writeln!(json, "  \"git_commit\": \"{}\",", git_commit());
+    let _ = writeln!(json, "  \"host_threads\": {},", host_threads());
     let _ = writeln!(
         json,
         "  \"lake\": {{ \"generator\": \"tagcloud\", \"n_attrs\": {}, \"n_tags\": {}, \

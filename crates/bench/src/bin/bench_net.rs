@@ -35,7 +35,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dln_bench::git_commit;
+use dln_bench::{git_commit, host_threads};
 use dln_net::{Client, NetConfig, NetServer};
 use dln_org::eval::NavConfig;
 use dln_org::{clustering_org, OrgContext};
@@ -355,9 +355,7 @@ fn main() {
     if let Some(addr) = &args.fleet_child {
         run_fleet_child(addr, &args);
     }
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host_threads = host_threads();
 
     // One server-side fd per connection, plus listener/poller/pipes slack.
     let fd_budget = ensure_fd_budget(args.conns as u64 + 512);

@@ -28,7 +28,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use dln_bench::{git_commit, thread_sweep};
+use dln_bench::{git_commit, host_threads, thread_sweep};
 use dln_org::search::{optimize, optimize_reference, SearchConfig, SearchStats};
 use dln_org::{clustering_org, random_org, OrgContext};
 use dln_synth::TagCloudConfig;
@@ -115,9 +115,7 @@ fn timed_search(ctx: &OrgContext, seed: u64, iters: usize, batch: usize) -> (f64
 
 fn main() {
     let args = parse_args();
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host_threads = host_threads();
     eprintln!(
         "generating TagCloud lake (~{} attrs), host parallelism {host_threads} ...",
         args.attrs

@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use dln_bench::{git_commit, thread_sweep};
+use dln_bench::{git_commit, host_threads, thread_sweep};
 use dln_org::eval::NavConfig;
 use dln_org::{clustering_org, flat_org, OrgContext};
 use dln_serve::{
@@ -236,9 +236,7 @@ fn run_cell(
 
 fn main() {
     let args = parse_args();
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host_threads = host_threads();
     eprintln!(
         "generating TagCloud lake (~{} attrs), host parallelism {host_threads} ...",
         args.attrs

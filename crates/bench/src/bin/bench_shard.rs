@@ -31,7 +31,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use dln_bench::{git_commit, thread_sweep};
+use dln_bench::{git_commit, host_threads, thread_sweep};
 use dln_org::{build_sharded, OrgContext, SearchConfig, ShardPolicy, ShardedBuild};
 use dln_synth::TagCloudConfig;
 
@@ -110,9 +110,7 @@ fn timed_build(
 
 fn main() {
     let args = parse_args();
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host_threads = host_threads();
     eprintln!(
         "generating TagCloud lake (~{} attrs), host parallelism {host_threads} ...",
         args.attrs

@@ -27,7 +27,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use dln_bench::git_commit;
+use dln_bench::{git_commit, host_threads};
 use dln_embed::VecFileModel;
 use dln_lake::csv::{load_dir, CsvOptions};
 use dln_org::eval::NavConfig;
@@ -343,6 +343,7 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"store_cold_start\",");
     let _ = writeln!(json, "  \"git_commit\": \"{}\",", git_commit());
+    let _ = writeln!(json, "  \"host_threads\": {},", host_threads());
     let _ = writeln!(
         json,
         "  \"config\": {{ \"tables\": {}, \"cols\": {}, \"rows\": {}, \"dim\": {}, \"seed\": {}, \"topics\": {} }},",

@@ -107,6 +107,13 @@ fn die(msg: &str) -> ! {
     std::process::exit(2)
 }
 
+/// The host's available parallelism (1 when it cannot be read) —
+/// stamped into every bench JSON beside the commit, since parallel
+/// figures mean little without the core count they ran on.
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// The current git commit (short hash, `+dirty` when the tree has local
 /// modifications), or `"unknown"` outside a repository — stamped into
 /// every bench JSON so numbers stay traceable to the code that produced
