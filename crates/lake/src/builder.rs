@@ -11,6 +11,7 @@ use dln_embed::{for_each_token, EmbeddingModel, TopicAccumulator};
 use dln_fault::{DlnError, DlnResult};
 
 use crate::model::{AttrId, Attribute, DataLake, Table, TableId, Tag, TagId};
+use crate::values::Values;
 
 /// Incremental builder for a [`DataLake`].
 pub struct LakeBuilder {
@@ -44,6 +45,8 @@ impl LakeBuilder {
     }
 
     /// Whether raw values are retained on attributes (default: true).
+    /// A retained value costs its bytes plus a 4-byte end offset in the
+    /// attribute's [`Values`] (about 10 bytes for a typical 6-byte cell).
     /// Disable for very large generated lakes where only topic vectors are
     /// needed (organization construction never reads raw values).
     pub fn set_store_values(&mut self, store: bool) -> &mut Self {
@@ -143,13 +146,13 @@ impl LakeBuilder {
         }
         let mut topic = TopicAccumulator::new(self.dim);
         let mut token = String::new();
-        let mut stored = Vec::new();
+        let mut stored = Values::new();
         let mut n_values = 0u32;
         for v in values {
             n_values += 1;
             embed_value(model, v, &mut token, &mut topic);
             if self.store_values {
-                stored.push(v.to_string());
+                stored.push(v);
             }
         }
         self.try_add_attribute_raw(table, name, topic, n_values, stored)
@@ -168,7 +171,7 @@ impl LakeBuilder {
         name: &str,
         topic: TopicAccumulator,
         n_values: u32,
-        values: Vec<String>,
+        values: Values,
     ) -> AttrId {
         match self.try_add_attribute_raw(table, name, topic, n_values, values) {
             Ok(id) => id,
@@ -183,7 +186,7 @@ impl LakeBuilder {
         name: &str,
         topic: TopicAccumulator,
         n_values: u32,
-        values: Vec<String>,
+        mut values: Values,
     ) -> DlnResult<AttrId> {
         if topic.dim() != self.dim {
             return Err(DlnError::DimMismatch {
@@ -191,6 +194,11 @@ impl LakeBuilder {
                 expected: self.dim,
                 got: topic.dim(),
             });
+        }
+        if self.store_values {
+            values.shrink_to_fit();
+        } else {
+            values = Values::new();
         }
         let id = AttrId(self.attrs.len() as u32);
         let unit_topic = topic.unit_mean();
@@ -200,11 +208,7 @@ impl LakeBuilder {
             topic,
             unit_topic,
             n_values,
-            values: if self.store_values {
-                values
-            } else {
-                Vec::new()
-            },
+            values,
         });
         self.tables[table.index()].attrs.push(id);
         Ok(id)

@@ -37,6 +37,7 @@ use dln_persist::{self as persist, SeqLog, SeqState};
 
 use crate::builder::LakeBuilder;
 use crate::model::DataLake;
+use crate::values::Values;
 
 /// One attribute of a [`ChangeEvent::TableAdded`] payload.
 #[derive(Clone, Debug, PartialEq)]
@@ -306,7 +307,7 @@ struct AttrSpec {
     name: String,
     topic: TopicAccumulator,
     n_values: u32,
-    values: Vec<String>,
+    values: Values,
     tags: Vec<String>,
 }
 
@@ -389,7 +390,7 @@ pub fn replay<'a>(
                             name: a.name.clone(),
                             topic: a.topic.clone(),
                             n_values: a.n_values,
-                            values: Vec::new(),
+                            values: Values::new(),
                             tags: a.tags.clone(),
                         })
                         .collect(),
@@ -478,10 +479,10 @@ mod tests {
     fn seed_lake() -> DataLake {
         let mut b = LakeBuilder::new(3);
         let t0 = b.begin_table("alpha");
-        let a0 = b.add_attribute_raw(t0, "a", topic(0.9), 3, Vec::new());
+        let a0 = b.add_attribute_raw(t0, "a", topic(0.9), 3, Values::new());
         b.add_attr_tag(a0, "health");
         let t1 = b.begin_table("beta");
-        let a1 = b.add_attribute_raw(t1, "b", topic(0.1), 3, Vec::new());
+        let a1 = b.add_attribute_raw(t1, "b", topic(0.1), 3, Values::new());
         b.add_attr_tag(a1, "transit");
         b.build()
     }

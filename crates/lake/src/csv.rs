@@ -32,6 +32,7 @@ use dln_fault::DlnError;
 use crate::builder::{embed_value, LakeBuilder};
 use crate::model::DataLake;
 use crate::numeric::{NumericCatalog, NumericColumn, NumericProfile};
+use crate::values::Values;
 
 /// Options for CSV ingestion.
 #[derive(Clone, Debug)]
@@ -202,15 +203,19 @@ pub struct ParsedTable {
     /// Metadata tags from the sidecar file.
     pub tags: Vec<String>,
     /// Text columns: `(column name, values)`.
-    pub text_columns: Vec<(String, Vec<String>)>,
+    pub text_columns: Vec<(String, Values)>,
     /// Names of columns classified as numeric and skipped.
     pub numeric_columns: Vec<String>,
     /// Raw values of the numeric columns (for profiling).
-    pub numeric_values: Vec<(String, Vec<String>)>,
+    pub numeric_values: Vec<(String, Values)>,
 }
 
 /// Classify and extract the text columns of a parsed CSV. Each kept value
-/// is trimmed and copied once; the copy is what the lake stores.
+/// is trimmed and appended to its column's [`Values`], the buffer the
+/// lake stores, so extraction allocates per column, not per value.
+///
+/// # Panics
+/// When one column's values exceed `u32::MAX` bytes (see [`Values`]).
 pub fn extract_text_columns<S: AsRef<str>>(
     name: &str,
     rows: &[Vec<S>],
@@ -239,8 +244,11 @@ pub fn extract_text_columns<S: AsRef<str>>(
     } else {
         data_rows.len().min(opts.max_rows)
     };
+    // One column's trimmed non-empty values, borrowed from `rows`, so each
+    // column's `Values` is allocated once at its exact size.
+    let mut kept: Vec<&str> = Vec::with_capacity(limit);
     for (ci, col_name) in header.into_iter().enumerate() {
-        let mut values = Vec::with_capacity(limit);
+        kept.clear();
         let mut numeric = 0usize;
         for row in &data_rows[..limit] {
             let Some(v) = row.get(ci) else { continue };
@@ -251,10 +259,15 @@ pub fn extract_text_columns<S: AsRef<str>>(
             if is_numeric_value(v) {
                 numeric += 1;
             }
-            values.push(v.to_string());
+            kept.push(v);
         }
-        if values.is_empty() {
+        if kept.is_empty() {
             continue;
+        }
+        let bytes = kept.iter().map(|v| v.len()).sum();
+        let mut values = Values::with_capacity(kept.len(), bytes);
+        for v in &kept {
+            values.push(v);
         }
         let text_fraction = 1.0 - numeric as f64 / values.len() as f64;
         if text_fraction >= opts.text_threshold {
@@ -287,7 +300,7 @@ pub struct IngestReport {
     /// CSV files rejected for invalid UTF-8 content.
     pub invalid_utf8: usize,
     /// CSV files rejected as structurally malformed (unbalanced quotes /
-    /// truncated quoted field).
+    /// truncated quoted field) or larger than 4 GiB.
     pub malformed_csv: usize,
     /// Sidecar `.tags` files that existed but could not be read (the table
     /// still loads, tagged with its own name).
@@ -458,7 +471,7 @@ struct FileTable {
 struct TextColumn {
     name: String,
     topic: TopicAccumulator,
-    values: Vec<String>,
+    values: Values,
 }
 
 /// Read, validate, parse, classify and embed the `index`-th CSV file.
@@ -475,6 +488,11 @@ fn ingest_file<M: EmbeddingModel>(
         Ok(b) => b,
         Err(e) => return Err((Quarantine::Io, format!("read failed: {e}"))),
     };
+    // A column's values are a subset of the file's bytes, so this bound
+    // keeps every column within the `u32` offsets of its `Values`.
+    if u32::try_from(bytes.len()).is_err() {
+        return Err((Quarantine::Malformed, "file larger than 4 GiB".into()));
+    }
     let Ok(text) = std::str::from_utf8(&bytes) else {
         return Err((Quarantine::InvalidUtf8, "invalid UTF-8 content".into()));
     };
@@ -517,7 +535,7 @@ fn ingest_file<M: EmbeddingModel>(
         .numeric_values
         .iter()
         .filter_map(|(col, values)| {
-            let profile = NumericProfile::from_strings(values.iter().map(String::as_str), 2)?;
+            let profile = NumericProfile::from_strings(values.iter(), 2)?;
             Some(NumericColumn {
                 table_name: parsed.name.clone(),
                 column: col.clone(),
@@ -531,7 +549,7 @@ fn ingest_file<M: EmbeddingModel>(
         .into_iter()
         .map(|(name, values)| {
             let mut topic = TopicAccumulator::new(model.dim());
-            for v in &values {
+            for v in values.iter() {
                 embed_value(model, v, &mut token, &mut topic);
             }
             TextColumn {

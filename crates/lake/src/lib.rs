@@ -24,6 +24,7 @@ pub mod csv;
 pub mod model;
 pub mod numeric;
 pub mod stats;
+pub mod values;
 
 pub use builder::LakeBuilder;
 pub use cdc::{replay, AttrChange, ChangeEvent, ChangeHistory, ChangeLog, ReplayStats};
@@ -31,3 +32,4 @@ pub use csv::{Ingest, IngestReport};
 pub use model::{AttrId, Attribute, DataLake, Table, TableId, Tag, TagId};
 pub use numeric::{NumericCatalog, NumericColumn, NumericProfile};
 pub use stats::LakeStats;
+pub use values::Values;

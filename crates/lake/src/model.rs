@@ -3,6 +3,8 @@
 use dln_embed::TopicAccumulator;
 use std::collections::HashMap;
 
+use crate::values::Values;
+
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
@@ -66,7 +68,7 @@ pub struct Attribute {
     /// Raw domain values, retained when the builder is configured to store
     /// them (needed by keyword search and the user study; organization
     /// construction itself only needs the topic vector).
-    pub values: Vec<String>,
+    pub values: Values,
 }
 
 impl Attribute {

@@ -506,7 +506,7 @@ mod tests {
     use crate::cycle::Advance;
     use crate::search::ShardPolicy;
     use crate::shard::build_sharded;
-    use dln_lake::{AttrChange, LakeBuilder};
+    use dln_lake::{AttrChange, LakeBuilder, Values};
     use dln_synth::TagCloudConfig;
 
     fn tmp(name: &str) -> PathBuf {
@@ -676,7 +676,7 @@ mod tests {
         let mut add_table = |name: &str, label: &str, axis: usize, nudge: f32| {
             let tid = lb.begin_table(name);
             lb.add_tag(tid, label);
-            lb.try_add_attribute_raw(tid, "c0", topic(dim, axis, nudge), 8, Vec::new())
+            lb.try_add_attribute_raw(tid, "c0", topic(dim, axis, nudge), 8, Values::new())
                 .unwrap();
         };
         add_table("ta0", "a0", 0, 0.00);

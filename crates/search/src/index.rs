@@ -79,7 +79,7 @@ impl KeywordSearch {
             for &aid in &table.attrs {
                 let a = lake.attr(aid);
                 push_text(&a.name, &mut freqs);
-                for v in &a.values {
+                for v in a.values.iter() {
                     push_text(v, &mut freqs);
                 }
             }

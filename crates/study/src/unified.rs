@@ -301,9 +301,8 @@ mod tests {
             .attrs()
             .iter()
             .find_map(|a| a.values.first())
-            .expect("stored values")
-            .clone();
-        let hits = session.search(&word, 5);
+            .expect("stored values");
+        let hits = session.search(word, 5);
         assert!(!hits.is_empty());
         let table = hits[0].table;
         let state = session.pivot_to_table(table).expect("table is organized");
@@ -334,10 +333,9 @@ mod tests {
                     .iter()
                     .any(|t| f.model.embed(t).is_some())
             })
-            .expect("some stored value embeds")
-            .clone();
+            .expect("some stored value embeds");
         let state = session
-            .pivot_to_query(&word, &f.model)
+            .pivot_to_query(word, &f.model)
             .expect("embeddable query");
         let (di, _) = session.position().unwrap();
         assert!(di < f.md.dims.len());
@@ -367,13 +365,12 @@ mod tests {
             .attrs()
             .iter()
             .find_map(|a| a.values.first())
-            .unwrap()
-            .clone();
-        let table = session.search(&word, 1)[0].table;
+            .unwrap();
+        let table = session.search(word, 1)[0].table;
         session.pivot_to_table(table).unwrap();
         let allowed: std::collections::BTreeSet<TableId> =
             session.tables_here().into_iter().map(|(t, _)| t).collect();
-        let scoped = session.search_here(&word, 10);
+        let scoped = session.search_here(word, 10);
         for hit in &scoped {
             assert!(allowed.contains(&hit.table), "scoped hit escaped the shelf");
         }
@@ -389,16 +386,15 @@ mod tests {
             .attrs()
             .iter()
             .find_map(|a| a.values.first())
-            .unwrap()
-            .clone();
-        let table = session.search(&word, 1)[0].table;
+            .unwrap();
+        let table = session.search(word, 1)[0].table;
         session.pivot_to_table(table).unwrap();
         // Browse up one level to widen the shelf, then search within it.
         let nav = session.navigator().unwrap();
         nav.backtrack();
         let wide = session.tables_here();
         assert!(!wide.is_empty());
-        let scoped = session.search_here(&word, 10);
+        let scoped = session.search_here(word, 10);
         assert!(scoped
             .iter()
             .all(|h| wide.iter().any(|(t, _)| *t == h.table)));

@@ -28,7 +28,7 @@ use dln_embed::{
     EmbeddingModel, SyntheticEmbedding, SyntheticEmbeddingConfig, TokenId, TopicAccumulator,
     VocabularyConfig,
 };
-use dln_lake::{DataLake, LakeBuilder};
+use dln_lake::{DataLake, LakeBuilder, Values};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -212,7 +212,7 @@ impl SocrataConfig {
                 attr_topics.push(topic);
                 let k = rng.random_range(self.values_min..=self.values_max);
                 let mut topic_acc = TopicAccumulator::new(self.dim);
-                let mut values = Vec::new();
+                let mut values = Values::new();
                 let mut n_values = 0u32;
                 for _ in 0..k {
                     let w = TokenId(
@@ -226,7 +226,7 @@ impl SocrataConfig {
                         topic_acc.add(v);
                     }
                     if self.store_values {
-                        values.push(vocab.word(w).to_string());
+                        values.push(vocab.word(w));
                     }
                 }
                 builder.add_attribute_raw(table, &format!("col{a}"), topic_acc, n_values, values);

@@ -24,7 +24,7 @@
 use dln_embed::{
     dot, SyntheticEmbedding, SyntheticEmbeddingConfig, TokenId, TopicAccumulator, VocabularyConfig,
 };
-use dln_lake::{DataLake, LakeBuilder, TagId};
+use dln_lake::{DataLake, LakeBuilder, TagId, Values};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -206,7 +206,7 @@ impl TagCloudConfig {
                 let k = rng.random_range(self.values_min..=self.values_max);
                 let chosen = &ranked[tag_idx][..k.min(words_per_topic)];
                 let mut topic = TopicAccumulator::new(self.dim);
-                let mut values = Vec::new();
+                let mut values = Values::new();
                 for &w in chosen {
                     // Embedding-space noise: some of the "k most similar
                     // words" are actually junk neighbours.
@@ -217,7 +217,7 @@ impl TagCloudConfig {
                     };
                     topic.add(vocab.vector(w));
                     if self.store_values {
-                        values.push(vocab.word(w).to_string());
+                        values.push(vocab.word(w));
                     }
                 }
                 let aid = builder.add_attribute_raw(

@@ -41,10 +41,9 @@ fn main() {
         .attrs()
         .iter()
         .find_map(|a| a.values.first())
-        .expect("values stored")
-        .clone();
+        .expect("values stored");
     println!("\n[search] query = {probe_value:?}");
-    let hits = session.search(&probe_value, 5);
+    let hits = session.search(probe_value, 5);
     for h in &hits {
         println!("  {:>6.2}  {}", h.score, lake.table(h.table).name);
     }
@@ -74,14 +73,14 @@ fn main() {
     );
 
     // 4. Scoped search: the same query, restricted to this neighbourhood.
-    let scoped = session.search_here(&probe_value, 5);
+    let scoped = session.search_here(probe_value, 5);
     println!("\n[search-here] {} scoped hits:", scoped.len());
     for h in &scoped {
         println!("  {:>6.2}  {}", h.score, lake.table(h.table).name);
     }
 
     // 5. And the reverse direction: free-text pivot into the organization.
-    if let Some(s2) = session.pivot_to_query(&probe_value, &socrata.model) {
+    if let Some(s2) = session.pivot_to_query(probe_value, &socrata.model) {
         println!(
             "\n[pivot-query] free-text pivot landed at {:?} ({})",
             s2,

@@ -131,7 +131,7 @@ fn digest(ingest: &Ingest) -> u64 {
         h.f32s(&attr.unit_topic);
         h.u64(u64::from(attr.n_values));
         h.u64(attr.values.len() as u64);
-        for v in &attr.values {
+        for v in attr.values.iter() {
             h.str(v);
         }
         h.ids(lake.attr_tags(datalake_nav::lake::AttrId(i as u32)), |t| {
@@ -194,7 +194,7 @@ fn messy_lake_ingests_to_the_pinned_digest_at_any_thread_count() {
     write_fixture(&dir);
     let model = VecFileModel::from_reader(MODEL.as_bytes()).expect("fixture model");
     let _fp = dln_fault::scoped("").expect("disarm failpoints");
-    for threads in [1, 4] {
+    for threads in [1, 2, 4] {
         rayon::set_num_threads(threads);
         let ingest = ingest_dir(&dir, &model, &CsvOptions::default()).expect("ingest");
         rayon::set_num_threads(0);
