@@ -10,6 +10,7 @@ use dln_synth::SocrataConfig;
 
 fn setup() -> (
     dln_lake::DataLake,
+    dln_lake::ValueStore,
     dln_embed::SyntheticEmbedding,
     Vec<String>,
 ) {
@@ -18,22 +19,31 @@ fn setup() -> (
     let queries: Vec<String> = (0..8)
         .map(|i| s.model.vocab().word(dln_embed::TokenId(i * 37)).to_string())
         .collect();
-    (s.lake, s.model, queries)
+    (s.lake, s.values, s.model, queries)
 }
 
 fn main() {
-    let (lake, model, queries) = setup();
+    let (lake, values, model, queries) = setup();
 
     bench_n("keyword_index/build/plain", 5, || {
-        KeywordSearch::build(&lake)
+        KeywordSearch::build(&lake, &values)
     });
     bench_n("keyword_index/build/with_expansion", 5, || {
-        KeywordSearch::build_with_expansion(&lake, model.clone(), ExpansionConfig::default())
+        KeywordSearch::build_with_expansion(
+            &lake,
+            &values,
+            model.clone(),
+            ExpansionConfig::default(),
+        )
     });
 
-    let plain = KeywordSearch::build(&lake);
-    let expanded =
-        KeywordSearch::build_with_expansion(&lake, model.clone(), ExpansionConfig::default());
+    let plain = KeywordSearch::build(&lake, &values);
+    let expanded = KeywordSearch::build_with_expansion(
+        &lake,
+        &values,
+        model.clone(),
+        ExpansionConfig::default(),
+    );
     bench_n("keyword_query/top10/bm25", 20, || {
         queries
             .iter()

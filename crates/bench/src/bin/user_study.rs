@@ -34,7 +34,7 @@ fn main() {
         cfg.n_tables, cfg.n_tags
     );
     let socrata = cfg.generate();
-    let (lake2, lake3) = socrata.split_disjoint(args.seed ^ 0x2357);
+    let ((lake2, values2), (lake3, values3)) = socrata.split_disjoint(args.seed ^ 0x2357);
     eprintln!(
         "sub-lakes: Socrata-2-like {} tables / {} tags; Socrata-3-like {} tables / {} tags (tag-disjoint)",
         lake2.n_tables(),
@@ -62,7 +62,15 @@ fn main() {
         ..Default::default()
     };
     eprintln!("running 12 simulated participants (latin-square blocks) ...");
-    let report = run_study(&lake2, &lake3, &socrata.model, &study_cfg).expect("study");
+    let report = run_study(
+        &lake2,
+        &values2,
+        &lake3,
+        &values3,
+        &socrata.model,
+        &study_cfg,
+    )
+    .expect("study");
     println!("\n{report}");
 
     let cols: Vec<(&str, &[f64])> = vec![

@@ -11,12 +11,12 @@ use dln_embed::{for_each_token, EmbeddingModel, TopicAccumulator};
 use dln_fault::{DlnError, DlnResult};
 
 use crate::model::{AttrId, Attribute, DataLake, Table, TableId, Tag, TagId};
-use crate::values::Values;
 
-/// Incremental builder for a [`DataLake`].
+/// Incremental builder for a [`DataLake`]. It keeps no raw values: a
+/// producer that keeps them pushes each attribute's values to a
+/// [`ValueStore`](crate::ValueStore) in the order it adds the attributes.
 pub struct LakeBuilder {
     dim: usize,
-    store_values: bool,
     tables: Vec<Table>,
     attrs: Vec<Attribute>,
     tag_labels: Vec<String>,
@@ -25,7 +25,8 @@ pub struct LakeBuilder {
     table_level_tags: Vec<Vec<TagId>>,
     /// Attribute-level tag associations (TagCloud-style metadata where each
     /// attribute carries its own tag, §4.1), in addition to the table-level
-    /// tags that all of a table's attributes inherit (§3.2).
+    /// tags that all of a table's attributes inherit (§3.2). May hold
+    /// duplicates; `build` sorts and dedups every attribute's tags.
     attr_extra_tags: Vec<(AttrId, TagId)>,
 }
 
@@ -34,7 +35,6 @@ impl LakeBuilder {
     pub fn new(dim: usize) -> Self {
         LakeBuilder {
             dim,
-            store_values: true,
             tables: Vec::new(),
             attrs: Vec::new(),
             tag_labels: Vec::new(),
@@ -42,16 +42,6 @@ impl LakeBuilder {
             table_level_tags: Vec::new(),
             attr_extra_tags: Vec::new(),
         }
-    }
-
-    /// Whether raw values are retained on attributes (default: true).
-    /// A retained value costs its bytes plus a 4-byte end offset in the
-    /// attribute's [`Values`] (about 10 bytes for a typical 6-byte cell).
-    /// Disable for very large generated lakes where only topic vectors are
-    /// needed (organization construction never reads raw values).
-    pub fn set_store_values(&mut self, store: bool) -> &mut Self {
-        self.store_values = store;
-        self
     }
 
     /// Start a new table; returns its id.
@@ -67,11 +57,13 @@ impl LakeBuilder {
     }
 
     fn intern_tag(&mut self, label: &str) -> TagId {
-        let next = TagId(self.tag_labels.len() as u32);
-        *self.tag_index.entry(label.to_string()).or_insert_with(|| {
-            self.tag_labels.push(label.to_string());
-            next
-        })
+        if let Some(&id) = self.tag_index.get(label) {
+            return id;
+        }
+        let id = TagId(self.tag_labels.len() as u32);
+        self.tag_labels.push(label.to_string());
+        self.tag_index.insert(label.to_string(), id);
+        id
     }
 
     /// Attach a metadata tag to a table (idempotent per table). At build
@@ -89,18 +81,18 @@ impl LakeBuilder {
     /// its whole table). The tag also appears in the owning table's tag
     /// list, but only this attribute joins the tag's `data(t)` population.
     /// This is the metadata shape of the TagCloud benchmark (§4.1), where
-    /// each attribute carries exactly one ground-truth tag.
+    /// each attribute carries exactly one ground-truth tag. Idempotent per
+    /// attribute, in constant time.
     pub fn add_attr_tag(&mut self, attr: AttrId, label: &str) -> TagId {
         let id = self.intern_tag(label);
-        if !self.attr_extra_tags.contains(&(attr, id)) {
-            self.attr_extra_tags.push((attr, id));
-        }
+        self.attr_extra_tags.push((attr, id));
         id
     }
 
     /// Add a text attribute by embedding its raw values with `model`.
     /// Values are tokenized; each embeddable token contributes one vector to
     /// the topic accumulator (the paper's per-value word-embedding mean).
+    /// The values themselves are counted, not kept.
     ///
     /// Panics on a model/lake dimension mismatch; use
     /// [`try_add_attribute`](Self::try_add_attribute) for a recoverable
@@ -146,16 +138,12 @@ impl LakeBuilder {
         }
         let mut topic = TopicAccumulator::new(self.dim);
         let mut token = String::new();
-        let mut stored = Values::new();
         let mut n_values = 0u32;
         for v in values {
             n_values += 1;
             embed_value(model, v, &mut token, &mut topic);
-            if self.store_values {
-                stored.push(v);
-            }
         }
-        self.try_add_attribute_raw(table, name, topic, n_values, stored)
+        self.try_add_attribute_raw(table, name, topic, n_values)
     }
 
     /// Add an attribute whose topic accumulator was computed elsewhere
@@ -171,9 +159,8 @@ impl LakeBuilder {
         name: &str,
         topic: TopicAccumulator,
         n_values: u32,
-        values: Values,
     ) -> AttrId {
-        match self.try_add_attribute_raw(table, name, topic, n_values, values) {
+        match self.try_add_attribute_raw(table, name, topic, n_values) {
             Ok(id) => id,
             Err(_) => panic!("topic dim must match lake dim"),
         }
@@ -186,7 +173,6 @@ impl LakeBuilder {
         name: &str,
         topic: TopicAccumulator,
         n_values: u32,
-        mut values: Values,
     ) -> DlnResult<AttrId> {
         if topic.dim() != self.dim {
             return Err(DlnError::DimMismatch {
@@ -194,11 +180,6 @@ impl LakeBuilder {
                 expected: self.dim,
                 got: topic.dim(),
             });
-        }
-        if self.store_values {
-            values.shrink_to_fit();
-        } else {
-            values = Values::new();
         }
         let id = AttrId(self.attrs.len() as u32);
         let unit_topic = topic.unit_mean();
@@ -208,7 +189,6 @@ impl LakeBuilder {
             topic,
             unit_topic,
             n_values,
-            values,
         });
         self.tables[table.index()].attrs.push(id);
         Ok(id)
@@ -383,19 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn store_values_flag() {
-        let m = model();
-        let w = m.vocab().word(dln_embed::TokenId(1)).to_string();
-        let mut b = LakeBuilder::new(m.dim());
-        b.set_store_values(false);
-        let t = b.begin_table("t");
-        b.add_attribute(t, "col", [w.as_str()], &m);
-        let lake = b.build();
-        assert!(lake.attr(AttrId(0)).values.is_empty());
-        assert_eq!(lake.attr(AttrId(0)).n_values, 1);
-    }
-
-    #[test]
     #[should_panic(expected = "model dim must match lake dim")]
     fn dim_mismatch_panics() {
         let m = model();
@@ -432,5 +399,39 @@ mod tests {
         let lake = b.build();
         let g = lake.tag_by_label("g").unwrap();
         assert_eq!(lake.tag(g).attrs, vec![AttrId(0), AttrId(1)]);
+    }
+
+    #[test]
+    fn repeated_attr_tags_build_the_same_lake_as_single_ones() {
+        let m = model();
+        let words: Vec<String> = m.vocab().iter().map(|(_, w)| w.to_string()).collect();
+        // `repeats` calls per (attribute, tag) pair, interleaved, including
+        // a pair that repeats a table-level tag.
+        let build = |repeats: usize| {
+            let mut b = LakeBuilder::new(m.dim());
+            let t0 = b.begin_table("t0");
+            b.add_tag(t0, "shared");
+            let a0 = b.add_attribute(t0, "a0", [words[0].as_str(), words[5].as_str()], &m);
+            let a1 = b.add_attribute(t0, "a1", [words[1].as_str()], &m);
+            let t1 = b.begin_table("t1");
+            let a2 = b.add_attribute(t1, "a2", [words[9].as_str()], &m);
+            for _ in 0..repeats {
+                b.add_attr_tag(a0, "x");
+                b.add_attr_tag(a2, "y");
+                b.add_attr_tag(a0, "y");
+                b.add_attr_tag(a1, "shared");
+                b.add_attr_tag(a2, "x");
+            }
+            b.build()
+        };
+        let once = build(1);
+        assert_eq!(once.n_attr_tag_assocs(), 3 + 1 + 2);
+        for repeats in [2, 3] {
+            assert_eq!(
+                crate::model::catalog_lines(&build(repeats)),
+                crate::model::catalog_lines(&once),
+                "{repeats} calls per pair"
+            );
+        }
     }
 }

@@ -17,7 +17,8 @@
 //!   `churn.log_torn` tear) is never acknowledged; a torn tail is
 //!   truncated on open, a sequence gap is [`DlnError::Corrupt`], and a
 //!   checksum-valid frame whose event does not decode is quarantined.
-//! * [`replay`] — the pure fold `(seed lake, events) → lake`. Replay is
+//! * [`replay`] — the pure fold `(seed lake, events) → lake`, over
+//!   values-free catalogs (the lake keeps no raw values). Replay is
 //!   deterministic and idempotent, which is what lets a crashed maintainer
 //!   reconstruct the exact lake any committed plan was made against from
 //!   `(seed, events ≤ applied_seq)` alone. Compacting the change log keeps
@@ -37,7 +38,6 @@ use dln_persist::{self as persist, SeqLog, SeqState};
 
 use crate::builder::LakeBuilder;
 use crate::model::DataLake;
-use crate::values::Values;
 
 /// One attribute of a [`ChangeEvent::TableAdded`] payload.
 #[derive(Clone, Debug, PartialEq)]
@@ -303,46 +303,50 @@ pub struct ReplayStats {
     pub noops: u64,
 }
 
-struct AttrSpec {
-    name: String,
-    topic: TopicAccumulator,
+/// One attribute of a table being replayed, borrowing its names from the
+/// seed lake or the events (both outlive the fold).
+struct AttrSpec<'a> {
+    name: &'a str,
+    topic: &'a TopicAccumulator,
     n_values: u32,
-    values: Values,
-    tags: Vec<String>,
+    tags: Vec<&'a str>,
 }
 
-struct TableSpec {
-    name: String,
+struct TableSpec<'a> {
+    name: &'a str,
     /// Table-level labels (only populated where attribute-level attachment
     /// cannot represent them: attribute-less tables, and retagged or
     /// event-added tables).
-    table_tags: Vec<String>,
-    attrs: Vec<AttrSpec>,
+    table_tags: Vec<&'a str>,
+    attrs: Vec<AttrSpec<'a>>,
 }
 
-/// Materialize the lake described by `(seed, events)`: a pure,
+/// Materialize the lake catalog described by `(seed, events)`: a pure,
 /// deterministic, idempotent fold. Table identity is the name; events
 /// apply in iteration order. Tag ids in the result are assigned by first
 /// appearance in (table, attribute) order, which preserves the seed
 /// lake's relative tag order for unchanged tables — `replay(seed, [])`
 /// reproduces the seed lake's universe exactly (modulo dropped empties).
+/// The fold is linear in the seed's attribute–tag associations plus the
+/// events' size.
 pub fn replay<'a>(
-    seed: &DataLake,
+    seed: &'a DataLake,
     events: impl IntoIterator<Item = &'a ChangeEvent>,
 ) -> (DataLake, ReplayStats) {
+    let labels = |tags: &'a [String]| tags.iter().map(String::as_str).collect::<Vec<_>>();
     // Seed import: re-attach every tag association at the attribute level
     // (exactly what the lake's own `project` does), so `attr_tags` — the
     // only association downstream consumers read — is reproduced verbatim.
     // Tables without attributes keep their tags at table level.
-    let mut specs: Vec<Option<TableSpec>> = Vec::with_capacity(seed.n_tables());
-    let mut by_name: HashMap<String, usize> = HashMap::with_capacity(seed.n_tables());
+    let mut specs: Vec<Option<TableSpec<'a>>> = Vec::with_capacity(seed.n_tables());
+    let mut by_name: HashMap<&'a str, usize> = HashMap::with_capacity(seed.n_tables());
     for tid in seed.table_ids() {
         let table = seed.table(tid);
         let table_tags = if table.attrs.is_empty() {
             table
                 .tags
                 .iter()
-                .map(|&tg| seed.tag(tg).label.clone())
+                .map(|&tg| seed.tag(tg).label.as_str())
                 .collect()
         } else {
             Vec::new()
@@ -353,21 +357,20 @@ pub fn replay<'a>(
             .map(|&aid| {
                 let a = seed.attr(aid);
                 AttrSpec {
-                    name: a.name.clone(),
-                    topic: a.topic.clone(),
+                    name: &a.name,
+                    topic: &a.topic,
                     n_values: a.n_values,
-                    values: a.values.clone(),
                     tags: seed
                         .attr_tags(aid)
                         .iter()
-                        .map(|&tg| seed.tag(tg).label.clone())
+                        .map(|&tg| seed.tag(tg).label.as_str())
                         .collect(),
                 }
             })
             .collect();
-        by_name.insert(table.name.clone(), specs.len());
+        by_name.insert(&table.name, specs.len());
         specs.push(Some(TableSpec {
-            name: table.name.clone(),
+            name: &table.name,
             table_tags,
             attrs,
         }));
@@ -376,29 +379,28 @@ pub fn replay<'a>(
     for ev in events {
         match ev {
             ChangeEvent::TableAdded { name, tags, attrs } => {
-                if by_name.contains_key(name) {
+                if by_name.contains_key(name.as_str()) {
                     stats.noops += 1;
                     continue;
                 }
-                by_name.insert(name.clone(), specs.len());
+                by_name.insert(name, specs.len());
                 specs.push(Some(TableSpec {
-                    name: name.clone(),
-                    table_tags: tags.clone(),
+                    name,
+                    table_tags: labels(tags),
                     attrs: attrs
                         .iter()
                         .map(|a| AttrSpec {
-                            name: a.name.clone(),
-                            topic: a.topic.clone(),
+                            name: &a.name,
+                            topic: &a.topic,
                             n_values: a.n_values,
-                            values: Values::new(),
-                            tags: a.tags.clone(),
+                            tags: labels(&a.tags),
                         })
                         .collect(),
                 }));
                 stats.applied += 1;
             }
             ChangeEvent::TableRemoved { name } => {
-                let Some(i) = by_name.remove(name) else {
+                let Some(i) = by_name.remove(name.as_str()) else {
                     stats.noops += 1;
                     continue;
                 };
@@ -406,7 +408,7 @@ pub fn replay<'a>(
                 stats.applied += 1;
             }
             ChangeEvent::TableRetagged { name, tags } => {
-                let Some(&i) = by_name.get(name) else {
+                let Some(&i) = by_name.get(name.as_str()) else {
                     stats.noops += 1;
                     continue;
                 };
@@ -414,7 +416,7 @@ pub fn replay<'a>(
                     stats.noops += 1;
                     continue;
                 };
-                spec.table_tags = tags.clone();
+                spec.table_tags = labels(tags);
                 for a in &mut spec.attrs {
                     a.tags.clear();
                 }
@@ -424,12 +426,12 @@ pub fn replay<'a>(
     }
     let mut b = LakeBuilder::new(seed.dim());
     for spec in specs.into_iter().flatten() {
-        let t = b.begin_table(&spec.name);
+        let t = b.begin_table(spec.name);
         for label in &spec.table_tags {
             b.add_tag(t, label);
         }
         for a in spec.attrs {
-            let aid = match b.try_add_attribute_raw(t, &a.name, a.topic, a.n_values, a.values) {
+            let aid = match b.try_add_attribute_raw(t, a.name, a.topic.clone(), a.n_values) {
                 Ok(aid) => aid,
                 // Unreachable by construction (seed and events share the
                 // seed's dimension), but replay must never panic.
@@ -479,10 +481,10 @@ mod tests {
     fn seed_lake() -> DataLake {
         let mut b = LakeBuilder::new(3);
         let t0 = b.begin_table("alpha");
-        let a0 = b.add_attribute_raw(t0, "a", topic(0.9), 3, Values::new());
+        let a0 = b.add_attribute_raw(t0, "a", topic(0.9), 3);
         b.add_attr_tag(a0, "health");
         let t1 = b.begin_table("beta");
-        let a1 = b.add_attribute_raw(t1, "b", topic(0.1), 3, Values::new());
+        let a1 = b.add_attribute_raw(t1, "b", topic(0.1), 3);
         b.add_attr_tag(a1, "transit");
         b.build()
     }

@@ -6,11 +6,15 @@
 //! attribute and tag is summarized by a *topic vector* — the sample mean of
 //! the embedding vectors of its domain values (Definitions 4 and 5).
 //!
-//! The [`DataLake`] type is the immutable, id-indexed view consumed by every
-//! downstream component: organization construction (`dln-org`), keyword
-//! search (`dln-search`), and the user-study harness (`dln-study`). It is
-//! produced by [`LakeBuilder`] (programmatic / generator use) or by the CSV
-//! ingester in [`csv`].
+//! The [`DataLake`] type is the immutable, id-indexed catalog consumed by
+//! every downstream component: organization construction and maintenance
+//! (`dln-org`), serving (`dln-serve`, `dln-net`), keyword search
+//! (`dln-search`), and the user-study harness (`dln-study`). It holds
+//! tables, tags, attribute topics and value counts, never raw values: those
+//! live in a [`ValueStore`] beside it, read only by keyword search and the
+//! study. The catalog is produced by [`LakeBuilder`] (programmatic /
+//! generator use) or by the CSV ingester in [`csv`], which returns the
+//! value store next to it.
 
 #![warn(missing_docs)]
 // Robustness contract (ISSUE 3): ingest must degrade gracefully, never
@@ -32,4 +36,4 @@ pub use csv::{Ingest, IngestReport};
 pub use model::{AttrId, Attribute, DataLake, Table, TableId, Tag, TagId};
 pub use numeric::{NumericCatalog, NumericColumn, NumericProfile};
 pub use stats::LakeStats;
-pub use values::Values;
+pub use values::{ValueStore, Values};

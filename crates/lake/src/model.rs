@@ -3,8 +3,6 @@
 use dln_embed::TopicAccumulator;
 use std::collections::HashMap;
 
-use crate::values::Values;
-
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
@@ -53,6 +51,8 @@ pub struct Table {
 
 /// A text attribute of a table, with its domain summarized as a topic
 /// vector (Definition 4: the sample mean of the value embedding vectors).
+/// Its raw values, where kept, are in a [`ValueStore`](crate::ValueStore)
+/// beside the lake.
 #[derive(Clone, Debug)]
 pub struct Attribute {
     /// Column name.
@@ -65,10 +65,6 @@ pub struct Attribute {
     pub unit_topic: Vec<f32>,
     /// Total number of domain values (embedded or not).
     pub n_values: u32,
-    /// Raw domain values, retained when the builder is configured to store
-    /// them (needed by keyword search and the user study; organization
-    /// construction itself only needs the topic vector).
-    pub values: Values,
 }
 
 impl Attribute {
@@ -105,7 +101,9 @@ pub struct Tag {
     pub unit_topic: Vec<f32>,
 }
 
-/// An immutable, id-indexed data lake.
+/// An immutable, id-indexed data lake: the catalog of tables, tags,
+/// attribute topics and value counts. Raw values are not part of it (see
+/// [`ValueStore`](crate::ValueStore)).
 ///
 /// Invariants (checked by the builder, relied on everywhere):
 /// * attribute/table/tag ids are dense `0..n`;
@@ -217,19 +215,15 @@ impl DataLake {
     }
 
     /// Project the lake onto a subset of tables, re-densifying all ids.
-    /// Tags with no remaining attributes are dropped. Used to carve the
-    /// user-study sub-lakes (Socrata-2 / Socrata-3 in §4.1) out of a full
-    /// lake.
+    /// Tags with no remaining attributes are dropped.
     pub fn project(&self, keep_tables: &[TableId]) -> DataLake {
         let mut b = crate::builder::LakeBuilder::new(self.dim);
-        b.set_store_values(true);
         for &tid in keep_tables {
             let table = self.table(tid);
             let nt = b.begin_table(&table.name);
             for &aid in &table.attrs {
                 let a = self.attr(aid);
-                let na =
-                    b.add_attribute_raw(nt, &a.name, a.topic.clone(), a.n_values, a.values.clone());
+                let na = b.add_attribute_raw(nt, &a.name, a.topic.clone(), a.n_values);
                 // Re-attach tags at the attribute level, which exactly
                 // preserves the attribute–tag association structure whether
                 // the original tags were table- or attribute-scoped.
@@ -269,6 +263,51 @@ impl DataLake {
     pub fn stats(&self) -> crate::stats::LakeStats {
         crate::stats::LakeStats::compute(self)
     }
+}
+
+/// Every field of `lake` as lines of text, floats as bit patterns: two
+/// lakes are the same catalog exactly when their lines are equal, and a
+/// failed `assert_eq!` on them names the first field that differs.
+#[cfg(test)]
+pub(crate) fn catalog_lines(lake: &DataLake) -> Vec<String> {
+    let bits = |v: &[f32]| {
+        v.iter()
+            .map(|x| format!("{:08x}", x.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    let mut out = vec![format!("dim {}", lake.dim)];
+    for (i, t) in lake.tables.iter().enumerate() {
+        out.push(format!(
+            "table {i} {:?} attrs {:?} tags {:?}",
+            t.name, t.attrs, t.tags
+        ));
+    }
+    for (i, a) in lake.attrs.iter().enumerate() {
+        out.push(format!(
+            "attr {i} {:?} table {:?} n_values {} count {} sum {:?} unit {:?} tags {:?}",
+            a.name,
+            a.table,
+            a.n_values,
+            a.topic.count(),
+            bits(a.topic.sum()),
+            bits(&a.unit_topic),
+            lake.attr_tags[i],
+        ));
+    }
+    for (i, t) in lake.tags.iter().enumerate() {
+        out.push(format!(
+            "tag {i} {:?} attrs {:?} tables {:?} count {} sum {:?} unit {:?} index {:?}",
+            t.label,
+            t.attrs,
+            t.tables,
+            t.topic.count(),
+            bits(t.topic.sum()),
+            bits(&t.unit_topic),
+            lake.tag_index.get(&t.label),
+        ));
+    }
+    out.push(format!("index size {}", lake.tag_index.len()));
+    out
 }
 
 #[cfg(test)]

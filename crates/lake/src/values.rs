@@ -1,14 +1,23 @@
-//! [`Values`]: an attribute's raw domain values in one buffer.
+//! [`Values`]: an attribute's raw domain values in one buffer, and the
+//! [`ValueStore`] that holds them beside a lake's catalog.
 //!
-//! A lake keeps every cell of its text columns for keyword search (§4.4)
-//! and the user study. Most values are a few bytes long, so storing each
-//! as its own `String` (24 bytes inline plus a heap chunk of at least 32
-//! bytes) costs several times the text itself. `Values` concatenates an
-//! attribute's values into one `String` and records where each ends, so a
-//! value costs its bytes plus a 4-byte offset, and pushing a value
-//! allocates only when a buffer grows.
+//! Organization construction reads only topic vectors and tags
+//! (Definition 4, §3.2); raw values serve keyword search (§4.4) and the
+//! user study. So a [`DataLake`](crate::DataLake) is a values-free
+//! catalog, and the values of its attributes live in a separate
+//! `ValueStore`, which CSV ingest and the generators return next to it.
+//! A replayed or maintained lake therefore never carries values.
+//!
+//! Most values are a few bytes long, so storing each as its own `String`
+//! (24 bytes inline plus a heap chunk of at least 32 bytes) costs several
+//! times the text itself. `Values` concatenates an attribute's values into
+//! one `String` and records where each ends, so a value costs its bytes
+//! plus a 4-byte offset, and pushing a value allocates only when a buffer
+//! grows.
 
 use std::fmt;
+
+use crate::model::AttrId;
 
 /// An attribute's values, in insertion order, stored as one `String` plus
 /// the `u32` end offset of each value.
@@ -85,7 +94,7 @@ impl Values {
             .map(|(start, &end)| &self.text[start as usize..end as usize])
     }
 
-    /// Release the spare capacity of both buffers (a lake keeps its
+    /// Release the spare capacity of both buffers (a store keeps its
     /// values for its whole life).
     pub(crate) fn shrink_to_fit(&mut self) {
         self.text.shrink_to_fit();
@@ -112,6 +121,60 @@ impl From<Vec<String>> for Values {
 impl fmt::Debug for Values {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The raw values of a lake's attributes: the [`Values`] of attribute
+/// `AttrId(i)` of the catalog it was built beside is entry `i`.
+///
+/// Built by pushing one entry per attribute in the order the catalog's
+/// builder added them (attribute ids are dense in insertion order), so the
+/// two line up id for id. A producer that keeps no values pushes an empty
+/// [`Values`] (which allocates nothing) per attribute.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ValueStore {
+    attrs: Vec<Values>,
+}
+
+impl ValueStore {
+    /// A store without attributes.
+    pub fn new() -> ValueStore {
+        ValueStore::default()
+    }
+
+    /// Store the values of the next attribute, releasing their spare
+    /// capacity; returns the id they are stored under.
+    pub fn push(&mut self, mut values: Values) -> AttrId {
+        values.shrink_to_fit();
+        let id = AttrId(self.attrs.len() as u32);
+        self.attrs.push(values);
+        id
+    }
+
+    /// The values of attribute `id`.
+    ///
+    /// # Panics
+    /// When `id` is past the last attribute stored.
+    #[inline]
+    pub fn get(&self, id: AttrId) -> &Values {
+        &self.attrs[id.index()]
+    }
+
+    /// Number of attributes stored.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.attrs.len()
+    }
+
+    /// Whether no attribute is stored.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.attrs.is_empty()
+    }
+
+    /// The values of every attribute, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = &Values> + '_ {
+        self.attrs.iter()
     }
 }
 
@@ -198,5 +261,18 @@ mod tests {
         assert_eq!(strings(&v), owned);
         assert_eq!(Values::from(strings(&v)), v);
         assert_eq!(Values::from(Vec::new()), Values::new());
+    }
+
+    #[test]
+    fn store_ids_follow_push_order() {
+        let mut store = ValueStore::new();
+        assert!(store.is_empty());
+        let a = store.push(["x", "y"].into_iter().collect());
+        let b = store.push(Values::new());
+        assert_eq!((a, b), (AttrId(0), AttrId(1)));
+        assert_eq!(store.len(), 2);
+        assert_eq!(strings(store.get(a)), ["x", "y"]);
+        assert!(store.get(b).is_empty());
+        assert_eq!(store.iter().map(Values::len).collect::<Vec<_>>(), [2, 0]);
     }
 }

@@ -30,10 +30,15 @@
 //!    tier tag sets and attribute memberships are recomputed last, and the
 //!    whole organization is validated (`churn.crash_mid_publish` before
 //!    staging).
-//! 4. **Publish** — the stage carries the post-churn context and the
-//!    changed-slot set, so the serving layer republishes it shard-scoped.
-//!    [`Maintainer::mark_published`] then advances `applied_seq`, adopts
-//!    the new assignment and compacts the change log.
+//! 4. **Publish** — the stage carries the post-churn lake catalog, its
+//!    context and the changed-slot set, so the serving layer republishes it
+//!    shard-scoped. [`Maintainer::mark_published`] then advances
+//!    `applied_seq`, adopts the new assignment and the stage's lake, and
+//!    compacts the change log.
+//!
+//! Every lake the maintainer holds — the borrowed seed, the replayed
+//! `lake`, a cycle's post-churn lake — is a values-free catalog: raw
+//! values live in the value store beside the lake, which maintenance never sees.
 //!
 //! The invariant, enforced by `tests/churn_chaos.rs`: for any failpoint
 //! schedule, a killed maintainer restarted from its durable directory
@@ -473,30 +478,30 @@ impl<'a> Maintainer<'a> {
 /// (table name, attribute name) pairs — id-independent, so replayed lakes
 /// compare meaningfully against their predecessors.
 fn diff_labels(cur: &DataLake, next: &DataLake) -> HashSet<String> {
-    let pop = |lake: &DataLake, label: &str| -> Option<Vec<(String, String)>> {
+    fn pop<'l>(lake: &'l DataLake, label: &str) -> Option<Vec<(&'l str, &'l str)>> {
         let t = lake.tag_by_label(label)?;
-        let mut pairs: Vec<(String, String)> = lake
+        let mut pairs: Vec<(&str, &str)> = lake
             .tag(t)
             .attrs
             .iter()
             .map(|&a| {
                 let attr = lake.attr(a);
-                (lake.table(attr.table).name.clone(), attr.name.clone())
+                (lake.table(attr.table).name.as_str(), attr.name.as_str())
             })
             .collect();
-        pairs.sort();
+        pairs.sort_unstable();
         Some(pairs)
-    };
-    let mut labels: HashSet<String> = HashSet::new();
-    for t in cur.tags() {
-        labels.insert(t.label.clone());
     }
-    for t in next.tags() {
-        labels.insert(t.label.clone());
-    }
+    let labels: HashSet<&str> = cur
+        .tags()
+        .iter()
+        .chain(next.tags())
+        .map(|t| t.label.as_str())
+        .collect();
     labels
         .into_iter()
         .filter(|l| pop(cur, l) != pop(next, l))
+        .map(str::to_string)
         .collect()
 }
 
@@ -506,7 +511,7 @@ mod tests {
     use crate::cycle::Advance;
     use crate::search::ShardPolicy;
     use crate::shard::build_sharded;
-    use dln_lake::{AttrChange, LakeBuilder, Values};
+    use dln_lake::{AttrChange, LakeBuilder};
     use dln_synth::TagCloudConfig;
 
     fn tmp(name: &str) -> PathBuf {
@@ -606,7 +611,7 @@ mod tests {
         stage.org.validate(&stage.ctx).unwrap();
         assert!(stage.ctx.n_tags() == ctx.n_tags() + 1);
         let roots = stage.shard_roots.clone();
-        maint.mark_published(&roots).unwrap();
+        maint.mark_published(&roots, stage.lake).unwrap();
         assert_eq!(maint.applied_seq(), 1);
         assert_eq!(maint.pending(), 0);
         assert!(maint.lake().tag_by_label("churn_new_tag").is_some());
@@ -625,8 +630,82 @@ mod tests {
         stage2.org.validate(&stage2.ctx).unwrap();
         assert_eq!(stage2.ctx.n_tags(), ctx.n_tags());
         let roots2 = stage2.shard_roots.clone();
-        maint.mark_published(&roots2).unwrap();
+        maint.mark_published(&roots2, stage2.lake).unwrap();
         assert!(maint.lake().tag_by_label("churn_new_tag").is_none());
+    }
+
+    /// Every field of `lake` (floats print exactly under `Debug`), with
+    /// each attribute's tags.
+    fn catalog_image(lake: &DataLake) -> String {
+        let attr_tags: Vec<_> = lake.attr_ids().map(|a| lake.attr_tags(a)).collect();
+        format!(
+            "{:?}\n{:?}\n{:?}\n{attr_tags:?}",
+            lake.tables(),
+            lake.attrs(),
+            lake.tags()
+        )
+    }
+
+    #[test]
+    fn published_lake_is_the_lake_a_restart_replays() {
+        let (lake, scfg) = small_setup();
+        let build = build_sharded(&lake, &scfg);
+        let dir = tmp("adopt");
+        let open = || Maintainer::for_build(&lake, &build, maint_cfg(dir.clone(), scfg.clone()));
+        let mut maint = open().unwrap();
+        let (mut ctx, mut org) = (OrgContext::full(&lake), build.built.organization.clone());
+        let tables = lake.tables();
+        let add = |name: &str, tags: &[&str], axis: usize| ChangeEvent::TableAdded {
+            name: name.to_string(),
+            tags: tags.iter().map(|s| s.to_string()).collect(),
+            attrs: vec![AttrChange {
+                name: "c0".to_string(),
+                topic: topic(lake.dim(), axis, 0.2),
+                n_values: 6,
+                tags: Vec::new(),
+            }],
+        };
+        let batches = vec![
+            vec![
+                add("churn_a0", &["churn_z", &lake.tags()[3].label], 0),
+                ChangeEvent::TableRetagged {
+                    name: tables[1].name.clone(),
+                    tags: vec![lake.tags()[5].label.clone(), "churn_b".to_string()],
+                },
+                ChangeEvent::TableRemoved {
+                    name: tables[2].name.clone(),
+                },
+            ],
+            vec![
+                ChangeEvent::TableRemoved {
+                    name: "churn_a0".to_string(),
+                },
+                add("churn_a1", &["churn_b"], 1),
+            ],
+        ];
+        for events in &batches {
+            for ev in events {
+                maint.ingest(ev).unwrap();
+            }
+            let Advance::Staged(stage) = maint.advance(&ctx, &org).unwrap() else {
+                panic!("expected staged cycle");
+            };
+            let want = catalog_image(&stage.lake);
+            maint
+                .mark_published(&stage.shard_roots, stage.lake)
+                .unwrap();
+            assert_eq!(catalog_image(maint.lake()), want);
+            let restarted = open().unwrap();
+            assert_eq!(restarted.applied_seq(), maint.applied_seq());
+            assert_eq!(
+                catalog_image(restarted.lake()),
+                catalog_image(maint.lake()),
+                "tag order, attribute order, topic bits and n_values"
+            );
+            (ctx, org) = (stage.ctx, stage.org);
+        }
+        assert!(maint.lake().tag_by_label("churn_z").is_none());
+        assert!(maint.lake().tag_by_label("churn_b").is_some());
     }
 
     #[test]
@@ -676,7 +755,7 @@ mod tests {
         let mut add_table = |name: &str, label: &str, axis: usize, nudge: f32| {
             let tid = lb.begin_table(name);
             lb.add_tag(tid, label);
-            lb.try_add_attribute_raw(tid, "c0", topic(dim, axis, nudge), 8, Values::new())
+            lb.try_add_attribute_raw(tid, "c0", topic(dim, axis, nudge), 8)
                 .unwrap();
         };
         add_table("ta0", "a0", 0, 0.00);
@@ -727,7 +806,7 @@ mod tests {
         // Donor was not re-searched: only the receiver shard was.
         assert_eq!(stage.search_stats.len(), 1);
         let roots = stage.shard_roots.clone();
-        maint.mark_published(&roots).unwrap();
+        maint.mark_published(&roots, stage.lake).unwrap();
         let donor = drift_shard;
         let receiver = 1 - donor;
         assert!(

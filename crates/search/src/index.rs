@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use dln_lake::{DataLake, TableId};
+use dln_lake::{DataLake, TableId, ValueStore};
 
 use crate::bm25::{idf, term_score, Bm25Params};
 use crate::expansion::{ExpansionConfig, Expansions};
@@ -26,8 +26,8 @@ struct Posting {
 /// A BM25 keyword-search engine over the tables of a data lake.
 ///
 /// Indexed content per table: table name, tag labels, attribute names and
-/// attribute values (the lake must have been built with stored values for
-/// values to be searchable — the user-study lakes are).
+/// attribute values (read from the lake's [`ValueStore`]; an attribute with
+/// an empty entry contributes its name only).
 pub struct KeywordSearch {
     params: Bm25Params,
     postings: HashMap<String, Vec<Posting>>,
@@ -41,25 +41,39 @@ pub struct KeywordSearch {
 }
 
 impl KeywordSearch {
-    /// Index `lake` without query expansion.
-    pub fn build(lake: &DataLake) -> KeywordSearch {
-        Self::build_inner(lake)
+    /// Index `lake`, whose attributes' values are `values`, without query
+    /// expansion.
+    ///
+    /// # Panics
+    /// When `values` does not hold one entry per attribute of `lake`.
+    pub fn build(lake: &DataLake, values: &ValueStore) -> KeywordSearch {
+        Self::build_inner(lake, values)
     }
 
-    /// Index `lake` with embedding-based query expansion enabled.
+    /// Index `lake` and its `values` with embedding-based query expansion
+    /// enabled.
+    ///
+    /// # Panics
+    /// As [`build`](Self::build).
     pub fn build_with_expansion<M: dln_embed::EmbeddingModel + 'static>(
         lake: &DataLake,
+        values: &ValueStore,
         model: M,
         cfg: ExpansionConfig,
     ) -> KeywordSearch {
-        let mut engine = Self::build_inner(lake);
+        let mut engine = Self::build_inner(lake, values);
         let terms: Vec<&str> = engine.postings.keys().map(|s| s.as_str()).collect();
         engine.expansions = Some(Expansions::precompute(&terms, &model, cfg));
         engine.model = Some(std::sync::Arc::new(model));
         engine
     }
 
-    fn build_inner(lake: &DataLake) -> KeywordSearch {
+    fn build_inner(lake: &DataLake, values: &ValueStore) -> KeywordSearch {
+        assert_eq!(
+            values.len(),
+            lake.n_attrs(),
+            "the value store must hold one entry per attribute of the lake"
+        );
         let n_docs = lake.n_tables();
         let mut postings: HashMap<String, Vec<Posting>> = HashMap::new();
         let mut doc_len = vec![0u32; n_docs];
@@ -77,9 +91,8 @@ impl KeywordSearch {
                 push_text(&lake.tag(tg).label, &mut freqs);
             }
             for &aid in &table.attrs {
-                let a = lake.attr(aid);
-                push_text(&a.name, &mut freqs);
-                for v in a.values.iter() {
+                push_text(&lake.attr(aid).name, &mut freqs);
+                for v in values.get(aid).iter() {
                     push_text(v, &mut freqs);
                 }
             }
@@ -219,29 +232,29 @@ mod tests {
         })
     }
 
-    fn lake_with(model: &SyntheticEmbedding) -> DataLake {
+    fn lake_with(model: &SyntheticEmbedding) -> (DataLake, ValueStore) {
         let v = model.vocab();
-        let w = |i: u32| v.word(dln_embed::TokenId(i)).to_string();
         let mut b = LakeBuilder::new(model.dim());
+        let mut values = ValueStore::new();
+        let mut add = |b: &mut LakeBuilder, t, name: &str, words: &[u32]| {
+            let words = words.iter().map(|&i| v.word(dln_embed::TokenId(i)));
+            b.add_attribute(t, name, words.clone(), model);
+            values.push(words.collect());
+        };
         let t0 = b.begin_table("fish inspections");
         b.add_tag(t0, "food safety");
-        b.add_attribute(
-            t0,
-            "species",
-            [w(0).as_str(), w(1).as_str(), w(2).as_str()],
-            model,
-        );
+        add(&mut b, t0, "species", &[0, 1, 2]);
         let t1 = b.begin_table("city budget");
         b.add_tag(t1, "finance");
-        b.add_attribute(t1, "department", [w(12).as_str(), w(13).as_str()], model);
-        b.build()
+        add(&mut b, t1, "department", &[12, 13]);
+        (b.build(), values)
     }
 
     #[test]
     fn finds_tables_by_value() {
         let m = model();
-        let lake = lake_with(&m);
-        let engine = KeywordSearch::build(&lake);
+        let (lake, values) = lake_with(&m);
+        let engine = KeywordSearch::build(&lake, &values);
         let w0 = m.vocab().word(dln_embed::TokenId(0));
         let hits = engine.search(w0, 10);
         assert_eq!(hits.len(), 1);
@@ -251,8 +264,8 @@ mod tests {
     #[test]
     fn finds_tables_by_metadata() {
         let m = model();
-        let lake = lake_with(&m);
-        let engine = KeywordSearch::build(&lake);
+        let (lake, values) = lake_with(&m);
+        let engine = KeywordSearch::build(&lake, &values);
         assert_eq!(engine.search("finance", 10)[0].table, TableId(1));
         assert_eq!(engine.search("safety", 10)[0].table, TableId(0));
         assert_eq!(engine.search("department", 10)[0].table, TableId(1));
@@ -262,8 +275,8 @@ mod tests {
     #[test]
     fn unknown_terms_yield_nothing() {
         let m = model();
-        let lake = lake_with(&m);
-        let engine = KeywordSearch::build(&lake);
+        let (lake, values) = lake_with(&m);
+        let engine = KeywordSearch::build(&lake, &values);
         assert!(engine.search("xylophone", 10).is_empty());
         assert!(engine.search("", 10).is_empty());
     }
@@ -271,8 +284,8 @@ mod tests {
     #[test]
     fn multi_term_queries_accumulate() {
         let m = model();
-        let lake = lake_with(&m);
-        let engine = KeywordSearch::build(&lake);
+        let (lake, values) = lake_with(&m);
+        let engine = KeywordSearch::build(&lake, &values);
         let w0 = m.vocab().word(dln_embed::TokenId(0));
         let q = format!("{w0} species");
         let hits = engine.search(&q, 10);
@@ -286,8 +299,8 @@ mod tests {
     #[test]
     fn top_k_truncates_in_score_order() {
         let m = model();
-        let lake = lake_with(&m);
-        let engine = KeywordSearch::build(&lake);
+        let (lake, values) = lake_with(&m);
+        let engine = KeywordSearch::build(&lake, &values);
         // "fish" appears in a table name; the word tokens differ per table,
         // so search for a term hitting both docs: attribute names don't
         // overlap — use two terms.
@@ -298,9 +311,13 @@ mod tests {
     #[test]
     fn expansion_recalls_similar_value_terms() {
         let m = model();
-        let lake = lake_with(&m);
-        let engine =
-            KeywordSearch::build_with_expansion(&lake, m.clone(), ExpansionConfig::default());
+        let (lake, values) = lake_with(&m);
+        let engine = KeywordSearch::build_with_expansion(
+            &lake,
+            &values,
+            m.clone(),
+            ExpansionConfig::default(),
+        );
         assert!(engine.has_expansion());
         // Word 3 is in the same topic as indexed words 0..3 but is NOT in
         // the lake; expansion should still retrieve the fish table.
@@ -316,9 +333,13 @@ mod tests {
     #[test]
     fn expansion_does_not_cross_topics() {
         let m = model();
-        let lake = lake_with(&m);
-        let engine =
-            KeywordSearch::build_with_expansion(&lake, m.clone(), ExpansionConfig::default());
+        let (lake, values) = lake_with(&m);
+        let engine = KeywordSearch::build_with_expansion(
+            &lake,
+            &values,
+            m.clone(),
+            ExpansionConfig::default(),
+        );
         let w3 = m.vocab().word(dln_embed::TokenId(3));
         let hits = engine.search(w3, 10);
         assert!(
@@ -330,7 +351,7 @@ mod tests {
     #[test]
     fn empty_lake_is_searchable() {
         let lake = LakeBuilder::new(8).build();
-        let engine = KeywordSearch::build(&lake);
+        let engine = KeywordSearch::build(&lake, &ValueStore::new());
         assert_eq!(engine.n_docs(), 0);
         assert!(engine.search("anything", 5).is_empty());
     }

@@ -457,7 +457,7 @@ impl NavService {
             searched_shards: stage.search_stats.len(),
         };
         let epoch = self.publish_shard(Arc::new(stage.ctx), stage.org, snap.nav(), stage.changed);
-        maint.mark_published(&stage.shard_roots)?;
+        maint.mark_published(&stage.shard_roots, stage.lake)?;
         Ok(MaintReport {
             epoch: Some(epoch),
             ..report

@@ -371,9 +371,9 @@ mod tests {
     use dln_org::OrganizerBuilder;
     use dln_synth::SocrataConfig;
 
-    fn setup() -> (dln_lake::DataLake, SyntheticEmbedding) {
+    fn setup() -> (DataLake, dln_lake::ValueStore, SyntheticEmbedding) {
         let s = SocrataConfig::small().generate();
-        (s.lake, s.model)
+        (s.lake, s.values, s.model)
     }
 
     fn scenario(lake: &DataLake) -> Scenario {
@@ -383,7 +383,7 @@ mod tests {
 
     #[test]
     fn scenario_ground_truth_nonempty() {
-        let (lake, _) = setup();
+        let (lake, _, _) = setup();
         let sc = scenario(&lake);
         assert!(!sc.relevant.is_empty(), "some tables must be relevant");
         assert!(sc.relevant.len() < lake.n_tables(), "not everything");
@@ -392,7 +392,7 @@ mod tests {
 
     #[test]
     fn navigation_agent_finds_mostly_relevant_tables() {
-        let (lake, _) = setup();
+        let (lake, _, _) = setup();
         let sc = scenario(&lake);
         let built = OrganizerBuilder::new(&lake).max_iters(60).build_optimized();
         let dims = vec![built];
@@ -413,10 +413,11 @@ mod tests {
 
     #[test]
     fn search_agent_finds_mostly_relevant_tables() {
-        let (lake, model) = setup();
+        let (lake, values, model) = setup();
         let sc = scenario(&lake);
         let engine = KeywordSearch::build_with_expansion(
             &lake,
+            &values,
             model.clone(),
             dln_search::ExpansionConfig::default(),
         );
@@ -437,7 +438,7 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_navigation_paths() {
-        let (lake, _) = setup();
+        let (lake, _, _) = setup();
         let sc = scenario(&lake);
         let built = OrganizerBuilder::new(&lake).max_iters(60).build_optimized();
         let dims = vec![built];
@@ -461,7 +462,7 @@ mod tests {
 
     #[test]
     fn agents_respect_budget_zero() {
-        let (lake, model) = setup();
+        let (lake, values, model) = setup();
         let sc = scenario(&lake);
         let built = OrganizerBuilder::new(&lake)
             .max_iters(10)
@@ -472,13 +473,13 @@ mod tests {
             ..Default::default()
         };
         assert!(NavigationAgent::run(&dims, &lake, &sc, &cfg).is_empty());
-        let engine = KeywordSearch::build(&lake);
+        let engine = KeywordSearch::build(&lake, &values);
         assert!(SearchAgent::run(&engine, &model, &lake, &sc, &cfg).is_empty());
     }
 
     #[test]
     fn agent_runs_are_deterministic_in_seed() {
-        let (lake, _) = setup();
+        let (lake, _, _) = setup();
         let sc = scenario(&lake);
         let built = OrganizerBuilder::new(&lake)
             .max_iters(40)

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 
 use dln_embed::{dot, SyntheticEmbedding};
 use dln_fault::{DlnError, DlnResult};
-use dln_lake::{DataLake, TableId, TagId};
+use dln_lake::{DataLake, TableId, TagId, ValueStore};
 use dln_org::{MultiDimConfig, MultiDimOrganization, SearchConfig};
 use dln_search::{ExpansionConfig, KeywordSearch};
 
@@ -239,7 +239,8 @@ pub fn default_scenario(
 }
 
 /// Run the full study over two tag-disjoint lakes (the paper's Socrata-2 /
-/// Socrata-3). Returns the aggregated report.
+/// Socrata-3) and the values of their attributes, which the keyword-search
+/// modality indexes. Returns the aggregated report.
 ///
 /// The latin-square blocking (4 balanced blocks over lake × technique
 /// order) is reproduced so that, exactly as in the paper, every
@@ -247,7 +248,9 @@ pub fn default_scenario(
 /// *different* lakes.
 pub fn run_study(
     lake2: &DataLake,
+    values2: &ValueStore,
     lake3: &DataLake,
+    values3: &ValueStore,
     model: &SyntheticEmbedding,
     cfg: &StudyConfig,
 ) -> DlnResult<StudyReport> {
@@ -260,10 +263,18 @@ pub fn run_study(
     };
     let org2 = MultiDimOrganization::build(lake2, &md_cfg);
     let org3 = MultiDimOrganization::build(lake3, &md_cfg);
-    let engine2 =
-        KeywordSearch::build_with_expansion(lake2, model.clone(), ExpansionConfig::default());
-    let engine3 =
-        KeywordSearch::build_with_expansion(lake3, model.clone(), ExpansionConfig::default());
+    let engine2 = KeywordSearch::build_with_expansion(
+        lake2,
+        values2,
+        model.clone(),
+        ExpansionConfig::default(),
+    );
+    let engine3 = KeywordSearch::build_with_expansion(
+        lake3,
+        values3,
+        model.clone(),
+        ExpansionConfig::default(),
+    );
     // Difficulty-matched scenarios (the latin-square design assumes the
     // two scenarios are comparable; the paper vetted this with experts).
     let scenario2 =
@@ -415,7 +426,7 @@ mod tests {
 
     fn small_study() -> StudyReport {
         let s = SocrataConfig::small().generate();
-        let (l2, l3) = s.split_disjoint(7);
+        let ((l2, v2), (l3, v3)) = s.split_disjoint(7);
         let cfg = StudyConfig {
             n_participants: 8,
             search: SearchConfig {
@@ -428,7 +439,7 @@ mod tests {
             },
             ..Default::default()
         };
-        run_study(&l2, &l3, &s.model, &cfg).expect("study")
+        run_study(&l2, &v2, &l3, &v3, &s.model, &cfg).expect("study")
     }
 
     #[test]
@@ -478,7 +489,7 @@ mod tests {
         // comparable; calibration should bring their ground-truth sizes
         // within the same ballpark even though the sub-lakes differ.
         let s = SocrataConfig::small().generate();
-        let (l2, l3) = s.split_disjoint(7);
+        let ((l2, _), (l3, _)) = s.split_disjoint(7);
         let target = 30;
         let sc2 = calibrated_scenario(&l2, "a", 3, target).expect("scenario");
         let sc3 = calibrated_scenario(&l3, "b", 3, target).expect("scenario");
@@ -516,7 +527,7 @@ mod tests {
         // Indirect but observable: with an enormous cost, searchers can do
         // almost nothing while navigators are unaffected.
         let s = SocrataConfig::small().generate();
-        let (l2, l3) = s.split_disjoint(7);
+        let ((l2, v2), (l3, v3)) = s.split_disjoint(7);
         let mk = |cost: f64| StudyConfig {
             n_participants: 4,
             search: SearchConfig {
@@ -530,8 +541,8 @@ mod tests {
             search_action_cost: cost,
             ..Default::default()
         };
-        let cheap = run_study(&l2, &l3, &s.model, &mk(1.0)).expect("study");
-        let pricey = run_study(&l2, &l3, &s.model, &mk(60.0)).expect("study");
+        let cheap = run_study(&l2, &v2, &l3, &v3, &s.model, &mk(1.0)).expect("study");
+        let pricey = run_study(&l2, &v2, &l3, &v3, &s.model, &mk(60.0)).expect("study");
         let total = |r: &StudyReport| r.search.n_found.iter().sum::<f64>();
         assert!(
             total(&cheap) >= total(&pricey),

@@ -259,6 +259,7 @@ mod tests {
 
     struct Fixture {
         lake: DataLake,
+        values: dln_lake::ValueStore,
         model: dln_embed::SyntheticEmbedding,
         engine: KeywordSearch,
         md: MultiDimOrganization,
@@ -268,6 +269,7 @@ mod tests {
         let s = SocrataConfig::small().generate();
         let engine = KeywordSearch::build_with_expansion(
             &s.lake,
+            &s.values,
             s.model.clone(),
             ExpansionConfig::default(),
         );
@@ -284,6 +286,7 @@ mod tests {
         );
         Fixture {
             lake: s.lake,
+            values: s.values,
             model: s.model,
             engine,
             md,
@@ -297,10 +300,9 @@ mod tests {
         assert!(session.position().is_none());
         // Find some table by one of its values.
         let word = f
-            .lake
-            .attrs()
+            .values
             .iter()
-            .find_map(|a| a.values.first())
+            .find_map(|v| v.first())
             .expect("stored values");
         let hits = session.search(word, 5);
         assert!(!hits.is_empty());
@@ -324,10 +326,9 @@ mod tests {
         // and whether the *first* stored value is a numeric (unembeddable)
         // string depends on the generator's RNG stream.
         let word = f
-            .lake
-            .attrs()
+            .values
             .iter()
-            .flat_map(|a| a.values.iter())
+            .flat_map(|v| v.iter())
             .find(|v| {
                 dln_embed::tokenize(v)
                     .iter()
@@ -360,12 +361,7 @@ mod tests {
         let mut session = UnifiedSession::new(&f.lake, &f.engine, &f.md.dims);
         // Without a pivot, scoped search returns nothing.
         assert!(session.search_here("anything", 5).is_empty());
-        let word = f
-            .lake
-            .attrs()
-            .iter()
-            .find_map(|a| a.values.first())
-            .unwrap();
+        let word = f.values.iter().find_map(|v| v.first()).unwrap();
         let table = session.search(word, 1)[0].table;
         session.pivot_to_table(table).unwrap();
         let allowed: std::collections::BTreeSet<TableId> =
@@ -381,12 +377,7 @@ mod tests {
         // The full future-work loop: search → pivot → browse → scoped search.
         let f = fixture();
         let mut session = UnifiedSession::new(&f.lake, &f.engine, &f.md.dims);
-        let word = f
-            .lake
-            .attrs()
-            .iter()
-            .find_map(|a| a.values.first())
-            .unwrap();
+        let word = f.values.iter().find_map(|v| v.first()).unwrap();
         let table = session.search(word, 1)[0].table;
         session.pivot_to_table(table).unwrap();
         // Browse up one level to widen the shelf, then search within it.

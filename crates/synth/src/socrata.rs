@@ -28,7 +28,7 @@ use dln_embed::{
     EmbeddingModel, SyntheticEmbedding, SyntheticEmbeddingConfig, TokenId, TopicAccumulator,
     VocabularyConfig,
 };
-use dln_lake::{DataLake, LakeBuilder, Values};
+use dln_lake::{DataLake, LakeBuilder, ValueStore, Values};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -81,7 +81,8 @@ pub struct SocrataConfig {
     pub mislabel_rate: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Whether raw values are stored on attributes.
+    /// Whether the lake's [`ValueStore`] keeps raw values (else every
+    /// attribute's entry is empty).
     pub store_values: bool,
 }
 
@@ -197,7 +198,7 @@ impl SocrataConfig {
         let attrs_zipf = Zipf::new(self.attrs_per_table_max, self.attrs_per_table_zipf_s);
         let tags_zipf = Zipf::new(self.tags_per_table_max, self.tags_per_table_zipf_s);
         let mut builder = LakeBuilder::new(self.dim);
-        builder.set_store_values(self.store_values);
+        let mut store = ValueStore::new();
         for ti in 0..self.n_tables {
             let table = builder.begin_table(&format!("dataset{ti:05}"));
             let home = topic_zipf.sample(&mut rng) - 1;
@@ -229,7 +230,8 @@ impl SocrataConfig {
                         values.push(vocab.word(w));
                     }
                 }
-                builder.add_attribute_raw(table, &format!("col{a}"), topic_acc, n_values, values);
+                builder.add_attribute_raw(table, &format!("col{a}"), topic_acc, n_values);
+                store.push(values);
             }
             // Table tags: drawn from attribute topics, plus mislabeling noise.
             let n_table_tags = tags_zipf.sample(&mut rng);
@@ -250,15 +252,20 @@ impl SocrataConfig {
         }
         SocrataLake {
             lake: builder.build(),
+            values: store,
             model,
         }
     }
 }
 
-/// A generated Socrata-like lake plus the embedding model behind it.
+/// A generated Socrata-like lake, its attributes' values, and the
+/// embedding model behind it.
 pub struct SocrataLake {
     /// The generated lake.
     pub lake: DataLake,
+    /// The raw values of the lake's attributes (empty entries unless
+    /// [`SocrataConfig::store_values`]).
+    pub values: ValueStore,
     /// The synthetic embedding model (for search / study components).
     pub model: SyntheticEmbedding,
 }
@@ -268,8 +275,9 @@ impl SocrataLake {
     /// Socrata-2 / Socrata-3 (§4.1: "Socrata-2 and Socrata-3 do not share
     /// any tags"). Topics are split into two halves; every table goes to
     /// the side owning the majority of its tags, and tags from the opposite
-    /// side are dropped from it, guaranteeing disjoint tag sets.
-    pub fn split_disjoint(&self, seed: u64) -> (DataLake, DataLake) {
+    /// side are dropped from it, guaranteeing disjoint tag sets. Each side
+    /// comes with the values of its attributes.
+    pub fn split_disjoint(&self, seed: u64) -> ((DataLake, ValueStore), (DataLake, ValueStore)) {
         let lake = &self.lake;
         let mut rng = StdRng::seed_from_u64(seed);
         // Random half of the tags by label hash → stable side per tag.
@@ -280,18 +288,10 @@ impl SocrataLake {
         if side_of_tag.iter().all(|&s| !s) {
             side_of_tag[0] = true;
         }
-        let mut builders = (
-            {
-                let mut b = LakeBuilder::new(lake.dim());
-                b.set_store_values(true);
-                b
-            },
-            {
-                let mut b = LakeBuilder::new(lake.dim());
-                b.set_store_values(true);
-                b
-            },
-        );
+        let mut sides = [
+            (LakeBuilder::new(lake.dim()), ValueStore::new()),
+            (LakeBuilder::new(lake.dim()), ValueStore::new()),
+        ];
         for tid in lake.table_ids() {
             let table = lake.table(tid);
             if table.tags.is_empty() {
@@ -299,11 +299,7 @@ impl SocrataLake {
             }
             let n_side1 = table.tags.iter().filter(|t| side_of_tag[t.index()]).count();
             let to_side1 = n_side1 * 2 > table.tags.len();
-            let b = if to_side1 {
-                &mut builders.1
-            } else {
-                &mut builders.0
-            };
+            let (b, store) = &mut sides[usize::from(to_side1)];
             let nt = b.begin_table(&table.name);
             for &tg in &table.tags {
                 if side_of_tag[tg.index()] == to_side1 {
@@ -312,10 +308,12 @@ impl SocrataLake {
             }
             for &aid in &table.attrs {
                 let a = lake.attr(aid);
-                b.add_attribute_raw(nt, &a.name, a.topic.clone(), a.n_values, a.values.clone());
+                b.add_attribute_raw(nt, &a.name, a.topic.clone(), a.n_values);
+                store.push(self.values.get(aid).clone());
             }
         }
-        (builders.0.build(), builders.1.build())
+        let [(b0, v0), (b1, v1)] = sides;
+        ((b0.build(), v0), (b1.build(), v1))
     }
 }
 
@@ -403,8 +401,27 @@ mod tests {
     #[test]
     fn split_disjoint_has_no_shared_tags() {
         let s = lake();
-        let (l2, l3) = s.split_disjoint(99);
+        let ((l2, v2), (l3, v3)) = s.split_disjoint(99);
         assert!(l2.n_tables() > 0 && l3.n_tables() > 0);
+        // Each side's values follow its attributes (names are
+        // `dataset<i>` / `col<j>`, unique per table).
+        let by_name = |lake: &DataLake, a: dln_lake::AttrId| {
+            (
+                lake.table(lake.attr(a).table).name.clone(),
+                lake.attr(a).name.clone(),
+            )
+        };
+        let full: std::collections::HashMap<_, _> = s
+            .lake
+            .attr_ids()
+            .map(|a| (by_name(&s.lake, a), s.values.get(a)))
+            .collect();
+        for (sub, values) in [(&l2, &v2), (&l3, &v3)] {
+            assert_eq!(values.len(), sub.n_attrs());
+            for a in sub.attr_ids() {
+                assert_eq!(Some(&values.get(a)), full.get(&by_name(sub, a)));
+            }
+        }
         let tags2: std::collections::HashSet<&str> =
             l2.tags().iter().map(|t| t.label.as_str()).collect();
         for t in l3.tags() {

@@ -24,7 +24,7 @@
 use dln_embed::{
     dot, SyntheticEmbedding, SyntheticEmbeddingConfig, TokenId, TopicAccumulator, VocabularyConfig,
 };
-use dln_lake::{DataLake, LakeBuilder, TagId, Values};
+use dln_lake::{DataLake, LakeBuilder, TagId, ValueStore, Values};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -69,9 +69,10 @@ pub struct TagCloudConfig {
     pub value_noise: f64,
     /// RNG seed; the benchmark is a pure function of the config.
     pub seed: u64,
-    /// Whether raw values are stored on the lake attributes (needed only by
-    /// keyword search / the user study; organization construction is
-    /// topic-vector only).
+    /// Whether the benchmark keeps raw values in its [`ValueStore`] (needed
+    /// only by keyword search / the user study; organization construction
+    /// is topic-vector only). Without them every attribute's entry is
+    /// empty.
     pub store_values: bool,
 }
 
@@ -191,7 +192,7 @@ impl TagCloudConfig {
 
         let attrs_zipf = Zipf::new(self.max_attrs_per_table, self.attrs_per_table_zipf_s);
         let mut builder = LakeBuilder::new(self.dim);
-        builder.set_store_values(self.store_values);
+        let mut store = ValueStore::new();
         let mut true_tag_word: Vec<TokenId> = Vec::new();
         let mut n_attrs = 0usize;
         let mut table_idx = 0usize;
@@ -225,8 +226,8 @@ impl TagCloudConfig {
                     &format!("attr{a}"),
                     topic,
                     chosen.len() as u32,
-                    values,
                 );
+                store.push(values);
                 builder.add_attr_tag(aid, vocab.word(tag_words[tag_idx]));
                 true_tag_word.push(tag_words[tag_idx]);
                 n_attrs += 1;
@@ -246,17 +247,22 @@ impl TagCloudConfig {
             .collect();
         TagCloudBench {
             lake,
+            values: store,
             model,
             true_tag,
         }
     }
 }
 
-/// A generated TagCloud benchmark: the lake, the embedding model that
-/// produced it, and the ground-truth tag of every attribute.
+/// A generated TagCloud benchmark: the lake, its attributes' values, the
+/// embedding model that produced it, and the ground-truth tag of every
+/// attribute.
 pub struct TagCloudBench {
     /// The generated data lake.
     pub lake: DataLake,
+    /// The raw values of the lake's attributes (empty entries unless
+    /// [`TagCloudConfig::store_values`]).
+    pub values: ValueStore,
     /// The synthetic embedding model (shared by search / study components).
     pub model: SyntheticEmbedding,
     /// Ground-truth tag per attribute (indexed by `AttrId`).
@@ -270,20 +276,13 @@ impl TagCloudBench {
     pub fn enrich(&self) -> TagCloudBench {
         let lake = &self.lake;
         let mut builder = LakeBuilder::new(lake.dim());
-        builder.set_store_values(true);
         let mut true_tag_labels: Vec<String> = Vec::with_capacity(lake.n_attrs());
         for tid in lake.table_ids() {
             let table = lake.table(tid);
             let nt = builder.begin_table(&table.name);
             for &aid in &table.attrs {
                 let a = lake.attr(aid);
-                let na = builder.add_attribute_raw(
-                    nt,
-                    &a.name,
-                    a.topic.clone(),
-                    a.n_values,
-                    a.values.clone(),
-                );
+                let na = builder.add_attribute_raw(nt, &a.name, a.topic.clone(), a.n_values);
                 let own = self.true_tag[aid.index()];
                 // Closest other tag by unit-topic cosine.
                 let unit = &a.unit_topic;
@@ -315,6 +314,8 @@ impl TagCloudBench {
             .collect();
         TagCloudBench {
             lake: new_lake,
+            // Same attributes in the same order, so the same ids.
+            values: self.values.clone(),
             model: self.model.clone(),
             true_tag,
         }
@@ -400,9 +401,11 @@ mod tests {
     #[test]
     fn value_counts_within_range() {
         let b = bench();
-        for a in b.lake.attrs() {
+        assert_eq!(b.values.len(), b.lake.n_attrs());
+        for aid in b.lake.attr_ids() {
+            let a = b.lake.attr(aid);
             assert!((5..=40).contains(&(a.n_values as usize)));
-            assert_eq!(a.values.len(), a.n_values as usize);
+            assert_eq!(b.values.get(aid).len(), a.n_values as usize);
         }
     }
 

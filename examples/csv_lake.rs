@@ -11,7 +11,7 @@
 //! cargo run --release --example csv_lake
 //! ```
 
-use datalake_nav::lake::csv::{load_dir, CsvOptions};
+use datalake_nav::lake::csv::{ingest_dir, CsvOptions, Ingest};
 use datalake_nav::prelude::*;
 
 fn main() -> std::io::Result<()> {
@@ -72,8 +72,9 @@ fn main() -> std::io::Result<()> {
     )?;
     std::fs::write(dir.join("city_budget.tags"), "finance\ncity government\n")?;
 
-    // Ingest.
-    let lake = load_dir(&dir, &model, &CsvOptions::default())?;
+    // Ingest: the lake catalog, and the raw values keyword search reads.
+    let Ingest { lake, values, .. } =
+        ingest_dir(&dir, &model, &CsvOptions::default()).map_err(std::io::Error::from)?;
     std::fs::remove_dir_all(&dir)?;
     println!("{}", lake.stats());
     println!();
@@ -102,7 +103,7 @@ fn main() -> std::io::Result<()> {
     );
 
     // Keyword search over the same lake.
-    let engine = KeywordSearch::build(&lake);
+    let engine = KeywordSearch::build(&lake, &values);
     for query in ["fisheries", "department", &w(2, 0)] {
         let hits = engine.search(query, 3);
         let names: Vec<&str> = hits

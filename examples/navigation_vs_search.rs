@@ -47,6 +47,7 @@ fn main() {
     // Interface 2: BM25 keyword search with query expansion.
     let engine = KeywordSearch::build_with_expansion(
         lake,
+        &socrata.values,
         socrata.model.clone(),
         ExpansionConfig::default(),
     );

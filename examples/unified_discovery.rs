@@ -20,6 +20,7 @@ fn main() {
 
     let engine = KeywordSearch::build_with_expansion(
         lake,
+        &socrata.values,
         socrata.model.clone(),
         ExpansionConfig::default(),
     );
@@ -37,10 +38,10 @@ fn main() {
     let mut session = UnifiedSession::new(lake, &engine, &md.dims);
 
     // 1. Search: a value the user remembers seeing somewhere.
-    let probe_value = lake
-        .attrs()
+    let probe_value = socrata
+        .values
         .iter()
-        .find_map(|a| a.values.first())
+        .find_map(|v| v.first())
         .expect("values stored");
     println!("\n[search] query = {probe_value:?}");
     let hits = session.search(probe_value, 5);

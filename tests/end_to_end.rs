@@ -110,7 +110,7 @@ fn enrichment_preserves_lake_shape_and_adds_paths() {
 #[test]
 fn socrata_split_supports_study_agents() {
     let socrata = SocrataConfig::small().generate();
-    let (l2, l3) = socrata.split_disjoint(3);
+    let ((l2, _), (l3, _)) = socrata.split_disjoint(3);
     for lake in [&l2, &l3] {
         assert!(lake.n_tables() > 10);
         let scenario = default_scenario(lake, "s", 2, 0.6).expect("scenario");
@@ -141,6 +141,7 @@ fn search_engine_and_navigation_find_overlapping_truth() {
     let scenario = default_scenario(lake, "s", 3, 0.6).expect("scenario");
     let engine = KeywordSearch::build_with_expansion(
         lake,
+        &socrata.values,
         socrata.model.clone(),
         datalake_nav::search::ExpansionConfig::default(),
     );
@@ -207,10 +208,12 @@ fn full_study_reproduces_h2_direction() {
     // The headline §4.4 claim: navigation results are more disjoint across
     // participants than search results.
     let socrata = SocrataConfig::small().generate();
-    let (l2, l3) = socrata.split_disjoint(7);
+    let ((l2, v2), (l3, v3)) = socrata.split_disjoint(7);
     let report = datalake_nav::study::run_study(
         &l2,
+        &v2,
         &l3,
+        &v3,
         &socrata.model,
         &StudyConfig {
             n_participants: 8,

@@ -124,19 +124,19 @@ fn digest(ingest: &Ingest) -> u64 {
         h.ids(&table.tags, |t| t.index());
     }
     for (i, attr) in lake.attrs().iter().enumerate() {
+        let id = datalake_nav::lake::AttrId(i as u32);
+        let values = ingest.values.get(id);
         h.str(&attr.name);
         h.u64(attr.table.index() as u64);
         h.f32s(attr.topic.sum());
         h.u64(attr.topic.count());
         h.f32s(&attr.unit_topic);
         h.u64(u64::from(attr.n_values));
-        h.u64(attr.values.len() as u64);
-        for v in attr.values.iter() {
+        h.u64(values.len() as u64);
+        for v in values.iter() {
             h.str(v);
         }
-        h.ids(lake.attr_tags(datalake_nav::lake::AttrId(i as u32)), |t| {
-            t.index()
-        });
+        h.ids(lake.attr_tags(id), |t| t.index());
     }
     for tag in lake.tags() {
         h.str(&tag.label);
