@@ -29,7 +29,6 @@
 //! | `ingest.read`        | a CSV file read is treated as an IO error → quarantine |
 //! |                      | (keyed by the file's index in sorted order)            |
 //! | `checkpoint.torn`    | a checkpoint write is truncated mid-buffer (torn write)|
-//! | `search.spec_panic`  | a speculative draft evaluation panics on its worker    |
 //! | `search.kill`        | the search stops at a round boundary (simulated crash) |
 //! | `serve.slow`         | a navigation request is charged a deadline-blowing     |
 //! |                      | virtual delay → the response degrades to cached labels |
@@ -78,10 +77,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, Once, OnceLock};
 
 use crate::error::DlnError;
-
-/// Panic payload prefix used by [`maybe_panic`], so hooks and tests can
-/// tell injected panics from real ones.
-pub const INJECTED_PANIC_MARKER: &str = "dln-fault injected panic";
 
 #[derive(Clone, Debug)]
 struct Site {
@@ -228,39 +223,6 @@ pub fn is_armed(site: &str) -> bool {
     lock(state()).iter().any(|s| s.name == site)
 }
 
-/// Panic with the injected-panic marker when `site` fires. Used by the
-/// speculative-worker failpoint; the search catches the unwind and
-/// degrades the round.
-pub fn maybe_panic(site: &str) {
-    if should_fail(site) {
-        silence_injected_panics();
-        panic!("{INJECTED_PANIC_MARKER} at {site}");
-    }
-}
-
-/// Install (once) a panic hook that swallows the default report for
-/// *injected* panics — they are expected and caught — while delegating
-/// every real panic to the previous hook unchanged.
-pub fn silence_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|s| s.contains(INJECTED_PANIC_MARKER))
-                || info
-                    .payload()
-                    .downcast_ref::<&str>()
-                    .is_some_and(|s| s.contains(INJECTED_PANIC_MARKER));
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
-}
-
 /// A scoped failpoint configuration: holds the global scope lock (so
 /// concurrent scoped users — e.g. parallel tests — serialize) and restores
 /// the previous configuration when dropped.
@@ -390,16 +352,5 @@ mod tests {
         assert!(should_fail_keyed("a.site", 7));
         assert!(!should_fail_keyed("b.site", 7));
         assert!(!should_fail_keyed("unarmed.site", 7));
-    }
-
-    #[test]
-    fn maybe_panic_panics_with_marker() {
-        let _guard = scoped("p.site:1.0:0").unwrap();
-        let err = std::panic::catch_unwind(|| maybe_panic("p.site")).unwrap_err();
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .expect("string payload");
-        assert!(msg.contains(INJECTED_PANIC_MARKER));
     }
 }

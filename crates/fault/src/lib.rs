@@ -23,6 +23,4 @@ pub mod error;
 pub mod failpoints;
 
 pub use error::{DlnError, DlnResult};
-pub use failpoints::{
-    is_armed, maybe_panic, scoped, should_fail, should_fail_keyed, ScopedFailpoints,
-};
+pub use failpoints::{is_armed, scoped, should_fail, should_fail_keyed, ScopedFailpoints};

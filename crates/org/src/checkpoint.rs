@@ -29,7 +29,7 @@
 //! the newest checkpoint is torn.
 //!
 //! Two fingerprints guard against resuming under the wrong conditions:
-//! the *config* fingerprint (seed, batch width, plateau/iteration budgets,
+//! the *config* fingerprint (seed, plateau/iteration budgets,
 //! acceptance parameters) and the *initial-organization* fingerprint
 //! ([`Organization::fingerprint`](crate::Organization::fingerprint)) — resuming replays the op log against
 //! the caller-provided initial organization, which must be the one the
@@ -46,8 +46,10 @@ use dln_persist::{self as persist, Reader, Writer};
 
 /// File magic (8 bytes, includes a format generation byte).
 const MAGIC: &[u8; 8] = b"DLNCKPT\x01";
-/// Format version, bumped on any layout change.
-const VERSION: u32 = 1;
+/// Format version, bumped on any layout change. Version 2 dropped the
+/// cancelled-draft counter that followed `accepted`; a version-1
+/// file is refused, and a maintainer restarts that shard's search.
+const VERSION: u32 = 2;
 
 /// Where and how often [`crate::search::optimize`] checkpoints.
 #[derive(Clone, Debug)]
@@ -94,8 +96,6 @@ pub struct Checkpoint {
     pub(crate) iterations: u64,
     /// Proposals accepted so far.
     pub(crate) accepted: u64,
-    /// Cancelled speculative evaluations so far.
-    pub(crate) speculative_evals: u64,
     /// Current plateau counter.
     pub(crate) plateau: u64,
     /// Resolution rounds completed so far.
@@ -154,7 +154,6 @@ impl Checkpoint {
         }
         w.u64(self.iterations);
         w.u64(self.accepted);
-        w.u64(self.speculative_evals);
         w.u64(self.plateau);
         w.u64(self.rounds);
         w.u64(self.eff_bits);
@@ -229,7 +228,6 @@ impl Checkpoint {
         }
         let iterations = r.u64()?;
         let accepted = r.u64()?;
-        let speculative_evals = r.u64()?;
         let plateau = r.u64()?;
         let rounds = r.u64()?;
         let eff_bits = r.u64()?;
@@ -304,7 +302,6 @@ impl Checkpoint {
             rng_state,
             iterations,
             accepted,
-            speculative_evals,
             plateau,
             rounds,
             eff_bits,
@@ -394,7 +391,6 @@ mod tests {
             rng_state: [1, 2, 3, u64::MAX],
             iterations: 42,
             accepted: 17,
-            speculative_evals: 5,
             plateau: 3,
             rounds: 21,
             eff_bits: 0.875f64.to_bits(),
@@ -441,7 +437,6 @@ mod tests {
         assert_eq!(a.rng_state, b.rng_state);
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(a.accepted, b.accepted);
-        assert_eq!(a.speculative_evals, b.speculative_evals);
         assert_eq!(a.plateau, b.plateau);
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.eff_bits, b.eff_bits);
@@ -460,6 +455,29 @@ mod tests {
         let bytes = c.encode();
         let d = Checkpoint::decode(&bytes, "test").expect("decode");
         assert_roundtrip(&c, &d);
+    }
+
+    #[test]
+    fn sealed_version_one_checkpoint_is_refused_by_version() {
+        // A version-1 image: the version-2 record with the counter it
+        // dropped (a u64 after `accepted`) put back, re-sealed so the
+        // checksum holds and only the version can refuse it.
+        let v2 = sample().encode();
+        let after_accepted = MAGIC.len() + 4 + 8 + 8 + 4 * 8 + 8 + 8;
+        let mut w = Writer::with_capacity(v2.len() + 8);
+        w.bytes(MAGIC);
+        w.u32(1);
+        w.bytes(&v2[MAGIC.len() + 4..after_accepted]);
+        w.u64(5);
+        w.bytes(&v2[after_accepted..v2.len() - 8]);
+        let v1 = w.seal();
+        persist::verify_sealed(&v1, "test").expect("the image is well sealed");
+        match Checkpoint::decode(&v1, "test") {
+            Err(DlnError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("version 1"), "{detail}")
+            }
+            other => panic!("a version-1 checkpoint must be refused: {other:?}"),
+        }
     }
 
     #[test]

@@ -885,111 +885,6 @@ impl Evaluator {
             self.stale[p as usize] = true;
         }
     }
-
-    /// Deep snapshot of the evaluator for a speculative-evaluation worker
-    /// replica: reach matrix, maintained sums, discovery/table state and
-    /// the weight cache are all cloned, so a fork observes
-    /// exactly what `self` observes — applying the same delta sequence to
-    /// both yields bit-identical effectiveness, stats and rollbacks.
-    pub fn fork(&self) -> Evaluator {
-        Evaluator {
-            nav: self.nav,
-            queries: self.queries.clone(),
-            rep_of_attr: self.rep_of_attr.clone(),
-            query_weight: self.query_weight.clone(),
-            dim: self.dim,
-            n_slots: self.n_slots,
-            reach: self.reach.clone(),
-            reach_sum: self.reach_sum.clone(),
-            disc: self.disc.clone(),
-            query_units: self.query_units.clone(),
-            tables_of_query: self.tables_of_query.clone(),
-            queries_of_tag: self.queries_of_tag.clone(),
-            table_prob: self.table_prob.clone(),
-            sum_table_prob: self.sum_table_prob,
-            table_weight: self.table_weight.clone(),
-            weight_total: self.weight_total,
-            weights: self.weights.clone(),
-            stale: self.stale.clone(),
-            affected_mark: self.affected_mark.clone(),
-            seed_set: self.seed_set.clone(),
-            dirty_query_set: self.dirty_query_set.clone(),
-            dirty_table_set: self.dirty_table_set.clone(),
-            seeds_scratch: Vec::new(),
-            stack_scratch: Vec::new(),
-            affected_scratch: Vec::new(),
-            active_scratch: Vec::new(),
-            refill_scratch: Vec::new(),
-            sum_scratch: Vec::new(),
-            dirty_query_scratch: Vec::new(),
-            dirty_table_scratch: Vec::new(),
-        }
-    }
-
-    /// The cost counters [`apply_delta`] would return for `dirty_parents`
-    /// against the current organization, *without* evaluating: the affected
-    /// subgraph and the dirty-query census are pure graph/tag reads, so the
-    /// counters of a speculation whose full evaluation was cancelled can
-    /// still be charged to the search stats. Leaves the reach matrix, the
-    /// weight cache and every other observable untouched.
-    ///
-    /// [`apply_delta`]: Evaluator::apply_delta
-    pub fn delta_stats_only(
-        &mut self,
-        org: &Organization,
-        dirty_parents: &[StateId],
-    ) -> DeltaStats {
-        let mut seeds = std::mem::take(&mut self.seeds_scratch);
-        seeds.clear();
-        for &p in dirty_parents {
-            if !org.state(p).alive {
-                continue;
-            }
-            for &c in &org.state(p).children {
-                if org.state(c).alive && self.seed_set.insert(c.0) {
-                    seeds.push(c);
-                }
-            }
-        }
-        for &c in &seeds {
-            self.seed_set.remove(c.0);
-        }
-        let mut affected = std::mem::take(&mut self.affected_scratch);
-        affected.clear();
-        let mut stack = std::mem::take(&mut self.stack_scratch);
-        org.descendants_of_into(&seeds, &mut self.affected_mark, &mut stack, &mut affected);
-        self.stack_scratch = stack;
-        self.seeds_scratch = seeds;
-        let mut dirty_queries = std::mem::take(&mut self.dirty_query_scratch);
-        dirty_queries.clear();
-        for &s in &affected {
-            if let Some(t) = org.state(s).tag {
-                for &qi in &self.queries_of_tag[t as usize] {
-                    if self.dirty_query_set.insert(qi) {
-                        dirty_queries.push(qi);
-                    }
-                }
-            }
-        }
-        for &qi in &dirty_queries {
-            self.dirty_query_set.remove(qi);
-        }
-        let attrs_covered = dirty_queries
-            .iter()
-            .map(|&qi| self.query_weight[qi as usize] as usize)
-            .sum();
-        for &s in &affected {
-            self.affected_mark[s.index()] = false;
-        }
-        let stats = DeltaStats {
-            states_visited: affected.len(),
-            queries_evaluated: dirty_queries.len(),
-            attrs_covered,
-        };
-        self.affected_scratch = affected;
-        self.dirty_query_scratch = dirty_queries;
-        stats
-    }
 }
 
 /// One state's child-topic matrix (row-major `n_children × dim`, rows

@@ -302,10 +302,10 @@ pub fn propose(
     }
 }
 
-/// Apply a *specific* operation kind at `s` — used to replay a drafted
-/// speculation on the master organization (or a worker replica): with the
-/// same organization bits and the same reachability snapshot, the outcome
-/// is bit-identical to the speculative application that chose `kind`.
+/// Apply a *specific* operation kind at `s` — used to replay a
+/// checkpoint's committed-op log: with the same organization bits and the
+/// same reachability snapshot, the outcome is bit-identical to the
+/// proposal that chose `kind`.
 pub fn try_op(
     org: &mut Organization,
     ctx: &OrgContext,

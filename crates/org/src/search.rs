@@ -13,44 +13,28 @@
 //! plateau" — no significant improvement over the last
 //! [`SearchConfig::plateau_iters`] proposals (the paper uses 50).
 //!
-//! ## Speculative proposal batching
-//!
-//! With [`SearchConfig::batch_size`] `B > 1` the walk drafts up to `B`
-//! candidate targets per round — drawing each candidate's operation-order
-//! bit up front, which preserves the serial RNG stream — evaluates the
-//! drafts speculatively, and resolves them in the fixed visit order with
-//! the ordinary Metropolis test. The first accepted candidate wins the
-//! round; later drafts are cancelled (their evaluation cost is still
-//! charged to the stats) and the sweep resumes right after the winner.
-//! Speculations are evaluated on forked organization + evaluator replicas
-//! when more than one worker is available, and interleaved with the
-//! resolution on the master otherwise; both schedules produce bit-identical
-//! results, and `B = 1` reproduces the serial walk ([`optimize_reference`])
-//! bit-for-bit. See DESIGN.md §5b for the resolution protocol and the
-//! determinism argument.
-//!
 //! ## Crash safety: deadline, checkpoint, resume
 //!
 //! Long runs (the paper's Socrata scale is multi-hour) survive
 //! interruption: [`SearchConfig::deadline`] bounds wall-clock and stops
-//! the walk gracefully at a round boundary with
+//! the walk gracefully after a proposal with
 //! [`StopReason::Deadline`]; [`SearchConfig::checkpoint`] periodically
 //! persists a [`Checkpoint`] (committed-op log, RNG state, sweep cursor,
 //! counters, trajectory) from which [`resume`] continues **bit-identically**
 //! — the op log replays against the initial organization through the same
 //! incremental evaluator, and rejected proposals roll back bit-exactly, so
 //! the replayed state equals the live state at the checkpointed round, bit
-//! for bit. Checkpoints only land at round boundaries, where the serial
-//! RNG stream is well-defined even under speculative batching. Three
-//! `dln-fault` failpoints exercise the machinery: `search.kill` (simulated
-//! crash at a round boundary), `checkpoint.torn` (partial checkpoint
-//! write, rejected by checksum on load), and `search.spec_panic` (a
-//! panicking speculative draft evaluation — caught, the poisoned replica
-//! discarded, and the round degraded to the lazy master-only schedule,
-//! which produces the same result as the fault-free run). See DESIGN.md
-//! §5c.
+//! for bit. Checkpoints only land between proposals (round boundaries:
+//! one round resolves one proposal), where the RNG stream is at a
+//! replayable position. Two `dln-fault` failpoints exercise the
+//! machinery: `search.kill` (simulated crash at a round boundary) and
+//! `checkpoint.torn` (partial checkpoint write, rejected by checksum on
+//! load). See DESIGN.md §5c.
+//!
+//! [`optimize_reference`] is the same walk written as plain nested loops
+//! over sweeps, levels and states; it is the oracle that [`optimize`]'s
+//! resumable cursor is compared against, bit for bit.
 
-use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -61,7 +45,7 @@ use dln_fault::{DlnError, DlnResult};
 use crate::approx::Representatives;
 use crate::checkpoint::{self, Checkpoint, CheckpointConfig, CursorSnapshot};
 use crate::ctx::OrgContext;
-use crate::eval::{DeltaStats, Evaluator, NavConfig};
+use crate::eval::{Evaluator, NavConfig};
 use crate::graph::{Organization, StateId};
 use crate::ops::{self, OpKind};
 
@@ -88,12 +72,10 @@ pub struct SearchConfig {
     /// character (occasional uphill escapes) while giving the walk a real
     /// drift toward better organizations.
     pub acceptance_power: f64,
-    /// Speculative proposal-batch width `B`: how many candidate operations
-    /// are drafted and evaluated per resolution round. `1` reproduces the
-    /// serial walk bit-for-bit; larger widths trade redundant speculative
-    /// evaluations for parallelism across worker replicas. Results depend
-    /// on `B` but never on the worker count. Defaults to the `DLN_BATCH`
-    /// environment variable, else 1.
+    /// Unread. Proposal batching was removed (DESIGN.md §5b, EXPERIMENTS.md
+    /// "Proposal batching, proved and removed"); the field stays only
+    /// because `perfbench` builds `SearchConfig` with a struct literal, and
+    /// goes with the next change to the benchmark.
     pub batch_size: usize,
     /// RNG seed for proposal choice and Metropolis acceptance.
     pub seed: u64,
@@ -105,8 +87,8 @@ pub struct SearchConfig {
     /// itself — a deadline run resumed to completion is bit-identical to
     /// an uninterrupted one.
     pub deadline: Option<Duration>,
-    /// Periodic checkpointing: where to write and how often (in resolution
-    /// rounds). Defaults to the `DLN_CKPT_PATH` / `DLN_CKPT_EVERY`
+    /// Periodic checkpointing: where to write and how often (in rounds,
+    /// one proposal each). Defaults to the `DLN_CKPT_PATH` / `DLN_CKPT_EVERY`
     /// environment variables, else off. Write failures degrade to a
     /// warning — a failed checkpoint never aborts the search.
     pub checkpoint: Option<CheckpointConfig>,
@@ -181,7 +163,7 @@ impl Default for SearchConfig {
             max_iters: 5_000,
             rep_fraction: 1.0,
             acceptance_power: 400.0,
-            batch_size: batch_size_from_env(),
+            batch_size: 1,
             seed: 0x0DD5_EA4C,
             deadline: deadline_from_env(),
             checkpoint: checkpoint_from_env(),
@@ -207,16 +189,6 @@ fn shards_from_env() -> ShardPolicy {
         .filter(|&s| s >= 1)
         .map(ShardPolicy::Fixed)
         .unwrap_or(ShardPolicy::Fixed(1))
-}
-
-/// The `DLN_BATCH` environment override for [`SearchConfig::batch_size`]
-/// (ignored unless it parses to ≥ 1).
-fn batch_size_from_env() -> usize {
-    std::env::var("DLN_BATCH")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&b| b >= 1)
-        .unwrap_or(1)
 }
 
 /// The `DLN_DEADLINE_MS` environment override for
@@ -258,7 +230,6 @@ fn config_fingerprint(cfg: &SearchConfig) -> u64 {
     }
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     h = mix(h, cfg.seed);
-    h = mix(h, cfg.batch_size.max(1) as u64);
     h = mix(h, cfg.plateau_iters as u64);
     h = mix(h, cfg.max_iters as u64);
     h = mix(h, cfg.min_improvement.to_bits());
@@ -286,18 +257,13 @@ pub struct IterStats {
     pub accepted: bool,
     /// Effectiveness after the proposal was resolved.
     pub effectiveness: f64,
-    /// States whose reach probabilities were re-evaluated. For the winner
-    /// of a speculative batch this includes the cancelled speculations of
-    /// its round (the work was really performed — or would have been under
-    /// eager evaluation — so the pruning analysis must count it).
+    /// States whose reach probabilities were re-evaluated.
     pub states_visited: usize,
-    /// Alive states at proposal time (batch draft time under batching).
+    /// Alive states at proposal time.
     pub states_alive: usize,
-    /// Representative discovery probabilities re-evaluated (batch total on
-    /// winner entries, like `states_visited`).
+    /// Representative discovery probabilities re-evaluated.
     pub queries_evaluated: usize,
-    /// Attributes covered by those representatives (batch total on winner
-    /// entries).
+    /// Attributes covered by those representatives.
     pub attrs_covered: usize,
 }
 
@@ -334,9 +300,6 @@ pub struct SearchStats {
     pub iterations: usize,
     /// Accepted proposals.
     pub accepted: usize,
-    /// Speculative evaluations that were cancelled because an earlier
-    /// candidate of their batch won the round (0 when `batch_size` is 1).
-    pub speculative_evals: usize,
     /// Wall-clock duration of the search. On a resumed run this includes
     /// the wall-clock accumulated before the checkpoint.
     pub duration: std::time::Duration,
@@ -344,8 +307,8 @@ pub struct SearchStats {
     pub n_queries: usize,
     /// Why the run ended.
     pub stop: StopReason,
-    /// Resolution rounds completed (equals `iterations` when
-    /// `batch_size` is 1 and every round resolves one proposal).
+    /// Rounds completed: one per proposal, counted after the plateau test,
+    /// so a plateau stop ends with one round fewer than `iterations`.
     pub rounds: usize,
     /// Per-proposal records.
     pub iter_stats: Vec<IterStats>,
@@ -353,10 +316,6 @@ pub struct SearchStats {
 
 impl SearchStats {
     /// Mean fraction of states re-evaluated per proposal (Figure 3b).
-    ///
-    /// Under speculative batching the winner entry of each round carries
-    /// the summed cost of its cancelled speculations, so this mean counts
-    /// every evaluation the search performed, not just committed ones.
     pub fn mean_state_fraction(&self) -> f64 {
         mean(
             self.iter_stats
@@ -368,9 +327,7 @@ impl SearchStats {
 
     /// Mean fraction of attributes whose discovery probability was
     /// re-evaluated per proposal, counting each representative as covering
-    /// its partition (Figure 3a, exact mode). Like
-    /// [`mean_state_fraction`](Self::mean_state_fraction), speculative
-    /// batch work is included via the winner entries' batch sums.
+    /// its partition (Figure 3a, exact mode).
     pub fn mean_attr_fraction(&self, n_attrs: usize) -> f64 {
         mean(
             self.iter_stats
@@ -406,37 +363,9 @@ fn mean(iter: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// One drafted speculation: a target plus the operation-order bit drawn
-/// for it, and where the level walk resumes if this candidate wins.
-#[derive(Clone, Copy)]
-struct Draft {
-    target: StateId,
-    first_add: bool,
-    resume_at: usize,
-}
-
-/// A speculation's evaluation, as recorded by a worker replica.
-#[derive(Clone)]
-struct SpecResult {
-    /// The operation the proposal resolved to (`None`: nothing applicable).
-    kind: Option<OpKind>,
-    /// Effectiveness the operation would produce.
-    new_eff: f64,
-    /// Evaluation cost counters.
-    stats: DeltaStats,
-}
-
-/// A worker's private copy of the search state, kept in lock-step with the
-/// master by replaying every committed operation.
-struct Replica {
-    org: Organization,
-    ev: Evaluator,
-}
-
 /// The Metropolis test (Eq 9, sharpened by `acceptance_power`). Draws from
 /// the RNG only for a degrading proposal with positive current
-/// effectiveness — the exact condition of the serial walk, so the RNG
-/// stream is preserved under batching.
+/// effectiveness.
 fn accept_decision(rng: &mut StdRng, cfg: &SearchConfig, new_eff: f64, eff: f64) -> bool {
     if new_eff >= eff || eff <= 0.0 {
         true
@@ -446,8 +375,8 @@ fn accept_decision(rng: &mut StdRng, cfg: &SearchConfig, new_eff: f64, eff: f64)
     }
 }
 
-/// Best-so-far tracking shared by every resolution outcome: the Metropolis
-/// walk may wander through worse organizations, so the best organization
+/// Best-so-far tracking of [`optimize_reference`]: the Metropolis walk
+/// may wander through worse organizations, so the best organization
 /// seen is kept and restored at the end ("finding an organization that
 /// maximizes ...", Definition 3).
 fn track_best(
@@ -469,55 +398,6 @@ fn track_best(
         }
         *plateau += 1;
     }
-}
-
-/// Evaluate one speculation on a replica: propose, apply, measure, and
-/// roll everything back so the replica stays at the round's base state.
-fn speculate(rep: &mut Replica, ctx: &OrgContext, d: Draft, reach: &[f64]) -> SpecResult {
-    let Some(outcome) = ops::propose(&mut rep.org, ctx, d.target, reach, d.first_add) else {
-        return SpecResult {
-            kind: None,
-            new_eff: 0.0,
-            stats: DeltaStats::default(),
-        };
-    };
-    let kind = outcome.kind;
-    let (undo_ev, stats) = rep.ev.apply_delta(ctx, &rep.org, &outcome.dirty_parents);
-    let new_eff = rep.ev.effectiveness();
-    rep.ev.rollback(undo_ev);
-    ops::undo(&mut rep.org, ctx, outcome);
-    SpecResult {
-        kind: Some(kind),
-        new_eff,
-        stats,
-    }
-}
-
-/// Replay a committed operation on every replica (in parallel — replicas
-/// are independent). `reach` must be the reachability snapshot the master
-/// committed under, so the replay resolves to the identical operation.
-fn sync_replicas(
-    replicas: &mut [Replica],
-    ctx: &OrgContext,
-    kind: OpKind,
-    target: StateId,
-    reach: &[f64],
-) {
-    if replicas.is_empty() {
-        return;
-    }
-    std::thread::scope(|scope| {
-        for rep in replicas.iter_mut() {
-            scope.spawn(move || {
-                rayon::run_inline(|| {
-                    let Some(outcome) = ops::try_op(&mut rep.org, ctx, target, reach, kind) else {
-                        unreachable!("committed op replays on a synced replica")
-                    };
-                    let _ = rep.ev.apply_delta(ctx, &rep.org, &outcome.dirty_parents);
-                })
-            });
-        }
-    });
 }
 
 /// The live sweep cursor: where the level walk currently is. The owned
@@ -624,7 +504,6 @@ struct RunState {
     plateau: usize,
     iterations: usize,
     accepted: usize,
-    speculative_evals: usize,
     rounds: u64,
     iter_stats: Vec<IterStats>,
     /// Committed operations in order: `(target slot, encoded kind)`.
@@ -633,8 +512,7 @@ struct RunState {
 }
 
 impl RunState {
-    /// Best-so-far tracking shared by every resolution outcome: the
-    /// Metropolis walk may wander through worse organizations, so the best
+    /// Best-so-far tracking after every proposal: the Metropolis walk may wander through worse organizations, so the best
     /// organization seen is kept and restored at the end ("finding an
     /// organization that maximizes ...", Definition 3).
     fn track_best(&mut self, org: &Organization, cfg: &SearchConfig) {
@@ -667,7 +545,6 @@ impl RunState {
             rng_state: self.rng.state(),
             iterations: self.iterations as u64,
             accepted: self.accepted as u64,
-            speculative_evals: self.speculative_evals as u64,
             plateau: self.plateau as u64,
             rounds: self.rounds,
             eff_bits: self.eff.to_bits(),
@@ -703,10 +580,9 @@ impl RunState {
 
 /// Optimize `org` in place. Returns the run statistics.
 ///
-/// With [`SearchConfig::batch_size`] = 1 this is the serial walk of
-/// [`optimize_reference`], bit for bit; larger batch widths follow the
-/// speculative resolution protocol described in the module docs. Honors
-/// [`SearchConfig::deadline`] and [`SearchConfig::checkpoint`].
+/// Runs the walk of [`optimize_reference`], bit for bit, on a resumable
+/// sweep cursor. Honors [`SearchConfig::deadline`] and
+/// [`SearchConfig::checkpoint`].
 pub fn optimize(ctx: &OrgContext, org: &mut Organization, cfg: &SearchConfig) -> SearchStats {
     match run_search(ctx, org, cfg, None) {
         Ok(stats) => stats,
@@ -753,7 +629,6 @@ fn run_search(
     if let Some(w) = &cfg.table_weights {
         ev.set_table_weights(w);
     }
-    let batch_size = cfg.batch_size.max(1);
     let initial = ev.effectiveness();
     let config_fp = config_fingerprint(cfg);
     let init_fp = org.fingerprint();
@@ -769,7 +644,6 @@ fn run_search(
             plateau: 0,
             iterations: 0,
             accepted: 0,
-            speculative_evals: 0,
             rounds: 0,
             iter_stats: Vec::new(),
             op_log: Vec::new(),
@@ -793,7 +667,7 @@ fn run_search(
                 ));
             }
             // Replay the committed-op log. Each op re-resolves under the
-            // reachability the master committed it under; applying it
+            // reachability the walk committed it under; applying it
             // through the same incremental evaluator reproduces the live
             // state bit for bit (rejected proposals rolled back
             // bit-exactly, so they left no trace).
@@ -833,7 +707,6 @@ fn run_search(
                 plateau: ck.plateau as usize,
                 iterations: ck.iterations as usize,
                 accepted: ck.accepted as usize,
-                speculative_evals: ck.speculative_evals as usize,
                 rounds: ck.rounds,
                 iter_stats: ck.iter_stats.clone(),
                 op_log: ck.op_log.clone(),
@@ -842,12 +715,7 @@ fn run_search(
         }
     };
 
-    // Scratch buffers and worker replicas (rebuilt lazily; never part of
-    // the checkpoint — replicas are bit-copies of the master).
     let mut reach_now: Vec<f64> = Vec::new();
-    let mut replicas: Vec<Replica> = Vec::new();
-    let mut drafts: Vec<Draft> = Vec::new();
-    let mut results: Vec<SpecResult> = Vec::new();
     let stop;
 
     'outer: loop {
@@ -876,281 +744,57 @@ fn run_search(
             stop = StopReason::MaxIters;
             break 'outer;
         }
-        if !org.state(st.cursor.at_level[st.cursor.idx]).alive {
-            st.cursor.idx += 1; // eliminated earlier in this sweep
-            continue;
+        let target = st.cursor.at_level[st.cursor.idx];
+        st.cursor.idx += 1;
+        if !org.state(target).alive {
+            continue; // eliminated earlier in this sweep
         }
-        // Draft phase: collect up to B alive targets (never more proposals
-        // than max_iters still allows), drawing each candidate's
-        // operation-order bit in visit order so the RNG stream matches the
-        // serial walk.
-        let budget = batch_size.min(cfg.max_iters - st.iterations);
-        drafts.clear();
-        let mut j = st.cursor.idx;
-        while j < st.cursor.at_level.len() && drafts.len() < budget {
-            let s = st.cursor.at_level[j];
-            j += 1;
-            if !org.state(s).alive {
-                continue;
-            }
-            drafts.push(Draft {
-                target: s,
-                first_add: st.rng.random(),
-                resume_at: j,
-            });
-        }
+        st.iterations += 1;
+        let first_add: bool = st.rng.random();
         let states_alive = org.n_alive();
-        // Current reachability guides every operation of the round.
+        // Current reachability guides the operation's choices.
         ev.reachability_into(&mut reach_now);
-        // Eager speculation: with several drafts and several workers,
-        // evaluate every candidate concurrently on replicas. Otherwise
-        // evaluation happens lazily below, interleaved with the resolution
-        // — same results, no wasted work past the winner.
-        let mut eager = drafts.len() > 1 && rayon::current_num_threads() > 1;
-        if eager {
-            if replicas.is_empty() {
-                let w = rayon::current_num_threads().min(batch_size);
-                replicas = (0..w)
-                    .map(|_| Replica {
-                        org: org.clone(),
-                        ev: ev.fork(),
-                    })
-                    .collect();
-            }
-            results.clear();
-            results.resize(
-                drafts.len(),
-                SpecResult {
-                    kind: None,
-                    new_eff: 0.0,
-                    stats: DeltaStats::default(),
-                },
-            );
-            let span = drafts
-                .len()
-                .div_ceil(replicas.len().min(drafts.len()))
-                .max(1);
-            let reach: &[f64] = &reach_now;
-            let draft_slice: &[Draft] = &drafts;
-            // Fault containment: a panic in a draft evaluation (the
-            // `search.spec_panic` failpoint, or a real bug) is caught on
-            // its own worker — letting it cross `thread::scope` would
-            // abort the whole search.
-            let mut poisoned = vec![false; replicas.len()];
-            std::thread::scope(|scope| {
-                for ((rep, poison), (chunk_res, chunk_drafts)) in replicas
-                    .iter_mut()
-                    .zip(poisoned.iter_mut())
-                    .zip(results.chunks_mut(span).zip(draft_slice.chunks(span)))
-                {
-                    scope.spawn(move || {
-                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            rayon::run_inline(|| {
-                                for (res, &d) in chunk_res.iter_mut().zip(chunk_drafts) {
-                                    dln_fault::maybe_panic("search.spec_panic");
-                                    *res = speculate(rep, ctx, d, reach);
-                                }
-                            })
-                        }));
-                        *poison = outcome.is_err();
-                    });
-                }
-            });
-            if poisoned.iter().any(|&p| p) {
-                // A worker died mid-speculation: its replica may hold a
-                // half-applied delta, so it is discarded (a survivor or
-                // the master will reseed the pool next eager round), its
-                // half-written results are thrown away, and the round
-                // degrades to the lazy master-only schedule — which
-                // produces bit-identical resolutions, so a faulted run
-                // still matches the fault-free one.
-                let mut keep = poisoned.iter().map(|&p| !p);
-                replicas.retain(|_| keep.next().unwrap_or(true));
-                results.clear();
-                eager = false;
-            }
-        }
-        // Fixed-order resolution: candidates face the Metropolis test in
-        // visit order; the first acceptance wins the round and cancels the
-        // rest.
-        let mut next_idx = j;
-        let mut plateau_stop = false;
-        for i in 0..drafts.len() {
-            let d = drafts[i];
-            st.iterations += 1;
-            if eager {
-                let r = results[i].clone();
-                let Some(kind) = r.kind else {
-                    st.plateau += 1;
-                    st.iter_stats.push(IterStats {
-                        op: None,
-                        accepted: false,
-                        effectiveness: st.eff,
-                        states_visited: 0,
-                        states_alive,
-                        queries_evaluated: 0,
-                        attrs_covered: 0,
-                    });
-                    if st.plateau >= cfg.plateau_iters {
-                        plateau_stop = true;
-                        break;
-                    }
-                    continue;
-                };
-                st.cursor.proposed_this_sweep = true;
-                let accept = accept_decision(&mut st.rng, cfg, r.new_eff, st.eff);
-                if !accept {
-                    // The speculation lived and died on a replica; the
-                    // master never applied it.
-                    st.track_best(org, cfg);
-                    st.iter_stats.push(IterStats {
-                        op: Some(kind),
-                        accepted: false,
-                        effectiveness: st.eff,
-                        states_visited: r.stats.states_visited,
-                        states_alive,
-                        queries_evaluated: r.stats.queries_evaluated,
-                        attrs_covered: r.stats.attrs_covered,
-                    });
-                    if st.plateau >= cfg.plateau_iters {
-                        plateau_stop = true;
-                        break;
-                    }
-                    continue;
-                }
-                // Winner: replay on the master (bit-identical to the
-                // replica's speculative application).
-                let Some(outcome) = ops::try_op(org, ctx, d.target, &reach_now, kind) else {
-                    unreachable!("drafted op replays on the master")
-                };
-                let (_undo_ev, delta) = ev.apply_delta(ctx, org, &outcome.dirty_parents);
-                let master_eff = ev.effectiveness();
-                debug_assert_eq!(
-                    master_eff.to_bits(),
-                    r.new_eff.to_bits(),
-                    "replica diverged from the master"
-                );
-                st.accepted += 1;
-                st.eff = master_eff;
-                st.op_log.push((d.target.0, checkpoint::encode_kind(kind)));
-                let mut folded = delta;
-                for r2 in &results[i + 1..] {
-                    if r2.kind.is_some() {
-                        folded.states_visited += r2.stats.states_visited;
-                        folded.queries_evaluated += r2.stats.queries_evaluated;
-                        folded.attrs_covered += r2.stats.attrs_covered;
-                        st.speculative_evals += 1;
-                    }
-                }
-                sync_replicas(&mut replicas, ctx, kind, d.target, &reach_now);
-                st.track_best(org, cfg);
+        match ops::propose(org, ctx, target, &reach_now, first_add) {
+            None => {
+                st.plateau += 1;
                 st.iter_stats.push(IterStats {
-                    op: Some(kind),
-                    accepted: true,
+                    op: None,
+                    accepted: false,
                     effectiveness: st.eff,
-                    states_visited: folded.states_visited,
+                    states_visited: 0,
                     states_alive,
-                    queries_evaluated: folded.queries_evaluated,
-                    attrs_covered: folded.attrs_covered,
+                    queries_evaluated: 0,
+                    attrs_covered: 0,
                 });
-                next_idx = d.resume_at;
-                if st.plateau >= cfg.plateau_iters {
-                    plateau_stop = true;
-                }
-                break;
-            } else {
-                // Lazy resolution on the master.
-                let outcome = ops::propose(org, ctx, d.target, &reach_now, d.first_add);
-                let Some(outcome) = outcome else {
-                    st.plateau += 1;
-                    st.iter_stats.push(IterStats {
-                        op: None,
-                        accepted: false,
-                        effectiveness: st.eff,
-                        states_visited: 0,
-                        states_alive,
-                        queries_evaluated: 0,
-                        attrs_covered: 0,
-                    });
-                    if st.plateau >= cfg.plateau_iters {
-                        plateau_stop = true;
-                        break;
-                    }
-                    continue;
-                };
+            }
+            Some(outcome) => {
                 st.cursor.proposed_this_sweep = true;
                 let kind = outcome.kind;
                 let (undo_ev, delta) = ev.apply_delta(ctx, org, &outcome.dirty_parents);
                 let new_eff = ev.effectiveness();
+                // Metropolis acceptance (Eq 9).
                 let accept = accept_decision(&mut st.rng, cfg, new_eff, st.eff);
-                if !accept {
+                if accept {
+                    st.accepted += 1;
+                    st.eff = new_eff;
+                    st.op_log.push((target.0, checkpoint::encode_kind(kind)));
+                } else {
                     ev.rollback(undo_ev);
                     ops::undo(org, ctx, outcome);
-                    st.track_best(org, cfg);
-                    st.iter_stats.push(IterStats {
-                        op: Some(kind),
-                        accepted: false,
-                        effectiveness: st.eff,
-                        states_visited: delta.states_visited,
-                        states_alive,
-                        queries_evaluated: delta.queries_evaluated,
-                        attrs_covered: delta.attrs_covered,
-                    });
-                    if st.plateau >= cfg.plateau_iters {
-                        plateau_stop = true;
-                        break;
-                    }
-                    continue;
                 }
-                st.accepted += 1;
-                st.eff = new_eff;
-                st.op_log.push((d.target.0, checkpoint::encode_kind(kind)));
-                let mut folded = delta;
-                if i + 1 < drafts.len() {
-                    // Charge the cancelled speculations of this round as
-                    // eager evaluation would have: lift the winner's
-                    // structural change (the evaluator delta stays applied
-                    // — the census below reads only the graph), measure
-                    // each trailing draft against the round's base
-                    // organization, then replay the winner.
-                    ops::undo(org, ctx, outcome);
-                    for d2 in &drafts[i + 1..] {
-                        if let Some(o2) =
-                            ops::propose(org, ctx, d2.target, &reach_now, d2.first_add)
-                        {
-                            let s2 = ev.delta_stats_only(org, &o2.dirty_parents);
-                            folded.states_visited += s2.states_visited;
-                            folded.queries_evaluated += s2.queries_evaluated;
-                            folded.attrs_covered += s2.attrs_covered;
-                            st.speculative_evals += 1;
-                            ops::undo(org, ctx, o2);
-                        }
-                    }
-                    let Some(replay) = ops::try_op(org, ctx, d.target, &reach_now, kind) else {
-                        unreachable!("winner replays after the speculation census")
-                    };
-                    debug_assert_eq!(replay.kind, kind);
-                }
-                sync_replicas(&mut replicas, ctx, kind, d.target, &reach_now);
                 st.track_best(org, cfg);
                 st.iter_stats.push(IterStats {
                     op: Some(kind),
-                    accepted: true,
+                    accepted: accept,
                     effectiveness: st.eff,
-                    states_visited: folded.states_visited,
+                    states_visited: delta.states_visited,
                     states_alive,
-                    queries_evaluated: folded.queries_evaluated,
-                    attrs_covered: folded.attrs_covered,
+                    queries_evaluated: delta.queries_evaluated,
+                    attrs_covered: delta.attrs_covered,
                 });
-                next_idx = d.resume_at;
-                if st.plateau >= cfg.plateau_iters {
-                    plateau_stop = true;
-                }
-                break;
             }
         }
-        st.cursor.idx = next_idx;
-        if plateau_stop {
+        if st.plateau >= cfg.plateau_iters {
             stop = StopReason::Plateau;
             break 'outer;
         }
@@ -1205,7 +849,6 @@ fn run_search(
         final_effectiveness: eff,
         iterations: st.iterations,
         accepted: st.accepted,
-        speculative_evals: st.speculative_evals,
         duration: prior_elapsed + start.elapsed(),
         n_queries: ev.n_queries(),
         stop,
@@ -1214,10 +857,11 @@ fn run_search(
     })
 }
 
-/// The pre-batching serial proposal walk, kept verbatim as the bit-identity
-/// oracle for the speculative engine ([`optimize`] with `batch_size = 1`
-/// must reproduce it exactly at any worker count) and as the honest A/B
-/// baseline for `dln-bench`.
+/// The serial proposal walk as plain nested loops over sweeps, levels and
+/// states, without checkpoints or a deadline. Kept as the bit-identity
+/// oracle for [`optimize`]'s resumable cursor walk (which must reproduce
+/// it exactly at any worker count) and as the A/B baseline for
+/// `dln-bench`.
 pub fn optimize_reference(
     ctx: &OrgContext,
     org: &mut Organization,
@@ -1348,7 +992,6 @@ pub fn optimize_reference(
         final_effectiveness: eff,
         iterations,
         accepted,
-        speculative_evals: 0,
         duration: start.elapsed(),
         n_queries: ev.n_queries(),
         stop,
@@ -1520,17 +1163,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_of_one_matches_reference_bitwise() {
-        // Property (a) of the batching PR: B = 1 is the serial walk, bit
-        // for bit, at any worker count — identical trajectory (per-proposal
-        // records), identical final organization.
+    fn optimize_matches_reference_bitwise() {
+        // The cursor walk is the nested-loop walk, bit for bit, at any
+        // worker count — identical trajectory (per-proposal records),
+        // identical final organization.
         let ctx = ctx();
         for threads in [1usize, 4] {
             rayon::set_num_threads(threads);
             let cfg = SearchConfig {
                 max_iters: 200,
                 plateau_iters: 80,
-                batch_size: 1,
                 ..Default::default()
             };
             let mut org_a = crate::init::random_org(&ctx, 77);
@@ -1545,7 +1187,6 @@ mod tests {
             );
             assert_eq!(a.iterations, b.iterations);
             assert_eq!(a.accepted, b.accepted);
-            assert_eq!(a.speculative_evals, 0);
             assert_eq!(a.iter_stats, b.iter_stats);
             assert_eq!(
                 org_fingerprint(&org_a),
@@ -1553,92 +1194,6 @@ mod tests {
                 "final organization diverged at {threads} threads"
             );
         }
-    }
-
-    #[test]
-    fn batched_search_is_thread_count_invariant() {
-        // One worker takes the lazy resolution path, several workers the
-        // eager replica path — the trajectories must be bit-identical.
-        let ctx = ctx();
-        let run = |threads: usize| {
-            rayon::set_num_threads(threads);
-            let cfg = SearchConfig {
-                max_iters: 250,
-                plateau_iters: 100,
-                batch_size: 4,
-                ..Default::default()
-            };
-            let mut org = crate::init::random_org(&ctx, 42);
-            let stats = optimize(&ctx, &mut org, &cfg);
-            rayon::set_num_threads(0);
-            (stats, org_fingerprint(&org))
-        };
-        let (base, base_fp) = run(1);
-        for threads in [2usize, 8] {
-            let (s, fp) = run(threads);
-            assert_eq!(fp, base_fp, "final org diverged at {threads} threads");
-            assert_eq!(
-                s.final_effectiveness.to_bits(),
-                base.final_effectiveness.to_bits()
-            );
-            assert_eq!(s.iterations, base.iterations);
-            assert_eq!(s.accepted, base.accepted);
-            assert_eq!(s.speculative_evals, base.speculative_evals);
-            assert_eq!(
-                s.iter_stats, base.iter_stats,
-                "per-proposal records diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_final_effectiveness_matches_fresh_evaluation() {
-        let ctx = ctx();
-        rayon::set_num_threads(4);
-        let mut org = clustering_org(&ctx);
-        let cfg = SearchConfig {
-            max_iters: 150,
-            batch_size: 4,
-            ..Default::default()
-        };
-        let stats = optimize(&ctx, &mut org, &cfg);
-        rayon::set_num_threads(0);
-        org.validate(&ctx)
-            .expect("valid after batched optimization");
-        let reps = Representatives::exact(&ctx);
-        let fresh = Evaluator::new(&ctx, &org, cfg.nav, &reps);
-        assert!(
-            (stats.final_effectiveness - fresh.effectiveness()).abs() < 1e-9,
-            "incremental bookkeeping drifted under batching: {} vs {}",
-            stats.final_effectiveness,
-            fresh.effectiveness()
-        );
-    }
-
-    #[test]
-    fn batched_search_counts_cancelled_speculations() {
-        // Satellite check: the pruning stats must include the speculative
-        // work a batch performs, not just the winners'.
-        let ctx = ctx();
-        let cfg = SearchConfig {
-            max_iters: 300,
-            plateau_iters: 120,
-            batch_size: 8,
-            ..Default::default()
-        };
-        let mut org = crate::init::random_org(&ctx, 7);
-        let stats = optimize(&ctx, &mut org, &cfg);
-        assert!(
-            stats.speculative_evals > 0,
-            "a random-init walk at B = 8 must cancel some speculations"
-        );
-        let winner_visited: usize = stats
-            .iter_stats
-            .iter()
-            .filter(|s| s.accepted)
-            .map(|s| s.states_visited)
-            .sum();
-        assert!(winner_visited > 0);
     }
 
     /// A walk-parameter config with crash-safety knobs pinned off, so test
@@ -1704,7 +1259,6 @@ mod tests {
         let walk = SearchConfig {
             max_iters: 200,
             plateau_iters: 80,
-            batch_size: 2,
             ..plain_cfg()
         };
         // Uninterrupted baseline.
@@ -1736,7 +1290,6 @@ mod tests {
         assert_eq!(res.rounds, full.rounds);
         assert_eq!(res.iterations, full.iterations);
         assert_eq!(res.accepted, full.accepted);
-        assert_eq!(res.speculative_evals, full.speculative_evals);
         assert_eq!(
             res.final_effectiveness.to_bits(),
             full.final_effectiveness.to_bits()
@@ -1757,7 +1310,6 @@ mod tests {
         let walk = SearchConfig {
             max_iters: 120,
             plateau_iters: 60,
-            batch_size: 4,
             ..plain_cfg()
         };
         let mut org_full = crate::init::random_org(&ctx, 42);

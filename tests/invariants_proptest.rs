@@ -167,66 +167,9 @@ fn op_sequences_are_thread_count_invariant() {
 }
 
 #[test]
-fn speculative_fork_and_rollback_are_bit_exact() {
-    // Batching-PR property (b): a losing speculation — proposed, fully
-    // evaluated, and rolled back on a forked replica — leaves the replica
-    // bit-identical to the master; and the master's graph-only cost census
-    // (`delta_stats_only`) agrees exactly with the replica's full
-    // evaluation counters while touching no evaluator observable.
-    let ctx = small_ctx();
-    let mut rng = StdRng::seed_from_u64(0x5BEC_F04C);
-    for _case in 0..6 {
-        let mut org = clustering_org(&ctx);
-        let reps = Representatives::exact(&ctx);
-        let mut ev = Evaluator::new(&ctx, &org, NavConfig::default(), &reps);
-        let mut rep_org = org.clone();
-        let mut rep_ev = ev.fork();
-        assert_eq!(
-            eval_bits(&rep_ev, &ctx),
-            eval_bits(&ev, &ctx),
-            "a fork must observe exactly what the original observes"
-        );
-        for _step in 0..6 {
-            let targets: Vec<_> = org.alive_ids().filter(|&s| s != org.root()).collect();
-            let target = targets[rng.random_range(0..targets.len() as u32) as usize];
-            let first_add = rng.random::<bool>();
-            let reach = ev.reachability();
-            let before_bits = eval_bits(&rep_ev, &ctx);
-            let before_org = org_fingerprint(&rep_org);
-            let Some(outcome) = ops::propose(&mut rep_org, &ctx, target, &reach, first_add) else {
-                continue;
-            };
-            let (undo_ev, stats) = rep_ev.apply_delta(&ctx, &rep_org, &outcome.dirty_parents);
-            rep_ev.rollback(undo_ev);
-            // The graph-only census on the master (op applied, measured,
-            // lifted) must match the replica's full-evaluation counters.
-            let census_outcome = ops::propose(&mut org, &ctx, target, &reach, first_add)
-                .expect("the drafted op applies identically on the master");
-            let census = ev.delta_stats_only(&org, &census_outcome.dirty_parents);
-            assert_eq!(census.states_visited, stats.states_visited);
-            assert_eq!(census.queries_evaluated, stats.queries_evaluated);
-            assert_eq!(census.attrs_covered, stats.attrs_covered);
-            ops::undo(&mut org, &ctx, census_outcome);
-            ops::undo(&mut rep_org, &ctx, outcome);
-            assert_eq!(
-                eval_bits(&rep_ev, &ctx),
-                before_bits,
-                "losing speculation must leave the replica bit-identical"
-            );
-            assert_eq!(org_fingerprint(&rep_org), before_org);
-            assert_eq!(
-                eval_bits(&ev, &ctx),
-                eval_bits(&rep_ev, &ctx),
-                "the census must leave the master untouched"
-            );
-        }
-    }
-}
-
-#[test]
-fn batch_of_one_is_the_serial_walk_at_any_thread_count() {
-    // Batching-PR property (a): optimize with batch_size = 1 reproduces
-    // the serial reference walk bit-for-bit — trajectory, stats, and final
+fn optimize_is_the_reference_walk_at_any_thread_count() {
+    // optimize's resumable cursor walk reproduces the nested-loop
+    // reference walk bit-for-bit — trajectory, stats, and final
     // organization — regardless of the worker count.
     //
     // The failpoint registry is process-global; hold the (disarmed) scope
@@ -240,7 +183,6 @@ fn batch_of_one_is_the_serial_walk_at_any_thread_count() {
             let cfg = SearchConfig {
                 max_iters: 120,
                 plateau_iters: 60,
-                batch_size: 1,
                 seed,
                 ..Default::default()
             };
@@ -272,19 +214,15 @@ fn killed_and_resumed_search_is_bit_identical() {
     // (via the `search.kill` failpoint), resume from the newest intact
     // checkpoint, repeat until a run finishes — the surviving chain must be
     // bit-identical to the uninterrupted run: same stats, same trajectory,
-    // same final organization. Holds at any batch size and thread count
-    // because checkpoints are only cut at round boundaries and resume
-    // replays the committed op log.
+    // same final organization. Holds at any thread count because
+    // checkpoints are only cut at round boundaries and resume replays the
+    // committed op log.
     let ctx = small_ctx();
-    for (case, (seed, batch, threads)) in [(1u64, 1usize, 1usize), (7, 2, 2), (42, 4, 2)]
-        .into_iter()
-        .enumerate()
-    {
+    for (case, (seed, threads)) in [(1u64, 1usize), (7, 2), (42, 2)].into_iter().enumerate() {
         rayon::set_num_threads(threads);
         let base = SearchConfig {
             max_iters: 120,
             plateau_iters: 60,
-            batch_size: batch,
             seed,
             deadline: None,
             checkpoint: None,
@@ -345,10 +283,6 @@ fn killed_and_resumed_search_is_bit_identical() {
         );
         assert_eq!(stats.iterations, full.iterations, "case {case}");
         assert_eq!(stats.accepted, full.accepted, "case {case}");
-        assert_eq!(
-            stats.speculative_evals, full.speculative_evals,
-            "case {case}"
-        );
         assert_eq!(stats.rounds, full.rounds, "case {case}");
         assert_eq!(stats.stop, full.stop, "case {case}");
         assert_eq!(stats.iter_stats, full.iter_stats, "case {case}");
