@@ -68,7 +68,9 @@ fn main() {
 
     for threads in [1usize, 4] {
         bench_n(&format!("discovery_probs/500attrs/t{threads}"), 3, || {
-            discovery_probs(&ctx, &org, NavConfig::default(), threads)
+            rayon::with_num_threads(threads, || {
+                discovery_probs(&ctx, &org, NavConfig::default())
+            })
         });
     }
 
@@ -82,7 +84,7 @@ fn main() {
         built.attr_discovery_global(&lake)
     };
     bench_n("success_curve/500attrs/theta0.9", 5, || {
-        success::success_curve(&lake, &disc, 0.9, 4)
+        rayon::with_num_threads(4, || success::success_curve(&lake, &disc, 0.9))
     });
 
     bench_n("generators/tagcloud/small", 3, || {

@@ -203,8 +203,7 @@ fn main() {
     let mut full_t1 = f64::NAN;
     let mut full_best = f64::INFINITY;
     for &threads in &sweep {
-        rayon::set_num_threads(threads);
-        let secs = time_full_recompute(&mut ev, &ctx, &org, 3);
+        let secs = rayon::with_num_threads(threads, || time_full_recompute(&mut ev, &ctx, &org, 3));
         eprintln!("full recompute @ {threads} thread(s): {:.1} ms", secs * 1e3);
         if threads == 1 {
             full_t1 = secs;
@@ -216,23 +215,26 @@ fn main() {
     }
 
     // 2. Delta throughput: cached @1, cached @max sweep width, baseline @1.
-    rayon::set_num_threads(1);
-    let cached_t1 = delta_throughput(&mut ev, &ctx, &mut org, args.proposals, false);
+    let (cached_t1, baseline_t1) = rayon::with_num_threads(1, || {
+        (
+            delta_throughput(&mut ev, &ctx, &mut org, args.proposals, false),
+            delta_throughput(&mut ev, &ctx, &mut org, args.proposals, true),
+        )
+    });
     eprintln!("delta cached @ 1 thread: {cached_t1:.1} proposals/s");
-    let baseline_t1 = delta_throughput(&mut ev, &ctx, &mut org, args.proposals, true);
     eprintln!("delta seed baseline @ 1 thread: {baseline_t1:.1} proposals/s");
     let max_threads = *sweep.last().unwrap_or(&1);
     // Only re-measure at the sweep's widest width when it differs from 1,
     // so the JSON never carries a duplicate "cached_threads1" key.
     let cached_tmax = if max_threads > 1 {
-        rayon::set_num_threads(max_threads);
-        let t = delta_throughput(&mut ev, &ctx, &mut org, args.proposals, false);
+        let t = rayon::with_num_threads(max_threads, || {
+            delta_throughput(&mut ev, &ctx, &mut org, args.proposals, false)
+        });
         eprintln!("delta cached @ {max_threads} thread(s): {t:.1} proposals/s");
         Some(t)
     } else {
         None
     };
-    rayon::set_num_threads(0); // restore the environment default
 
     // 3. Dot-kernel A/B: the seed 4-lane kernel vs the widened 8-lane
     //    `dln_embed::dot`, on mat-vec passes over the attribute-unit matrix.

@@ -169,104 +169,103 @@ fn main() {
     let mut oracle_checked = false;
     let mut spectrum_json = "null".to_string();
     for &threads in &sweep {
-        rayon::set_num_threads(threads);
-
-        // Stage 1: condensed pairwise build over every attribute.
-        let start = Instant::now();
-        let cond = CondensedMatrix::from_points(&points);
-        let pairwise_secs = start.elapsed().as_secs_f64();
-        condensed_bytes = cond.bytes();
-        dense_baseline = cond.dense_baseline_bytes();
-        eprintln!(
-            "pairwise @ {threads} thread(s): {:.1} ms, {} entries, {:.3} GB condensed \
-             ({:.4} of dense baseline)",
-            pairwise_secs * 1e3,
-            cond.entries(),
-            condensed_bytes as f64 / 1e9,
-            condensed_bytes as f64 / dense_baseline as f64,
-        );
-
-        // Stage 2: NN-chain average linkage over the condensed store
-        // (consumes it — the store *is* the working memory).
-        let start = Instant::now();
-        let dend = Dendrogram::average_linkage_condensed(cond);
-        let cluster_secs = start.elapsed().as_secs_f64();
-        eprintln!(
-            "clustering @ {threads} thread(s): {:.1} ms, {} merges",
-            cluster_secs * 1e3,
-            dend.merges().len()
-        );
-
-        // Toy sizes: run the dense oracle and bit-compare merge sequences.
-        if n <= ORACLE_MAX_N {
-            let dense = Dendrogram::average_linkage_dense(&points);
-            let same = dense.merges().len() == dend.merges().len()
-                && dense.merges().iter().zip(dend.merges()).all(|(a, b)| {
-                    a.a == b.a
-                        && a.b == b.b
-                        && a.size == b.size
-                        && a.dist.to_bits() == b.dist.to_bits()
-                });
-            assert!(
-                same,
-                "condensed merge sequence diverged from the dense oracle \
-                 (n = {n}, threads = {threads})"
-            );
-            oracle_checked = true;
-            eprintln!("oracle @ {threads} thread(s): dense merge sequence bit-identical");
-        }
-
-        // Stage 3: matrix-free k-medoids over the full attribute set.
-        let k = args.kmedoids_k.clamp(1, n);
-        let start = Instant::now();
-        let km = KMedoids::fit_with(&points, k, args.seed, KMEDOIDS_MAX_ITER);
-        let kmedoids_secs = start.elapsed().as_secs_f64();
-        eprintln!(
-            "kmedoids @ {threads} thread(s): {:.1} ms, k = {k}, cost {:.4}, {} iteration(s)",
-            kmedoids_secs * 1e3,
-            km.cost,
-            km.iterations
-        );
-        stage_lines.push(format!(
-            "    {{ \"threads\": {threads}, \"pairwise_seconds\": {pairwise_secs:.6}, \"clustering_seconds\": {cluster_secs:.6}, \"merges\": {}, \"kmedoids_seconds\": {kmedoids_secs:.6}, \"kmedoids_k\": {k}, \"kmedoids_cost\": {:.9}, \"kmedoids_iterations\": {} }}",
-            dend.merges().len(),
-            km.cost,
-            km.iterations
-        ));
-
-        // Stage 4: sharded construction, auto policy vs the fixed-4 baseline.
-        for &shards in &[ShardPolicy::Auto, ShardPolicy::Fixed(4)] {
-            let (secs, build) = timed_build(&bench.lake, args.seed, args.iters, shards);
-            let eff = build.effectiveness();
-            let knee = build
-                .shard_spectrum
-                .as_ref()
-                .map(|s| s.knee.to_string())
-                .unwrap_or_else(|| "null".to_string());
-            if let Some(spec) = &build.shard_spectrum {
-                let costs: Vec<String> = spec.costs.iter().map(|c| format!("{c:.9}")).collect();
-                spectrum_json = format!(
-                    "{{ \"candidates\": {:?}, \"costs\": [{}], \"knee\": {} }}",
-                    spec.candidates,
-                    costs.join(", "),
-                    spec.knee
-                );
-            }
+        rayon::with_num_threads(threads, || {
+            // Stage 1: condensed pairwise build over every attribute.
+            let start = Instant::now();
+            let cond = CondensedMatrix::from_points(&points);
+            let pairwise_secs = start.elapsed().as_secs_f64();
+            condensed_bytes = cond.bytes();
+            dense_baseline = cond.dense_baseline_bytes();
             eprintln!(
-                "construction shards={shards} @ {threads} thread(s): {:.1} ms, \
-                 effectiveness {eff:.6}, {} shards built, {} proposals",
-                secs * 1e3,
-                build.n_shards(),
-                build.total_iterations()
+                "pairwise @ {threads} thread(s): {:.1} ms, {} entries, {:.3} GB condensed \
+                 ({:.4} of dense baseline)",
+                pairwise_secs * 1e3,
+                cond.entries(),
+                condensed_bytes as f64 / 1e9,
+                condensed_bytes as f64 / dense_baseline as f64,
             );
-            construction_lines.push(format!(
-                "    {{ \"threads\": {threads}, \"shards\": \"{shards}\", \"auto_knee\": {knee}, \"seconds\": {secs:.6}, \"effectiveness\": {eff:.9}, \"n_shards_built\": {}, \"iterations\": {} }}",
-                build.n_shards(),
-                build.total_iterations()
+
+            // Stage 2: NN-chain average linkage over the condensed store
+            // (consumes it — the store *is* the working memory).
+            let start = Instant::now();
+            let dend = Dendrogram::average_linkage_condensed(cond);
+            let cluster_secs = start.elapsed().as_secs_f64();
+            eprintln!(
+                "clustering @ {threads} thread(s): {:.1} ms, {} merges",
+                cluster_secs * 1e3,
+                dend.merges().len()
+            );
+
+            // Toy sizes: run the dense oracle and bit-compare merge sequences.
+            if n <= ORACLE_MAX_N {
+                let dense = Dendrogram::average_linkage_dense(&points);
+                let same = dense.merges().len() == dend.merges().len()
+                    && dense.merges().iter().zip(dend.merges()).all(|(a, b)| {
+                        a.a == b.a
+                            && a.b == b.b
+                            && a.size == b.size
+                            && a.dist.to_bits() == b.dist.to_bits()
+                    });
+                assert!(
+                    same,
+                    "condensed merge sequence diverged from the dense oracle \
+                     (n = {n}, threads = {threads})"
+                );
+                oracle_checked = true;
+                eprintln!("oracle @ {threads} thread(s): dense merge sequence bit-identical");
+            }
+
+            // Stage 3: matrix-free k-medoids over the full attribute set.
+            let k = args.kmedoids_k.clamp(1, n);
+            let start = Instant::now();
+            let km = KMedoids::fit_with(&points, k, args.seed, KMEDOIDS_MAX_ITER);
+            let kmedoids_secs = start.elapsed().as_secs_f64();
+            eprintln!(
+                "kmedoids @ {threads} thread(s): {:.1} ms, k = {k}, cost {:.4}, {} iteration(s)",
+                kmedoids_secs * 1e3,
+                km.cost,
+                km.iterations
+            );
+            stage_lines.push(format!(
+                "    {{ \"threads\": {threads}, \"pairwise_seconds\": {pairwise_secs:.6}, \"clustering_seconds\": {cluster_secs:.6}, \"merges\": {}, \"kmedoids_seconds\": {kmedoids_secs:.6}, \"kmedoids_k\": {k}, \"kmedoids_cost\": {:.9}, \"kmedoids_iterations\": {} }}",
+                dend.merges().len(),
+                km.cost,
+                km.iterations
             ));
-        }
+
+            // Stage 4: sharded construction, auto policy vs the fixed-4 baseline.
+            for &shards in &[ShardPolicy::Auto, ShardPolicy::Fixed(4)] {
+                let (secs, build) = timed_build(&bench.lake, args.seed, args.iters, shards);
+                let eff = build.effectiveness();
+                let knee = build
+                    .shard_spectrum
+                    .as_ref()
+                    .map(|s| s.knee.to_string())
+                    .unwrap_or_else(|| "null".to_string());
+                if let Some(spec) = &build.shard_spectrum {
+                    let costs: Vec<String> = spec.costs.iter().map(|c| format!("{c:.9}")).collect();
+                    spectrum_json = format!(
+                        "{{ \"candidates\": {:?}, \"costs\": [{}], \"knee\": {} }}",
+                        spec.candidates,
+                        costs.join(", "),
+                        spec.knee
+                    );
+                }
+                eprintln!(
+                    "construction shards={shards} @ {threads} thread(s): {:.1} ms, \
+                     effectiveness {eff:.6}, {} shards built, {} proposals",
+                    secs * 1e3,
+                    build.n_shards(),
+                    build.total_iterations()
+                );
+                construction_lines.push(format!(
+                    "    {{ \"threads\": {threads}, \"shards\": \"{shards}\", \"auto_knee\": {knee}, \"seconds\": {secs:.6}, \"effectiveness\": {eff:.9}, \"n_shards_built\": {}, \"iterations\": {} }}",
+                    build.n_shards(),
+                    build.total_iterations()
+                ));
+            }
+        });
     }
-    rayon::set_num_threads(0); // restore the environment default
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");

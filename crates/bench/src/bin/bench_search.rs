@@ -15,7 +15,9 @@
 //! Every search time is the median of [`REPEATS`] runs of the same walk.
 //! The repeats are interleaved across the walks (one run of every walk,
 //! then the next round), so a slow stretch of a shared host falls on all
-//! of them instead of on the walks that happened to run during it.
+//! of them instead of on the walks that happened to run during it. The
+//! reference walk runs first in even rounds and last in odd ones, so the
+//! order within a round favours neither side.
 //!
 //! Flags: `--attrs <n>` target attribute count (default 800), `--seed <n>`,
 //! `--iters <n>` proposal budget per run (default 200), `--out <path>`
@@ -127,13 +129,14 @@ fn main() {
     // 1. Construction front-end: context build + clustering init.
     let mut init_lines = Vec::new();
     for &threads in &sweep {
-        rayon::set_num_threads(threads);
-        let start = Instant::now();
-        let ctx_t = OrgContext::full(&bench.lake);
-        let ctx_secs = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let org = clustering_org(&ctx_t);
-        let clus_secs = start.elapsed().as_secs_f64();
+        let (ctx_secs, clus_secs, org) = rayon::with_num_threads(threads, || {
+            let start = Instant::now();
+            let ctx_t = OrgContext::full(&bench.lake);
+            let ctx_secs = start.elapsed().as_secs_f64();
+            let start = Instant::now();
+            let org = clustering_org(&ctx_t);
+            (ctx_secs, start.elapsed().as_secs_f64(), org)
+        });
         eprintln!(
             "init @ {threads} thread(s): context {:.1} ms, clustering ({} slots) {:.1} ms",
             ctx_secs * 1e3,
@@ -164,19 +167,24 @@ fn main() {
     let mut ref_stats = None;
     let mut cell_secs = vec![Vec::with_capacity(REPEATS); sweep.len()];
     let mut cell_stats = vec![None; sweep.len()];
-    for _ in 0..REPEATS {
-        rayon::set_num_threads(1);
-        let (secs, stats) = timed(optimize_reference);
-        ref_secs.push(secs);
-        ref_stats = Some(stats);
+    for repeat in 0..REPEATS {
+        let mut reference = || {
+            let (secs, stats) = rayon::with_num_threads(1, || timed(optimize_reference));
+            ref_secs.push(secs);
+            ref_stats = Some(stats);
+        };
+        if repeat % 2 == 0 {
+            reference();
+        }
         for (i, &threads) in sweep.iter().enumerate() {
-            rayon::set_num_threads(threads);
-            let (secs, stats) = timed(optimize);
+            let (secs, stats) = rayon::with_num_threads(threads, || timed(optimize));
             cell_secs[i].push(secs);
             cell_stats[i] = Some(stats);
         }
+        if repeat % 2 == 1 {
+            reference();
+        }
     }
-    rayon::set_num_threads(0); // restore the environment default
     let ref_secs = median(ref_secs);
     let ref_stats = ref_stats.expect("at least one repeat");
     eprintln!(

@@ -144,38 +144,38 @@ fn main() {
     ];
     let mut lines = Vec::new();
     for &threads in &sweep {
-        rayon::set_num_threads(threads);
-        let mut oracle_secs = f64::NAN;
-        let mut oracle_eff = f64::NAN;
-        for &shards in &policies {
-            let (secs, build) = timed_build(&bench.lake, args.seed, args.iters, shards);
-            let eff = build.effectiveness();
-            if shards == ShardPolicy::Fixed(1) {
-                oracle_secs = secs;
-                oracle_eff = eff;
+        rayon::with_num_threads(threads, || {
+            let mut oracle_secs = f64::NAN;
+            let mut oracle_eff = f64::NAN;
+            for &shards in &policies {
+                let (secs, build) = timed_build(&bench.lake, args.seed, args.iters, shards);
+                let eff = build.effectiveness();
+                if shards == ShardPolicy::Fixed(1) {
+                    oracle_secs = secs;
+                    oracle_eff = eff;
+                }
+                let vs_secs = secs / oracle_secs;
+                let vs_eff = eff / oracle_eff;
+                let knee = build
+                    .shard_spectrum
+                    .as_ref()
+                    .map(|s| s.knee.to_string())
+                    .unwrap_or_else(|| "null".to_string());
+                eprintln!(
+                    "shards={shards} @ {threads} thread(s): {:.1} ms ({vs_secs:.3}x oracle), \
+                     effectiveness {eff:.6} ({vs_eff:.4}x oracle), {} shards built, {} proposals",
+                    secs * 1e3,
+                    build.n_shards(),
+                    build.total_iterations()
+                );
+                lines.push(format!(
+                    "    {{ \"threads\": {threads}, \"shards\": \"{shards}\", \"auto_knee\": {knee}, \"seconds\": {secs:.6}, \"effectiveness\": {eff:.9}, \"n_shards_built\": {}, \"iterations\": {}, \"vs_unsharded_seconds\": {vs_secs:.4}, \"vs_unsharded_effectiveness\": {vs_eff:.4} }}",
+                    build.n_shards(),
+                    build.total_iterations()
+                ));
             }
-            let vs_secs = secs / oracle_secs;
-            let vs_eff = eff / oracle_eff;
-            let knee = build
-                .shard_spectrum
-                .as_ref()
-                .map(|s| s.knee.to_string())
-                .unwrap_or_else(|| "null".to_string());
-            eprintln!(
-                "shards={shards} @ {threads} thread(s): {:.1} ms ({vs_secs:.3}x oracle), \
-                 effectiveness {eff:.6} ({vs_eff:.4}x oracle), {} shards built, {} proposals",
-                secs * 1e3,
-                build.n_shards(),
-                build.total_iterations()
-            );
-            lines.push(format!(
-                "    {{ \"threads\": {threads}, \"shards\": \"{shards}\", \"auto_knee\": {knee}, \"seconds\": {secs:.6}, \"effectiveness\": {eff:.9}, \"n_shards_built\": {}, \"iterations\": {}, \"vs_unsharded_seconds\": {vs_secs:.4}, \"vs_unsharded_effectiveness\": {vs_eff:.4} }}",
-                build.n_shards(),
-                build.total_iterations()
-            ));
-        }
+        });
     }
-    rayon::set_num_threads(0); // restore the environment default
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");

@@ -91,7 +91,6 @@ fn main() {
                 n_dims,
                 search: search.clone(),
                 partition_seed: args.seed ^ 0xD13,
-                parallel: true,
             },
         );
         let curve = md.success_curve(lake, DEFAULT_THETA);
@@ -113,7 +112,6 @@ fn main() {
                 ..search.clone()
             },
             partition_seed: args.seed ^ 0xD13,
-            parallel: true,
         },
     );
     let curve = md_approx.success_curve(lake, DEFAULT_THETA);
@@ -163,7 +161,6 @@ fn main() {
             n_dims: 2,
             search: search.clone(),
             partition_seed: args.seed ^ 0xD13,
-            parallel: true,
         },
     );
     let curve = md_enriched.success_curve(&enriched.lake, DEFAULT_THETA);

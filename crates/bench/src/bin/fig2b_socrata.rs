@@ -61,7 +61,6 @@ fn main() {
             n_dims: 10,
             search: search.clone(),
             partition_seed: args.seed ^ 0x50C,
-            parallel: true,
         },
     );
     let build_secs = t0.elapsed().as_secs_f64();

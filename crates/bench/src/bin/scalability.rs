@@ -43,7 +43,6 @@ fn main() {
                     ..Default::default()
                 },
                 partition_seed: args.seed,
-                parallel: true,
             },
         );
         let build_s = t0.elapsed().as_secs_f64();

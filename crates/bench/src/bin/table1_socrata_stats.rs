@@ -36,7 +36,6 @@ fn main() {
                 ..Default::default()
             },
             partition_seed: args.seed ^ 0x50C,
-            parallel: true,
         },
     );
     let stats = md.dim_stats();

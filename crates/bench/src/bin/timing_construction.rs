@@ -71,7 +71,6 @@ fn main() {
                 n_dims,
                 search: search.clone(),
                 partition_seed: args.seed ^ 0xD13,
-                parallel: true,
             },
         );
         measured.push(t0.elapsed().as_secs_f64());
@@ -86,7 +85,6 @@ fn main() {
             n_dims: 2,
             search: search.clone(),
             partition_seed: args.seed ^ 0xD13,
-            parallel: true,
         },
     );
     measured.push(t0.elapsed().as_secs_f64());
@@ -102,7 +100,6 @@ fn main() {
                 ..search.clone()
             },
             partition_seed: args.seed ^ 0xD13,
-            parallel: true,
         },
     );
     measured.push(t0.elapsed().as_secs_f64());

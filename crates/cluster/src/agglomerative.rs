@@ -593,9 +593,7 @@ mod tests {
                 let cp = CosinePoints::new(refs);
                 let dense = Dendrogram::average_linkage_dense(&cp);
                 for t in [1usize, 2, 4] {
-                    rayon::set_num_threads(t);
-                    let cond = Dendrogram::average_linkage(&cp);
-                    rayon::set_num_threads(0);
+                    let cond = rayon::with_num_threads(t, || Dendrogram::average_linkage(&cp));
                     assert_merges_bit_identical(
                         &cond,
                         &dense,
@@ -697,13 +695,9 @@ mod tests {
             }
         }
         let m = MatrixDistance::new(n, d);
-        rayon::set_num_threads(1);
-        let serial = Dendrogram::average_linkage(&m);
-        rayon::set_num_threads(0);
+        let serial = rayon::with_num_threads(1, || Dendrogram::average_linkage(&m));
         for t in [2usize, 4, 8] {
-            rayon::set_num_threads(t);
-            let par = Dendrogram::average_linkage(&m);
-            rayon::set_num_threads(0);
+            let par = rayon::with_num_threads(t, || Dendrogram::average_linkage(&m));
             assert_eq!(par.merges(), serial.merges(), "diverged at {t} threads");
         }
     }

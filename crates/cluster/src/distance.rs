@@ -523,10 +523,8 @@ mod tests {
             }
         }
         for threads in [1usize, 2, 4, 8] {
-            rayon::set_num_threads(threads);
             let mut par = Vec::new();
-            pairwise_matrix_into(&cp, &mut par);
-            rayon::set_num_threads(0);
+            rayon::with_num_threads(threads, || pairwise_matrix_into(&cp, &mut par));
             assert_eq!(par.len(), serial.len());
             assert!(
                 par.iter()
@@ -628,13 +626,9 @@ mod tests {
         let pts = unit_vectors(101, 24, 0x7EA);
         let refs: Vec<&[f32]> = pts.iter().map(|p| p.as_slice()).collect();
         let cp = CosinePoints::new(refs);
-        rayon::set_num_threads(1);
-        let serial = CondensedMatrix::from_points(&cp);
-        rayon::set_num_threads(0);
+        let serial = rayon::with_num_threads(1, || CondensedMatrix::from_points(&cp));
         for t in [2usize, 4, 8] {
-            rayon::set_num_threads(t);
-            let par = CondensedMatrix::from_points(&cp);
-            rayon::set_num_threads(0);
+            let par = rayon::with_num_threads(t, || CondensedMatrix::from_points(&cp));
             assert!(
                 (0..cp.len()).all(|i| {
                     ((i + 1)..cp.len()).all(|j| par.at(i, j).to_bits() == serial.at(i, j).to_bits())

@@ -917,13 +917,9 @@ mod tests {
         }
         let m = MatrixDistance::new(n, d);
         for k in [3usize, 40] {
-            rayon::set_num_threads(1);
-            let serial = KMedoids::fit(&m, k, 9);
-            rayon::set_num_threads(0);
+            let serial = rayon::with_num_threads(1, || KMedoids::fit(&m, k, 9));
             for t in [2usize, 4] {
-                rayon::set_num_threads(t);
-                let par = KMedoids::fit(&m, k, 9);
-                rayon::set_num_threads(0);
+                let par = rayon::with_num_threads(t, || KMedoids::fit(&m, k, 9));
                 assert_eq!(par.assignments, serial.assignments, "k={k}, t={t}");
                 assert_eq!(par.medoids, serial.medoids, "k={k}, t={t}");
                 assert_eq!(par.cost.to_bits(), serial.cost.to_bits(), "k={k}, t={t}");
@@ -1010,9 +1006,7 @@ mod tests {
                 for k in [2usize, n.div_ceil(10), n] {
                     let want = reference_fit(&cp, k, seed, 100);
                     for threads in [1usize, 4] {
-                        rayon::set_num_threads(threads);
-                        let got = KMedoids::fit(&cp, k, seed);
-                        rayon::set_num_threads(0);
+                        let got = rayon::with_num_threads(threads, || KMedoids::fit(&cp, k, seed));
                         let what = format!("dim={dim} seed={seed} n={n} k={k} threads={threads}");
                         assert_same_fit(&got, &want, &what);
                     }

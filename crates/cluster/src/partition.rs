@@ -211,9 +211,7 @@ mod tests {
         assert_eq!(spec.knee, 3, "spectrum: {:?}", spec);
         // Invariant to worker count.
         for t in [2usize, 4] {
-            rayon::set_num_threads(t);
-            let again = auto_partition_k(&cp, 16, 42);
-            rayon::set_num_threads(0);
+            let again = rayon::with_num_threads(t, || auto_partition_k(&cp, 16, 42));
             assert_eq!(again.knee, spec.knee);
             assert!(again
                 .costs

@@ -816,9 +816,9 @@ mod tests {
         std::fs::write(dir.join("t16.csv"), b"col\n\"torn").unwrap();
         let _fp = dln_fault::scoped("ingest.read:0.5:9").unwrap();
         let run = |threads: usize| {
-            rayon::set_num_threads(threads);
-            let ingest = ingest_dir(&dir, &m, &CsvOptions::default()).unwrap();
-            rayon::set_num_threads(0);
+            let ingest = rayon::with_num_threads(threads, || {
+                ingest_dir(&dir, &m, &CsvOptions::default()).unwrap()
+            });
             let lake = &ingest.lake;
             let image = format!(
                 "{:?}{:?}{:?}{:?}",

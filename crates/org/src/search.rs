@@ -1169,17 +1169,19 @@ mod tests {
         // identical final organization.
         let ctx = ctx();
         for threads in [1usize, 4] {
-            rayon::set_num_threads(threads);
             let cfg = SearchConfig {
                 max_iters: 200,
                 plateau_iters: 80,
                 ..Default::default()
             };
             let mut org_a = crate::init::random_org(&ctx, 77);
-            let a = optimize(&ctx, &mut org_a, &cfg);
             let mut org_b = crate::init::random_org(&ctx, 77);
-            let b = optimize_reference(&ctx, &mut org_b, &cfg);
-            rayon::set_num_threads(0);
+            let (a, b) = rayon::with_num_threads(threads, || {
+                (
+                    optimize(&ctx, &mut org_a, &cfg),
+                    optimize_reference(&ctx, &mut org_b, &cfg),
+                )
+            });
             assert_eq!(
                 a.final_effectiveness.to_bits(),
                 b.final_effectiveness.to_bits(),

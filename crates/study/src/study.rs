@@ -259,7 +259,6 @@ pub fn run_study(
         n_dims: cfg.n_dims,
         search: cfg.search.clone(),
         partition_seed: cfg.seed ^ 0xD1,
-        parallel: true,
     };
     let org2 = MultiDimOrganization::build(lake2, &md_cfg);
     let org3 = MultiDimOrganization::build(lake3, &md_cfg);

@@ -95,7 +95,7 @@ fn reach_probability_sums_over_paths() {
     // Reconstruct the evaluator's reach for this attribute by reading the
     // discovery probability and dividing out the (precomputed) final hop.
     // Simpler: compute exact discovery and compare against expected × hop.
-    let exact = datalake_nav::org::eval::discovery_probs(&ctx, &org, nav, 1);
+    let exact = datalake_nav::org::eval::discovery_probs(&ctx, &org, nav);
     // hop: softmax of the attr among tag 0's population.
     let pop = &ctx.tag(0).attrs;
     let scale = nav.gamma as f64 / pop.len() as f64;
@@ -130,8 +130,8 @@ fn shared_state_outreaches_single_parent_version() {
     let b = org1.state(org1.root()).children[1];
     org1.remove_edge(b, org1.tag_state(0));
     let nav = NavConfig::default();
-    let d2 = datalake_nav::org::eval::discovery_probs(&ctx, &org2, nav, 1);
-    let d1 = datalake_nav::org::eval::discovery_probs(&ctx, &org1, nav, 1);
+    let d2 = datalake_nav::org::eval::discovery_probs(&ctx, &org2, nav);
+    let d1 = datalake_nav::org::eval::discovery_probs(&ctx, &org1, nav);
     for &a in &ctx.tag(0).attrs {
         // Only strictly greater if the attr has no other tags (true in
         // TagCloud).
@@ -177,7 +177,7 @@ fn leaf_mass_is_bounded_in_dags() {
     let ctx = ctx();
     let org = diamond(&ctx);
     let nav = NavConfig::default();
-    let disc = datalake_nav::org::eval::discovery_probs(&ctx, &org, nav, 1);
+    let disc = datalake_nav::org::eval::discovery_probs(&ctx, &org, nav);
     for (a, d) in disc.iter().enumerate() {
         assert!(
             (0.0..=1.0).contains(d),

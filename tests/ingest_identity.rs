@@ -195,9 +195,9 @@ fn messy_lake_ingests_to_the_pinned_digest_at_any_thread_count() {
     let model = VecFileModel::from_reader(MODEL.as_bytes()).expect("fixture model");
     let _fp = dln_fault::scoped("").expect("disarm failpoints");
     for threads in [1, 2, 4] {
-        rayon::set_num_threads(threads);
-        let ingest = ingest_dir(&dir, &model, &CsvOptions::default()).expect("ingest");
-        rayon::set_num_threads(0);
+        let ingest = rayon::with_num_threads(threads, || {
+            ingest_dir(&dir, &model, &CsvOptions::default()).expect("ingest")
+        });
         let r = &ingest.report;
         assert_eq!(
             (r.tables_loaded, r.tables_without_text, r.tag_sidecar_errors),

@@ -155,14 +155,11 @@ fn op_sequences_are_thread_count_invariant() {
     let mut rng = StdRng::seed_from_u64(0x7EAD_C0DE);
     for _case in 0..4 {
         let steps = random_steps(&mut rng);
-        rayon::set_num_threads(1);
-        let serial = check_op_sequence(&ctx, &steps);
+        let serial = rayon::with_num_threads(1, || check_op_sequence(&ctx, &steps));
         for threads in [4usize, 8] {
-            rayon::set_num_threads(threads);
-            let parallel = check_op_sequence(&ctx, &steps);
+            let parallel = rayon::with_num_threads(threads, || check_op_sequence(&ctx, &steps));
             assert_eq!(serial, parallel, "results changed with {threads} threads");
         }
-        rayon::set_num_threads(0); // back to the environment default
     }
 }
 
@@ -179,7 +176,6 @@ fn optimize_is_the_reference_walk_at_any_thread_count() {
     let ctx = small_ctx();
     for seed in [1u64, 0xBEE5, 424242] {
         for threads in [1usize, 4] {
-            rayon::set_num_threads(threads);
             let cfg = SearchConfig {
                 max_iters: 120,
                 plateau_iters: 60,
@@ -187,10 +183,13 @@ fn optimize_is_the_reference_walk_at_any_thread_count() {
                 ..Default::default()
             };
             let mut a_org = random_org(&ctx, seed ^ 0x0A11);
-            let a = optimize(&ctx, &mut a_org, &cfg);
             let mut b_org = random_org(&ctx, seed ^ 0x0A11);
-            let b = optimize_reference(&ctx, &mut b_org, &cfg);
-            rayon::set_num_threads(0);
+            let (a, b) = rayon::with_num_threads(threads, || {
+                (
+                    optimize(&ctx, &mut a_org, &cfg),
+                    optimize_reference(&ctx, &mut b_org, &cfg),
+                )
+            });
             assert_eq!(
                 a.final_effectiveness.to_bits(),
                 b.final_effectiveness.to_bits(),
@@ -219,79 +218,80 @@ fn killed_and_resumed_search_is_bit_identical() {
     // committed op log.
     let ctx = small_ctx();
     for (case, (seed, threads)) in [(1u64, 1usize), (7, 2), (42, 2)].into_iter().enumerate() {
-        rayon::set_num_threads(threads);
-        let base = SearchConfig {
-            max_iters: 120,
-            plateau_iters: 60,
-            seed,
-            deadline: None,
-            checkpoint: None,
-            ..Default::default()
-        };
-        let mut full_org = random_org(&ctx, seed ^ 0x0A11);
-        let full = {
-            let _fp = dln_fault::scoped("").expect("disarm failpoints");
-            optimize(&ctx, &mut full_org, &base)
-        };
+        rayon::with_num_threads(threads, || {
+            let base = SearchConfig {
+                max_iters: 120,
+                plateau_iters: 60,
+                seed,
+                deadline: None,
+                checkpoint: None,
+                ..Default::default()
+            };
+            let mut full_org = random_org(&ctx, seed ^ 0x0A11);
+            let full = {
+                let _fp = dln_fault::scoped("").expect("disarm failpoints");
+                optimize(&ctx, &mut full_org, &base)
+            };
 
-        let dir = std::env::temp_dir().join(format!("dln_prop_kill_{case}_{}", std::process::id()));
-        if dir.exists() {
-            std::fs::remove_dir_all(&dir).ok();
-        }
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        let path = dir.join("search.ckpt");
-        let cfg = SearchConfig {
-            checkpoint: Some(CheckpointConfig {
-                path: path.clone(),
-                every_rounds: 1,
-            }),
-            ..base.clone()
-        };
-        let mut kills = 0usize;
-        let mut attempt = 0u64;
-        let (stats, org) = loop {
-            attempt += 1;
-            // A fresh kill seed each attempt moves the kill point; after a
-            // bounded number of kills, finish fault-free so the chain
-            // always terminates.
-            let spec = if attempt <= 10 {
-                format!("search.kill:0.4:{}", seed ^ (attempt * 0x9E37))
-            } else {
-                String::new()
-            };
-            let _fp = dln_fault::scoped(&spec).expect("arm failpoints");
-            let mut org = random_org(&ctx, seed ^ 0x0A11);
-            let stats = match Checkpoint::load_with_fallback(&path) {
-                Ok(ck) => resume(&ctx, &mut org, &cfg, &ck)
-                    .expect("resume from an intact checkpoint must succeed"),
-                // Killed before the first checkpoint was cut: start over,
-                // as a restarted process would.
-                Err(_) => optimize(&ctx, &mut org, &cfg),
-            };
-            if stats.stop == StopReason::Killed {
-                kills += 1;
-                continue;
+            let dir =
+                std::env::temp_dir().join(format!("dln_prop_kill_{case}_{}", std::process::id()));
+            if dir.exists() {
+                std::fs::remove_dir_all(&dir).ok();
             }
-            break (stats, org);
-        };
-        rayon::set_num_threads(0);
-        assert!(kills >= 1, "case {case}: the failpoint never killed a run");
-        assert_eq!(
-            stats.final_effectiveness.to_bits(),
-            full.final_effectiveness.to_bits(),
-            "case {case} ({kills} kills)"
-        );
-        assert_eq!(stats.iterations, full.iterations, "case {case}");
-        assert_eq!(stats.accepted, full.accepted, "case {case}");
-        assert_eq!(stats.rounds, full.rounds, "case {case}");
-        assert_eq!(stats.stop, full.stop, "case {case}");
-        assert_eq!(stats.iter_stats, full.iter_stats, "case {case}");
-        assert_eq!(
-            org_fingerprint(&org),
-            org_fingerprint(&full_org),
-            "case {case} ({kills} kills)"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).expect("create temp dir");
+            let path = dir.join("search.ckpt");
+            let cfg = SearchConfig {
+                checkpoint: Some(CheckpointConfig {
+                    path: path.clone(),
+                    every_rounds: 1,
+                }),
+                ..base.clone()
+            };
+            let mut kills = 0usize;
+            let mut attempt = 0u64;
+            let (stats, org) = loop {
+                attempt += 1;
+                // A fresh kill seed each attempt moves the kill point; after a
+                // bounded number of kills, finish fault-free so the chain
+                // always terminates.
+                let spec = if attempt <= 10 {
+                    format!("search.kill:0.4:{}", seed ^ (attempt * 0x9E37))
+                } else {
+                    String::new()
+                };
+                let _fp = dln_fault::scoped(&spec).expect("arm failpoints");
+                let mut org = random_org(&ctx, seed ^ 0x0A11);
+                let stats = match Checkpoint::load_with_fallback(&path) {
+                    Ok(ck) => resume(&ctx, &mut org, &cfg, &ck)
+                        .expect("resume from an intact checkpoint must succeed"),
+                    // Killed before the first checkpoint was cut: start over,
+                    // as a restarted process would.
+                    Err(_) => optimize(&ctx, &mut org, &cfg),
+                };
+                if stats.stop == StopReason::Killed {
+                    kills += 1;
+                    continue;
+                }
+                break (stats, org);
+            };
+            assert!(kills >= 1, "case {case}: the failpoint never killed a run");
+            assert_eq!(
+                stats.final_effectiveness.to_bits(),
+                full.final_effectiveness.to_bits(),
+                "case {case} ({kills} kills)"
+            );
+            assert_eq!(stats.iterations, full.iterations, "case {case}");
+            assert_eq!(stats.accepted, full.accepted, "case {case}");
+            assert_eq!(stats.rounds, full.rounds, "case {case}");
+            assert_eq!(stats.stop, full.stop, "case {case}");
+            assert_eq!(stats.iter_stats, full.iter_stats, "case {case}");
+            assert_eq!(
+                org_fingerprint(&org),
+                org_fingerprint(&full_org),
+                "case {case} ({kills} kills)"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        });
     }
 }
 
@@ -372,33 +372,34 @@ fn stitched_org_incremental_evaluator_matches_fresh_at_any_thread_count() {
         let steps = random_steps(&mut rng);
         let mut final_bits: Vec<Vec<u64>> = Vec::new();
         for threads in [1usize, 4] {
-            rayon::set_num_threads(threads);
-            let mut org = sharded.built.organization.clone();
-            let mut ev = Evaluator::new(ctx, &org, nav, &reps);
-            for &(kind, target_raw, _keep) in &steps {
-                let targets: Vec<_> = org.alive_ids().filter(|&s| s != org.root()).collect();
-                let target = targets[target_raw as usize % targets.len()];
-                let reach = ev.reachability();
-                let outcome = if kind == 0 {
-                    ops::try_add_parent(&mut org, ctx, target, &reach)
-                } else {
-                    ops::try_delete_parent(&mut org, ctx, target, &reach)
-                };
-                let Some(outcome) = outcome else { continue };
-                org.validate(ctx)
-                    .expect("stitched org stays valid under ops");
-                ev.apply_delta(ctx, &org, &outcome.dirty_parents);
-                let fresh = Evaluator::new(ctx, &org, nav, &reps);
-                assert!(
-                    (ev.effectiveness() - fresh.effectiveness()).abs() < 1e-9,
-                    "incremental {} vs fresh {} at {threads} threads",
-                    ev.effectiveness(),
-                    fresh.effectiveness()
-                );
-            }
-            final_bits.push(eval_bits(&ev, ctx));
+            let bits = rayon::with_num_threads(threads, || {
+                let mut org = sharded.built.organization.clone();
+                let mut ev = Evaluator::new(ctx, &org, nav, &reps);
+                for &(kind, target_raw, _keep) in &steps {
+                    let targets: Vec<_> = org.alive_ids().filter(|&s| s != org.root()).collect();
+                    let target = targets[target_raw as usize % targets.len()];
+                    let reach = ev.reachability();
+                    let outcome = if kind == 0 {
+                        ops::try_add_parent(&mut org, ctx, target, &reach)
+                    } else {
+                        ops::try_delete_parent(&mut org, ctx, target, &reach)
+                    };
+                    let Some(outcome) = outcome else { continue };
+                    org.validate(ctx)
+                        .expect("stitched org stays valid under ops");
+                    ev.apply_delta(ctx, &org, &outcome.dirty_parents);
+                    let fresh = Evaluator::new(ctx, &org, nav, &reps);
+                    assert!(
+                        (ev.effectiveness() - fresh.effectiveness()).abs() < 1e-9,
+                        "incremental {} vs fresh {} at {threads} threads",
+                        ev.effectiveness(),
+                        fresh.effectiveness()
+                    );
+                }
+                eval_bits(&ev, ctx)
+            });
+            final_bits.push(bits);
         }
-        rayon::set_num_threads(0);
         assert_eq!(
             final_bits[0], final_bits[1],
             "stitched-org evaluation changed with the worker count"

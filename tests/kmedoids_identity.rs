@@ -72,14 +72,16 @@ fn representative_and_tag_fits_match_the_pinned_digest_at_any_thread_count() {
     let n = ctx.n_attrs();
     assert!(n >= 2_000, "the lake must be large enough: {n} attributes");
     let k = (n as f64 * 0.1).ceil() as usize;
-    for threads in [1, 4] {
-        rayon::set_num_threads(threads);
-        let reps = KMedoids::fit(&attrs, k, REP_SEED);
-        let dims = KMedoids::fit(&tags, 4, TAG_SEED);
-        // The pinned fits are the ones the organization code runs.
-        let r = Representatives::kmedoids(&ctx, 0.1, REP_SEED);
-        let groups = partition_tags(lake, 4, TAG_SEED);
-        rayon::set_num_threads(0);
+    for threads in [1, 2, 4] {
+        let (reps, dims, r, groups) = rayon::with_num_threads(threads, || {
+            (
+                KMedoids::fit(&attrs, k, REP_SEED),
+                KMedoids::fit(&tags, 4, TAG_SEED),
+                // The pinned fits are the ones the organization code runs.
+                Representatives::kmedoids(&ctx, 0.1, REP_SEED),
+                partition_tags(lake, 4, TAG_SEED),
+            )
+        });
 
         let reps_medoids: Vec<usize> = r.reps.iter().map(|&m| m as usize).collect();
         let reps_owner: Vec<usize> = r.rep_of_attr.iter().map(|&c| c as usize).collect();

@@ -99,11 +99,11 @@ fn approximate_walks_match_the_pinned_digest_at_any_thread_count() {
         acceptance_power: ACCEPTANCE_POWER,
         ..Default::default()
     };
-    for threads in [1, 4] {
-        rayon::set_num_threads(threads);
+    for threads in [1, 2, 4] {
         let mut org = initial.clone();
-        let st = datalake_nav::org::search::optimize(&ctx, &mut org, &cfg);
-        rayon::set_num_threads(0);
+        let st = rayon::with_num_threads(threads, || {
+            datalake_nav::org::search::optimize(&ctx, &mut org, &cfg)
+        });
         assert_eq!(st.iterations, PROPOSALS);
         assert!(
             st.accepted > 0 && st.accepted < st.iterations,
