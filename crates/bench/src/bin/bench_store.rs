@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use dln_bench::{git_commit, host_threads};
 use dln_embed::VecFileModel;
-use dln_lake::csv::{load_dir, CsvOptions};
+use dln_lake::csv::{ingest_dir, CsvOptions};
 use dln_org::eval::NavConfig;
 use dln_org::{clustering_org, OrgContext};
 use dln_serve::{NavService, ServeConfig, StepAction, StepRequest, StepResponse};
@@ -265,7 +265,9 @@ fn main() {
     let model = VecFileModel::from_path(&vec_path).expect("loading .vec model");
     let model_load_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let lake = load_dir(&lake_dir, &model, &CsvOptions::default()).expect("ingesting CSV lake");
+    let lake = ingest_dir(&lake_dir, &model, &CsvOptions::default())
+        .expect("ingesting CSV lake")
+        .lake;
     let ingest_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let ctx = OrgContext::full(&lake);

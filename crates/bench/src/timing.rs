@@ -24,7 +24,7 @@ pub fn bench_n<T>(name: &str, iters: usize, mut f: impl FnMut() -> T) -> f64 {
 }
 
 /// Render a duration in the most readable unit.
-pub fn fmt_secs(secs: f64) -> String {
+fn fmt_secs(secs: f64) -> String {
     if secs < 1e-6 {
         format!("{:.1} ns", secs * 1e9)
     } else if secs < 1e-3 {

@@ -315,12 +315,6 @@ impl Dendrogram {
         finalize_linkage(n, raw)
     }
 
-    /// Number of input points.
-    #[inline]
-    pub fn n_leaves(&self) -> usize {
-        self.n_leaves
-    }
-
     /// The merge steps, sorted by non-decreasing distance.
     #[inline]
     pub fn merges(&self) -> &[Merge] {
@@ -434,6 +428,13 @@ fn finalize_linkage(n: usize, mut raw: Vec<(u32, u32, f32)>) -> Dendrogram {
 mod tests {
     use super::*;
     use crate::distance::{CosinePoints, MatrixDistance};
+
+    impl Dendrogram {
+        /// Number of input points.
+        fn n_leaves(&self) -> usize {
+            self.n_leaves
+        }
+    }
 
     fn line_points() -> MatrixDistance {
         // Four points on a line at coordinates 0, 1, 10, 11.

@@ -396,17 +396,6 @@ pub fn pairwise_matrix_into<D: PairwiseDistance + ?Sized>(points: &D, out: &mut 
     });
 }
 
-/// Build a [`MatrixDistance`] from any point set via
-/// [`pairwise_matrix_into`] (parallel when workers are available).
-pub fn pairwise_matrix<D: PairwiseDistance + ?Sized>(points: &D) -> MatrixDistance {
-    let mut data = Vec::new();
-    pairwise_matrix_into(points, &mut data);
-    MatrixDistance {
-        n: points.len(),
-        data,
-    }
-}
-
 /// An explicit (dense, symmetric) distance matrix — convenient in tests and
 /// for small precomputed inputs.
 pub struct MatrixDistance {
@@ -449,6 +438,17 @@ impl PairwiseDistance for MatrixDistance {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Build a [`MatrixDistance`] from any point set via
+    /// [`pairwise_matrix_into`].
+    fn pairwise_matrix<D: PairwiseDistance + ?Sized>(points: &D) -> MatrixDistance {
+        let mut data = Vec::new();
+        pairwise_matrix_into(points, &mut data);
+        MatrixDistance {
+            n: points.len(),
+            data,
+        }
+    }
 
     #[test]
     fn cosine_points_distance() {

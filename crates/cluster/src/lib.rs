@@ -30,4 +30,4 @@ pub mod partition;
 pub use agglomerative::{Dendrogram, Merge};
 pub use distance::{ChordBound, CondensedMatrix, CosinePoints, PairwiseDistance};
 pub use kmedoids::KMedoids;
-pub use partition::{auto_partition_k, knee_of, partition_indices, ShardSpectrum};
+pub use partition::{auto_partition_k, partition_indices, ShardSpectrum};

@@ -54,7 +54,7 @@ pub struct ShardSpectrum {
     /// Total k-medoids cost (sum of point-to-medoid distances) at each
     /// candidate count.
     pub costs: Vec<f64>,
-    /// The chosen count — see [`knee_of`].
+    /// The chosen count: the knee of `costs` over `candidates`.
     pub knee: usize,
 }
 
@@ -65,7 +65,7 @@ pub struct ShardSpectrum {
 /// three candidates, a flat or non-finite cost range, or no candidate below
 /// the chord — answer `1` (don't split). Deterministic: pure arithmetic on
 /// the inputs, no RNG, no thread dependence.
-pub fn knee_of(candidates: &[usize], costs: &[f64]) -> usize {
+fn knee_of(candidates: &[usize], costs: &[f64]) -> usize {
     if candidates.len() < 3 || candidates.len() != costs.len() {
         return 1;
     }

@@ -11,7 +11,7 @@ use std::path::Path;
 use dln_fault::DlnError;
 
 use crate::vector::TopicAccumulator;
-use crate::vocab::{TokenId, Vocabulary, VocabularyConfig};
+use crate::vocab::{Vocabulary, VocabularyConfig};
 
 /// A word-embedding model: maps word tokens to dense vectors.
 pub trait EmbeddingModel: Send + Sync {
@@ -122,12 +122,6 @@ impl SyntheticEmbedding {
         &self.vocab
     }
 
-    /// Whether a vocabulary word has an embedding under the coverage mask.
-    #[inline]
-    pub fn is_covered(&self, id: TokenId) -> bool {
-        self.covered[id.index()]
-    }
-
     /// Fraction of vocabulary words with embeddings.
     pub fn coverage(&self) -> f64 {
         if self.covered.is_empty() {
@@ -198,8 +192,7 @@ impl VecFileModel {
     ///
     /// Lines that do not match the expected arity are skipped (real fastText
     /// dumps contain a few malformed rows). Returns an error only if no
-    /// valid rows are found. Compatibility wrapper over
-    /// [`from_reader_report`](Self::from_reader_report), dropping the report.
+    /// valid rows are found.
     pub fn from_reader<R: BufRead>(reader: R) -> std::io::Result<Self> {
         Self::from_reader_report(reader)
             .map(|(m, _)| m)
@@ -211,7 +204,7 @@ impl VecFileModel {
     /// rows (arity/dimension mismatch), rows with NaN/infinite components,
     /// and duplicate words are counted and skipped. Errors only on IO
     /// failure or when no valid row is found at all.
-    pub fn from_reader_report<R: BufRead>(reader: R) -> Result<(Self, VecLoadReport), DlnError> {
+    fn from_reader_report<R: BufRead>(reader: R) -> Result<(Self, VecLoadReport), DlnError> {
         let mut report = VecLoadReport::default();
         let mut dim = 0usize;
         let mut vectors: Vec<f32> = Vec::new();
@@ -315,6 +308,15 @@ impl EmbeddingModel for VecFileModel {
 mod tests {
     use super::*;
     use crate::vector::l2_norm;
+    use crate::vocab::TokenId;
+
+    impl SyntheticEmbedding {
+        /// Whether a vocabulary word has an embedding under the coverage
+        /// mask.
+        fn is_covered(&self, id: TokenId) -> bool {
+            self.covered[id.index()]
+        }
+    }
 
     fn model(coverage: f64) -> SyntheticEmbedding {
         SyntheticEmbedding::new(&SyntheticEmbeddingConfig {

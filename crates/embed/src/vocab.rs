@@ -266,44 +266,6 @@ impl Vocabulary {
         scored.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         scored
     }
-
-    /// Sample `n` words whose pairwise cosine similarity does not exceed
-    /// `max_pairwise_cos` — the paper's procedure for choosing tag words
-    /// ("a sample of 365 words from the fastText database that are not very
-    /// close according to Cosine similarity", §4.1).
-    ///
-    /// Greedy rejection sampling; panics if the vocabulary cannot supply `n`
-    /// such words within `100 * n` proposals.
-    pub fn sample_distant_words(
-        &self,
-        n: usize,
-        max_pairwise_cos: f32,
-        rng: &mut impl Rng,
-    ) -> Vec<TokenId> {
-        assert!(n <= self.len(), "cannot sample more words than exist");
-        let mut chosen: Vec<TokenId> = Vec::with_capacity(n);
-        let mut attempts = 0usize;
-        let budget = 100 * n.max(1);
-        while chosen.len() < n {
-            attempts += 1;
-            assert!(
-                attempts <= budget,
-                "vocabulary too dense to sample {n} words with pairwise cosine <= {max_pairwise_cos}"
-            );
-            let cand = TokenId(rng.random_range(0..self.len() as u32));
-            if chosen.contains(&cand) {
-                continue;
-            }
-            let cv = self.vector(cand);
-            let ok = chosen
-                .iter()
-                .all(|&c| crate::vector::dot(self.vector(c), cv) <= max_pairwise_cos);
-            if ok {
-                chosen.push(cand);
-            }
-        }
-        chosen
-    }
 }
 
 #[cfg(test)]
@@ -409,20 +371,6 @@ mod tests {
         let v = small();
         let nn = v.k_nearest(v.vector(TokenId(0)), 10_000);
         assert_eq!(nn.len(), v.len());
-    }
-
-    #[test]
-    fn sample_distant_words_respects_threshold() {
-        let v = small();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let picked = v.sample_distant_words(6, 0.5, &mut rng);
-        assert_eq!(picked.len(), 6);
-        for i in 0..picked.len() {
-            for j in (i + 1)..picked.len() {
-                let c = dot(v.vector(picked[i]), v.vector(picked[j]));
-                assert!(c <= 0.5 + 1e-6, "pairwise cosine {c} exceeds threshold");
-            }
-        }
     }
 
     #[test]

@@ -94,9 +94,7 @@ impl LakeBuilder {
     /// the topic accumulator (the paper's per-value word-embedding mean).
     /// The values themselves are counted, not kept.
     ///
-    /// Panics on a model/lake dimension mismatch; use
-    /// [`try_add_attribute`](Self::try_add_attribute) for a recoverable
-    /// error instead.
+    /// Panics on a model/lake dimension mismatch.
     pub fn add_attribute<'a, I, M>(
         &mut self,
         table: TableId,
@@ -116,9 +114,8 @@ impl LakeBuilder {
 
     /// Fallible form of [`add_attribute`](Self::add_attribute): a
     /// model/lake dimension mismatch is reported as
-    /// [`DlnError::DimMismatch`] instead of panicking, so ingest can
-    /// quarantine the offending table and continue.
-    pub fn try_add_attribute<'a, I, M>(
+    /// [`DlnError::DimMismatch`].
+    fn try_add_attribute<'a, I, M>(
         &mut self,
         table: TableId,
         name: &str,

@@ -3,9 +3,10 @@
 //! This is the path for pointing the system at real open-data dumps. Each
 //! `*.csv` file becomes one table; an optional sidecar `<stem>.tags` file
 //! (one tag label per line) carries the portal metadata tags. Columns are
-//! classified as text or numeric by sampling values (the paper builds
-//! organizations over *text* attributes only, §3.1: 26% of Socrata
-//! attributes are text but 92% of tables have at least one).
+//! classified as text or numeric by sampling values, and numeric columns
+//! are skipped (the paper builds organizations over *text* attributes
+//! only, §3.1: 26% of Socrata attributes are text but 92% of tables have
+//! at least one).
 //!
 //! The parser is a minimal RFC-4180 subset implemented here to stay within
 //! the allowed dependency set: quoted fields, embedded commas, doubled
@@ -15,12 +16,12 @@
 //! needs an owned copy.
 //!
 //! [`ingest_dir`] works file-parallel: each worker reads, validates,
-//! parses and classifies one file, profiles its numeric columns, reads its
-//! sidecar and accumulates each text column's topic. The per-file results
-//! are then applied to the report, the numeric catalog and the lake
-//! builder serially in sorted file order, so ids, warnings and quarantine
-//! order do not depend on the thread count. The `ingest.read` failpoint is
-//! keyed by the file's index in that order for the same reason.
+//! parses and classifies one file, reads its sidecar and accumulates each
+//! text column's topic. The per-file results are then applied to the
+//! report and the lake builder serially in sorted file order, so ids,
+//! warnings and quarantine order do not depend on the thread count. The
+//! `ingest.read` failpoint is keyed by the file's index in that order for
+//! the same reason.
 
 use std::borrow::Cow;
 use std::io::BufRead;
@@ -31,7 +32,6 @@ use dln_fault::DlnError;
 
 use crate::builder::{embed_value, LakeBuilder};
 use crate::model::DataLake;
-use crate::numeric::{NumericCatalog, NumericColumn, NumericProfile};
 use crate::values::{ValueStore, Values};
 
 /// Options for CSV ingestion.
@@ -175,39 +175,15 @@ fn parse_rows(input: &str) -> (Vec<Vec<Cow<'_, str>>>, bool) {
     (rows, unbalanced)
 }
 
-/// Parse an entire CSV byte buffer into rows of fields.
-pub fn parse_csv(input: &[u8]) -> Vec<Vec<String>> {
-    parse_csv_checked(input).0
-}
-
-/// As [`parse_csv`], but also reporting whether the buffer ended inside an
-/// open quote (unbalanced quotes / truncated file). The ingest path
-/// quarantines such files; [`parse_csv`] keeps the lenient salvage
-/// behavior for programmatic callers: invalid UTF-8 is replaced with
-/// U+FFFD rather than rejected.
-pub fn parse_csv_checked(input: &[u8]) -> (Vec<Vec<String>>, bool) {
-    let text = String::from_utf8_lossy(input);
-    let (rows, unbalanced) = parse_rows(&text);
-    let rows = rows
-        .into_iter()
-        .map(|row| row.into_iter().map(Cow::into_owned).collect())
-        .collect();
-    (rows, unbalanced)
-}
-
 /// A parsed table before lake insertion.
 #[derive(Clone, Debug)]
 pub struct ParsedTable {
     /// Table name (file stem).
     pub name: String,
-    /// Metadata tags from the sidecar file.
-    pub tags: Vec<String>,
     /// Text columns: `(column name, values)`.
     pub text_columns: Vec<(String, Values)>,
     /// Names of columns classified as numeric and skipped.
     pub numeric_columns: Vec<String>,
-    /// Raw values of the numeric columns (for profiling).
-    pub numeric_values: Vec<(String, Values)>,
 }
 
 /// Classify and extract the text columns of a parsed CSV. Each kept value
@@ -216,17 +192,15 @@ pub struct ParsedTable {
 ///
 /// # Panics
 /// When one column's values exceed `u32::MAX` bytes (see [`Values`]).
-pub fn extract_text_columns<S: AsRef<str>>(
+fn extract_text_columns<S: AsRef<str>>(
     name: &str,
     rows: &[Vec<S>],
     opts: &CsvOptions,
 ) -> ParsedTable {
     let mut table = ParsedTable {
         name: name.to_string(),
-        tags: Vec::new(),
         text_columns: Vec::new(),
         numeric_columns: Vec::new(),
-        numeric_values: Vec::new(),
     };
     let Some(first) = rows.first() else {
         return table;
@@ -273,8 +247,7 @@ pub fn extract_text_columns<S: AsRef<str>>(
         if text_fraction >= opts.text_threshold {
             table.text_columns.push((col_name, values));
         } else {
-            table.numeric_columns.push(col_name.clone());
-            table.numeric_values.push((col_name, values));
+            table.numeric_columns.push(col_name);
         }
     }
     table
@@ -336,7 +309,7 @@ enum Quarantine {
 }
 
 /// Result of [`ingest_dir`]: the lake catalog, the raw values of its
-/// attributes, the numeric-column catalog, and the quarantine report.
+/// attributes, and the quarantine report.
 #[derive(Debug)]
 pub struct Ingest {
     /// The text-attribute lake catalog.
@@ -344,8 +317,6 @@ pub struct Ingest {
     /// Every text attribute's values (trimmed, non-empty, in row order),
     /// one entry per attribute of `lake`.
     pub values: ValueStore,
-    /// Distributional profiles of the numeric columns (§3.1 future work).
-    pub numeric: NumericCatalog,
     /// What was loaded, skipped, and quarantined.
     pub report: IngestReport,
 }
@@ -355,36 +326,7 @@ pub struct Ingest {
 /// table without a sidecar gets a single tag equal to its name (open-data
 /// portals always expose at least the dataset title as a keyword).
 ///
-/// Pre-robustness-layer wrapper over [`ingest_dir`]: malformed inputs are
-/// quarantined (not fatal) but the report and the raw values are dropped.
-/// Only a failure to list `dir` itself is an error.
-pub fn load_dir<M: EmbeddingModel>(
-    dir: &Path,
-    model: &M,
-    opts: &CsvOptions,
-) -> std::io::Result<DataLake> {
-    ingest_dir(dir, model, opts)
-        .map(|i| i.lake)
-        .map_err(std::io::Error::from)
-}
-
-/// As [`load_dir`], but additionally profiling the *numeric* columns that
-/// organization construction skips (§3.1), so they are not lost: the
-/// returned [`NumericCatalog`] carries a distributional profile per
-/// numeric column (the substrate for the paper's numerical-attributes
-/// future work — see [`crate::numeric`]).
-pub fn load_dir_with_numeric<M: EmbeddingModel>(
-    dir: &Path,
-    model: &M,
-    opts: &CsvOptions,
-) -> std::io::Result<(DataLake, NumericCatalog)> {
-    ingest_dir(dir, model, opts)
-        .map(|i| (i.lake, i.numeric))
-        .map_err(std::io::Error::from)
-}
-
-/// The robust ingest path: load every `*.csv` under `dir` (non-recursive),
-/// quarantining unreadable / malformed files into the [`IngestReport`]
+/// Unreadable / malformed files are quarantined into the [`IngestReport`]
 /// instead of aborting. Only a failure to list `dir` itself is fatal.
 ///
 /// Files are read, parsed and embedded in parallel (one file per task) and
@@ -402,7 +344,6 @@ pub fn ingest_dir<M: EmbeddingModel>(
     opts: &CsvOptions,
 ) -> Result<Ingest, DlnError> {
     let mut report = IngestReport::default();
-    let mut catalog = NumericCatalog::default();
     let mut builder = LakeBuilder::new(model.dim());
     let mut values = ValueStore::new();
     let listing = std::fs::read_dir(dir)
@@ -438,7 +379,6 @@ pub fn ingest_dir<M: EmbeddingModel>(
             report.tag_sidecar_errors += 1;
             eprintln!("{warning}");
         }
-        catalog.columns.extend(table.numeric);
         if table.text.is_empty() {
             report.tables_without_text += 1;
             continue; // no organizable content (§3.1: text attributes only)
@@ -457,7 +397,6 @@ pub fn ingest_dir<M: EmbeddingModel>(
     Ok(Ingest {
         lake: builder.build(),
         values,
-        numeric: catalog,
         report,
     })
 }
@@ -469,7 +408,6 @@ struct FileTable {
     tags: Vec<String>,
     /// The warning to print when the sidecar existed but was unreadable.
     sidecar_warning: Option<String>,
-    numeric: Vec<NumericColumn>,
     text: Vec<TextColumn>,
 }
 
@@ -535,20 +473,6 @@ fn ingest_file<M: EmbeddingModel>(
     if tags.is_empty() {
         tags.push(stem);
     }
-    // Numeric columns are profiled whether or not the table enters the
-    // (text-only) lake.
-    let numeric = parsed
-        .numeric_values
-        .iter()
-        .filter_map(|(col, values)| {
-            let profile = NumericProfile::from_strings(values.iter(), 2)?;
-            Some(NumericColumn {
-                table_name: parsed.name.clone(),
-                column: col.clone(),
-                profile,
-            })
-        })
-        .collect();
     let mut token = String::new();
     let text = parsed
         .text_columns
@@ -569,7 +493,6 @@ fn ingest_file<M: EmbeddingModel>(
         name: parsed.name,
         tags,
         sidecar_warning,
-        numeric,
         text,
     })
 }
@@ -591,6 +514,21 @@ fn read_tag_sidecar(path: &Path) -> std::io::Result<Vec<String>> {
 mod tests {
     use super::*;
     use dln_embed::{SyntheticEmbedding, VocabularyConfig};
+
+    /// Parse an entire CSV byte buffer into rows of owned fields, and
+    /// whether it ended inside an open quote.
+    fn parse_csv_checked(input: &[u8]) -> (Vec<Vec<String>>, bool) {
+        let (rows, unbalanced) = parse_rows(std::str::from_utf8(input).unwrap());
+        let rows = rows
+            .into_iter()
+            .map(|row| row.into_iter().map(Cow::into_owned).collect())
+            .collect();
+        (rows, unbalanced)
+    }
+
+    fn parse_csv(input: &[u8]) -> Vec<Vec<String>> {
+        parse_csv_checked(input).0
+    }
 
     #[test]
     fn parses_simple_rows() {
@@ -639,50 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn numeric_columns_are_profiled() {
-        let m = SyntheticEmbedding::with_vocab_config(VocabularyConfig {
-            n_topics: 2,
-            words_per_topic: 4,
-            dim: 8,
-            sigma: 0.3,
-            seed: 4,
-            n_supertopics: 0,
-            supertopic_sigma: 0.7,
-        });
-        let w0 = m.vocab().word(dln_embed::TokenId(0)).to_string();
-        let dir = std::env::temp_dir().join(format!("dln_csv_num_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("mixed.csv"),
-            format!("city,pop,score\n{w0},61000,0.5\n{w0},99000,0.7\n{w0},45000,0.9\n"),
-        )
-        .unwrap();
-        let _fp = dln_fault::scoped("").unwrap();
-        let (lake, catalog) = load_dir_with_numeric(&dir, &m, &CsvOptions::default()).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-        assert_eq!(lake.n_tables(), 1);
-        assert_eq!(catalog.len(), 2, "pop and score profiled");
-        let pop = catalog
-            .columns
-            .iter()
-            .find(|c| c.column == "pop")
-            .expect("pop profiled");
-        assert_eq!(pop.table_name, "mixed");
-        assert_eq!(pop.profile.n_values, 3);
-        assert_eq!(pop.profile.min, 45000.0);
-        assert_eq!(pop.profile.fraction_int, 1.0);
-        let score = catalog
-            .columns
-            .iter()
-            .find(|c| c.column == "score")
-            .expect("score profiled");
-        assert_eq!(score.profile.fraction_int, 0.0);
-        // Shape similarity separates counts from scores.
-        let sims = catalog.similar_columns(0, 1);
-        assert_eq!(sims.len(), 1);
-    }
-
-    #[test]
     fn load_dir_with_sidecar_tags() {
         let m = SyntheticEmbedding::with_vocab_config(VocabularyConfig {
             n_topics: 2,
@@ -702,7 +596,7 @@ mod tests {
         std::fs::write(dir.join("beta.csv"), format!("c1,c2\n{w1},7\n{w1},9\n")).unwrap();
         std::fs::write(dir.join("ignore.txt"), "not a csv").unwrap();
         let _fp = dln_fault::scoped("").unwrap();
-        let lake = load_dir(&dir, &m, &CsvOptions::default()).unwrap();
+        let lake = ingest_dir(&dir, &m, &CsvOptions::default()).unwrap().lake;
         std::fs::remove_dir_all(&dir).unwrap();
         assert_eq!(lake.n_tables(), 2);
         assert!(lake.tag_by_label("health").is_some());

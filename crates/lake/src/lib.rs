@@ -14,7 +14,7 @@
 //! live in a [`ValueStore`] beside it, read only by keyword search and the
 //! study. The catalog is produced by [`LakeBuilder`] (programmatic /
 //! generator use) or by the CSV ingester in [`csv`], which returns the
-//! value store next to it.
+//! value store next to it and leaves numeric columns out (§3.1).
 
 #![warn(missing_docs)]
 // Robustness contract (ISSUE 3): ingest must degrade gracefully, never
@@ -26,7 +26,6 @@ pub mod builder;
 pub mod cdc;
 pub mod csv;
 pub mod model;
-pub mod numeric;
 pub mod stats;
 pub mod values;
 
@@ -34,6 +33,5 @@ pub use builder::LakeBuilder;
 pub use cdc::{replay, AttrChange, ChangeEvent, ChangeHistory, ChangeLog, ReplayStats};
 pub use csv::{Ingest, IngestReport};
 pub use model::{AttrId, Attribute, DataLake, Table, TableId, Tag, TagId};
-pub use numeric::{NumericCatalog, NumericColumn, NumericProfile};
 pub use stats::LakeStats;
 pub use values::{ValueStore, Values};

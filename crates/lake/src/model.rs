@@ -235,30 +235,6 @@ impl DataLake {
         b.build()
     }
 
-    /// Split the lake's tables into groups by tag-cluster assignment:
-    /// `tag_group[t]` maps each tag to a group in `0..n_groups`; a table goes
-    /// to the group owning the majority of its tags (ties → lowest group).
-    /// Tables without tags go to group 0.
-    pub fn tables_by_tag_group(&self, tag_group: &[usize], n_groups: usize) -> Vec<Vec<TableId>> {
-        assert_eq!(tag_group.len(), self.n_tags());
-        let mut groups = vec![Vec::new(); n_groups];
-        let mut counts = vec![0usize; n_groups];
-        for tid in self.table_ids() {
-            counts.iter_mut().for_each(|c| *c = 0);
-            for &tg in &self.table(tid).tags {
-                counts[tag_group[tg.index()]] += 1;
-            }
-            let best = counts
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-                .map(|(g, _)| g)
-                .unwrap_or(0);
-            groups[best].push(tid);
-        }
-        groups
-    }
-
     /// Lake-wide statistics.
     pub fn stats(&self) -> crate::stats::LakeStats {
         crate::stats::LakeStats::compute(self)
@@ -428,19 +404,5 @@ mod tests {
         let proj = sub.attr(AttrId(0));
         assert_eq!(orig.topic.count(), proj.topic.count());
         assert_eq!(orig.unit_topic, proj.unit_topic);
-    }
-
-    #[test]
-    fn tables_by_tag_group_majority() {
-        let lake = tiny_lake();
-        let fish = lake.tag_by_label("fish").unwrap();
-        // Put "fish" in group 1, "ocean" in group 0.
-        let mut groups = vec![0usize; lake.n_tags()];
-        groups[fish.index()] = 1;
-        let split = lake.tables_by_tag_group(&groups, 2);
-        // table 0 has one tag in each group → tie → lowest group (0);
-        // table 1 has only "fish" → group 1.
-        assert_eq!(split[0], vec![TableId(0)]);
-        assert_eq!(split[1], vec![TableId(1)]);
     }
 }

@@ -394,11 +394,11 @@ pub use sys::Poller;
 
 mod pipe_ffi {
     extern "C" {
-        pub fn pipe(fds: *mut i32) -> i32;
-        pub fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
-        pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        pub fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-        pub fn close(fd: i32) -> i32;
+        pub(super) fn pipe(fds: *mut i32) -> i32;
+        pub(super) fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
+        pub(super) fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
+        pub(super) fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+        pub(super) fn close(fd: i32) -> i32;
     }
     pub const F_SETFL: i32 = 4;
     #[cfg(target_os = "linux")]

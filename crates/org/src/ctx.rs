@@ -65,7 +65,6 @@ pub struct OrgContext {
     /// contiguous mirror of `attrs[a].unit_topic`, so query-unit scans and
     /// final-hop softmaxes stream over adjacent memory.
     attr_units: Vec<f32>,
-    attr_of_global: HashMap<AttrId, u32>,
     tag_of_global: HashMap<TagId, u32>,
 }
 
@@ -107,7 +106,6 @@ impl OrgContext {
                 Some(local_tags)
             }
         });
-        let mut attr_of_global: HashMap<AttrId, u32> = HashMap::new();
         let mut attrs: Vec<LocalAttr> = Vec::new();
         let mut table_of_global: HashMap<TableId, u32> = HashMap::new();
         let mut tables: Vec<LocalTable> = Vec::new();
@@ -124,7 +122,6 @@ impl OrgContext {
                 (tables.len() - 1) as u32
             });
             let local = attrs.len() as u32;
-            attr_of_global.insert(aid, local);
             tables[local_table as usize].attrs.push(local);
             attrs.push(LocalAttr {
                 global: aid,
@@ -165,7 +162,6 @@ impl OrgContext {
             attrs,
             tables,
             attr_units,
-            attr_of_global,
             tag_of_global,
         }
     }
@@ -233,11 +229,6 @@ impl OrgContext {
         &self.attr_units[i..i + self.dim]
     }
 
-    /// Local id of a lake-global attribute, if present in this context.
-    pub fn local_attr(&self, global: AttrId) -> Option<u32> {
-        self.attr_of_global.get(&global).copied()
-    }
-
     /// Local id of a lake-global tag, if present in this context.
     pub fn local_tag(&self, global: TagId) -> Option<u32> {
         self.tag_of_global.get(&global).copied()
@@ -271,9 +262,9 @@ mod tests {
     #[test]
     fn local_ids_roundtrip() {
         let (lake, ctx) = small_ctx();
-        for aid in lake.attr_ids() {
-            let local = ctx.local_attr(aid).expect("attr present");
-            assert_eq!(ctx.attr(local).global, aid);
+        // A full context admits every TagCloud attribute, in lake order.
+        for (local, aid) in lake.attr_ids().enumerate() {
+            assert_eq!(ctx.attr(local as u32).global, aid);
         }
         for tg in lake.tag_ids() {
             let local = ctx.local_tag(tg).expect("tag present");

@@ -162,15 +162,6 @@ impl Organization {
         self.states.iter().filter(|s| s.alive).count()
     }
 
-    /// Number of alive edges.
-    pub fn n_edges(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| s.alive)
-            .map(|s| s.children.len())
-            .sum()
-    }
-
     /// Structural + topical fingerprint of the alive part of the
     /// organization (FNV-folded): slot identities, tag assignments, exact
     /// child/parent list order, and unit-topic bits. Two organizations
@@ -838,6 +829,17 @@ mod tests {
     use super::*;
     use crate::ctx::OrgContext;
     use dln_synth::TagCloudConfig;
+
+    impl Organization {
+        /// Number of alive edges.
+        fn n_edges(&self) -> usize {
+            self.states
+                .iter()
+                .filter(|s| s.alive)
+                .map(|s| s.children.len())
+                .sum()
+        }
+    }
 
     fn ctx() -> OrgContext {
         let bench = TagCloudConfig::small().generate();

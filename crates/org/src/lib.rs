@@ -67,7 +67,6 @@ pub mod checkpoint;
 pub mod ctx;
 mod cycle;
 pub mod eval;
-pub mod export;
 pub mod graph;
 pub mod init;
 mod maintain;
@@ -87,7 +86,6 @@ pub use checkpoint::{Checkpoint, CheckpointConfig};
 pub use ctx::{LocalAttr, LocalTag, OrgContext};
 pub use cycle::{Advance, CyclePhase, CycleStage, EMPTY_SHARD};
 pub use eval::{Evaluator, NavConfig};
-pub use export::{load_json, save_json, to_dot};
 pub use graph::{Organization, StateId};
 pub use init::{bisecting_org, clustering_org, flat_org, random_org};
 pub use maintain::{MaintConfig, Maintainer};

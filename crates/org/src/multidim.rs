@@ -71,17 +71,10 @@ impl MultiDimOrganization {
     /// Partition the lake's tags into `cfg.n_dims` groups by k-medoids over
     /// tag topic vectors and optimize one organization per group.
     pub fn build(lake: &DataLake, cfg: &MultiDimConfig) -> MultiDimOrganization {
-        let groups = partition_tags(lake, cfg.n_dims, cfg.partition_seed);
-        Self::build_from_groups(lake, groups, cfg)
-    }
-
-    /// Build from an explicit tag partition (used by tests and ablations).
-    pub fn build_from_groups(
-        lake: &DataLake,
-        groups: Vec<Vec<TagId>>,
-        cfg: &MultiDimConfig,
-    ) -> MultiDimOrganization {
-        let groups: Vec<Vec<TagId>> = groups.into_iter().filter(|g| !g.is_empty()).collect();
+        let groups: Vec<Vec<TagId>> = partition_tags(lake, cfg.n_dims, cfg.partition_seed)
+            .into_iter()
+            .filter(|g| !g.is_empty())
+            .collect();
         let mut dims = rayon::par_map(groups.len(), |i| {
             OrganizerBuilder::new(lake)
                 .tag_group(groups[i].clone())

@@ -221,11 +221,6 @@ impl<'a> Navigator<'a> {
         counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         counts
     }
-
-    /// Number of attributes under the current state.
-    pub fn n_attrs_here(&self) -> usize {
-        self.org.state(self.current()).attrs.len()
-    }
 }
 
 #[cfg(test)]
@@ -233,6 +228,13 @@ mod tests {
     use super::*;
     use crate::init::clustering_org;
     use dln_synth::TagCloudConfig;
+
+    impl Navigator<'_> {
+        /// Number of attributes under the current state.
+        fn n_attrs_here(&self) -> usize {
+            self.org.state(self.current()).attrs.len()
+        }
+    }
 
     fn setup() -> (OrgContext, Organization) {
         let bench = TagCloudConfig::small().generate();

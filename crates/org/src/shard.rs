@@ -109,18 +109,6 @@ impl ShardedBuild {
         self.built.effectiveness()
     }
 
-    /// Wall-clock construction time under the parallel schedule: the
-    /// maximum over shard searches (the same reporting convention as
-    /// [`crate::multidim::MultiDimOrganization::parallel_construction_time`]).
-    pub fn construction_time(&self) -> std::time::Duration {
-        self.shard_stats
-            .iter()
-            .flatten()
-            .map(|s| s.duration)
-            .max()
-            .unwrap_or_default()
-    }
-
     /// Total search proposals across all shards.
     pub fn total_iterations(&self) -> usize {
         self.shard_stats

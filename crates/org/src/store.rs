@@ -41,7 +41,7 @@
 use std::path::Path;
 
 use dln_fault::{DlnError, DlnResult};
-use dln_lake::{TableId, TagId};
+use dln_lake::TableId;
 
 use crate::ctx::OrgContext;
 use crate::eval::NavConfig;
@@ -144,7 +144,7 @@ fn csr<'a>(lists: impl Iterator<Item = &'a [u32]>) -> (Vec<u8>, Vec<u8>) {
 /// Serialize a complete serving snapshot to the store wire format
 /// (header, section table, checksums, aligned payloads — the exact bytes
 /// [`open_store`] maps).
-pub fn encode_store(ctx: &OrgContext, org: &Organization, nav: NavConfig) -> Vec<u8> {
+fn encode_store(ctx: &OrgContext, org: &Organization, nav: NavConfig) -> Vec<u8> {
     let dim = ctx.dim();
     let n_tags = ctx.n_tags();
     let n_attrs = ctx.n_attrs();
@@ -440,7 +440,7 @@ mod mmap_ffi {
     pub const PROT_READ: i32 = 1;
     pub const MAP_PRIVATE: i32 = 2;
     extern "C" {
-        pub fn mmap(
+        pub(super) fn mmap(
             addr: *mut c_void,
             length: usize,
             prot: i32,
@@ -448,7 +448,7 @@ mod mmap_ffi {
             fd: i32,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, length: usize) -> i32;
+        pub(super) fn munmap(addr: *mut c_void, length: usize) -> i32;
     }
 }
 
@@ -534,7 +534,7 @@ impl Mapping {
     /// Map `path` read-only. The `store.mmap` failpoint and
     /// `DLN_STORE_MMAP=0` force the heap fallback; a real `mmap` failure
     /// also falls back rather than erroring.
-    pub fn from_file(path: &Path) -> DlnResult<Mapping> {
+    fn from_file(path: &Path) -> DlnResult<Mapping> {
         if dln_fault::should_fail("store.mmap")
             || std::env::var("DLN_STORE_MMAP").is_ok_and(|v| v.trim() == "0")
         {
@@ -639,21 +639,6 @@ fn cast_slice<T: Copy>(b: &[u8]) -> &[T] {
     mid
 }
 
-/// Binary search a sorted `(key, value)` u32-pair section.
-fn pair_lookup(pairs: &[u32], key: u32) -> Option<u32> {
-    let n = pairs.len() / 2;
-    let (mut lo, mut hi) = (0usize, n);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if pairs[2 * mid] < key {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    (lo < n && pairs[2 * lo] == key).then(|| pairs[2 * lo + 1])
-}
-
 /// Validate that `offs` is a monotone CSR offset array ending at
 /// `data_len`, with `n + 1` entries.
 fn check_csr(context: &str, name: &str, offs: &[u32], n: usize, data_len: usize) -> DlnResult<()> {
@@ -688,7 +673,7 @@ fn check_csr(context: &str, name: &str, offs: &[u32], n: usize, data_len: usize)
 impl MappedSnapshot {
     /// Validate and adopt a mapping as a snapshot. All structural checks
     /// happen here; accessors afterwards are plain slice views.
-    pub fn from_mapping(map: Mapping, context: &str) -> DlnResult<MappedSnapshot> {
+    fn from_mapping(map: Mapping, context: &str) -> DlnResult<MappedSnapshot> {
         let b = map.bytes();
         if b.len() < header_size() {
             return Err(corrupt(
@@ -1022,11 +1007,6 @@ impl MappedSnapshot {
         self.fingerprint
     }
 
-    /// Total file size in bytes.
-    pub fn n_bytes(&self) -> usize {
-        self.map.bytes().len()
-    }
-
     /// True when served from a real memory map (false = heap fallback).
     pub fn is_mmap(&self) -> bool {
         self.map.is_mmap()
@@ -1036,28 +1016,6 @@ impl MappedSnapshot {
     /// cached at save time.
     pub fn levels(&self) -> &[u32] {
         self.sec_u32(SEC_LEVELS)
-    }
-
-    /// O(log n) point lookup: the tag state of a lake-global tag id, via
-    /// the sorted secondary index built at save time.
-    pub fn state_of_global_tag(&self, tag: TagId) -> Option<StateId> {
-        let local = pair_lookup(self.sec_u32(SEC_IDX_TAG_BY_GLOBAL), tag.0)?;
-        Some(StateId(self.sec_u32(SEC_TAG_STATES)[local as usize]))
-    }
-
-    /// O(log n) point lookup: the local table id of a lake-global table.
-    pub fn local_table_of(&self, table: TableId) -> Option<u32> {
-        pair_lookup(self.sec_u32(SEC_IDX_TABLE_BY_GLOBAL), table.0)
-    }
-
-    /// The tag states that can discover local table `ti` (sorted; a table
-    /// is discovered at the sinks of tags its attributes carry, §4.3.4).
-    pub fn states_for_table(&self, ti: u32) -> &[StateId] {
-        Self::as_states(self.csr_row(
-            SEC_IDX_TABLE_STATES_OFFS,
-            self.sec_u32(SEC_IDX_TABLE_STATES_DATA),
-            ti as usize,
-        ))
     }
 
     /// Re-publish this snapshot's exact bytes at `path` (atomic write +
@@ -1179,6 +1137,7 @@ mod tests {
     use super::*;
     use crate::init::clustering_org;
     use crate::view::OwnedSnap;
+    use dln_lake::TagId;
     use dln_synth::TagCloudConfig;
     use std::sync::Arc;
 
@@ -1193,6 +1152,47 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dln_store_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    /// Binary search a sorted `(key, value)` u32-pair section.
+    fn pair_lookup(pairs: &[u32], key: u32) -> Option<u32> {
+        let n = pairs.len() / 2;
+        let (mut lo, mut hi) = (0usize, n);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if pairs[2 * mid] < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo < n && pairs[2 * lo] == key).then(|| pairs[2 * lo + 1])
+    }
+
+    /// Point lookups over the secondary index sections that `encode_store`
+    /// writes and open validates; only these tests read them.
+    impl MappedSnapshot {
+        /// O(log n) point lookup: the tag state of a lake-global tag id, via
+        /// the sorted secondary index built at save time.
+        fn state_of_global_tag(&self, tag: TagId) -> Option<StateId> {
+            let local = pair_lookup(self.sec_u32(SEC_IDX_TAG_BY_GLOBAL), tag.0)?;
+            Some(StateId(self.sec_u32(SEC_TAG_STATES)[local as usize]))
+        }
+
+        /// O(log n) point lookup: the local table id of a lake-global table.
+        fn local_table_of(&self, table: TableId) -> Option<u32> {
+            pair_lookup(self.sec_u32(SEC_IDX_TABLE_BY_GLOBAL), table.0)
+        }
+
+        /// The tag states that can discover local table `ti` (sorted; a table
+        /// is discovered at the sinks of tags its attributes carry, §4.3.4).
+        fn states_for_table(&self, ti: u32) -> &[StateId] {
+            Self::as_states(self.csr_row(
+                SEC_IDX_TABLE_STATES_OFFS,
+                self.sec_u32(SEC_IDX_TABLE_STATES_DATA),
+                ti as usize,
+            ))
+        }
     }
 
     #[test]

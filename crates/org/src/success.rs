@@ -54,18 +54,12 @@ impl SuccessCurve {
     pub fn values(&self) -> Vec<f64> {
         self.per_table.iter().map(|(_, v)| *v).collect()
     }
-
-    /// Number of tables with success below `cut` (the "hard tail" the
-    /// enrichment experiment of §4.3.1 targets).
-    pub fn n_below(&self, cut: f64) -> usize {
-        self.per_table.iter().filter(|(_, v)| *v < cut).count()
-    }
 }
 
 /// Per-attribute success probabilities given per-attribute discovery
 /// probabilities (`attr_disc[global attr] = P(A|O)`, 0.0 for attributes the
 /// organization cannot reach).
-pub fn attr_success(lake: &DataLake, attr_disc: &[f64], theta: f32) -> Vec<f64> {
+fn attr_success(lake: &DataLake, attr_disc: &[f64], theta: f32) -> Vec<f64> {
     assert_eq!(attr_disc.len(), lake.n_attrs(), "one prob per attribute");
     let sets = similar_sets(lake, theta);
     sets.iter()
@@ -111,6 +105,13 @@ mod tests {
 
     fn lake() -> DataLake {
         TagCloudConfig::small().generate().lake
+    }
+
+    impl SuccessCurve {
+        /// Number of tables with success below `cut`.
+        fn n_below(&self, cut: f64) -> usize {
+            self.per_table.iter().filter(|(_, v)| *v < cut).count()
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub fn ones(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
 
 /// Does the little-endian word set `words` contain `v`?
 #[inline]
-pub fn word_contains(words: &[u64], v: u32) -> bool {
+fn word_contains(words: &[u64], v: u32) -> bool {
     let (b, m) = (v as usize / 64, 1u64 << (v % 64));
     b < words.len() && words[b] & m != 0
 }

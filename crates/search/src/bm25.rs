@@ -2,20 +2,10 @@
 //! and the paper's engine used for "BM25 document search over metadata and
 //! data in tables", §4.4).
 
-/// BM25 free parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct Bm25Params {
-    /// Term-frequency saturation (conventional default 1.2).
-    pub k1: f32,
-    /// Length normalization (conventional default 0.75).
-    pub b: f32,
-}
-
-impl Default for Bm25Params {
-    fn default() -> Self {
-        Bm25Params { k1: 1.2, b: 0.75 }
-    }
-}
+/// Term-frequency saturation (the conventional value).
+const K1: f32 = 1.2;
+/// Length normalization (the conventional value).
+const B: f32 = 0.75;
 
 /// The (non-negative, "plus"-floored) BM25 inverse document frequency.
 #[inline]
@@ -27,9 +17,9 @@ pub fn idf(n_docs: usize, doc_freq: usize) -> f32 {
 
 /// The per-document BM25 term score.
 #[inline]
-pub fn term_score(params: Bm25Params, tf: f32, doc_len: f32, avg_doc_len: f32) -> f32 {
-    let denom = tf + params.k1 * (1.0 - params.b + params.b * doc_len / avg_doc_len.max(1e-9));
-    tf * (params.k1 + 1.0) / denom
+pub fn term_score(tf: f32, doc_len: f32, avg_doc_len: f32) -> f32 {
+    let denom = tf + K1 * (1.0 - B + B * doc_len / avg_doc_len.max(1e-9));
+    tf * (K1 + 1.0) / denom
 }
 
 #[cfg(test)]
@@ -45,25 +35,23 @@ mod tests {
 
     #[test]
     fn term_score_saturates_in_tf() {
-        let p = Bm25Params::default();
-        let s1 = term_score(p, 1.0, 100.0, 100.0);
-        let s2 = term_score(p, 2.0, 100.0, 100.0);
-        let s10 = term_score(p, 10.0, 100.0, 100.0);
+        let s1 = term_score(1.0, 100.0, 100.0);
+        let s2 = term_score(2.0, 100.0, 100.0);
+        let s10 = term_score(10.0, 100.0, 100.0);
         assert!(s2 > s1);
         assert!(s10 - s2 < (s2 - s1) * 9.0, "diminishing returns");
-        assert!(s10 < p.k1 + 1.0 + 1e-6, "bounded by k1 + 1");
+        assert!(s10 < K1 + 1.0 + 1e-6, "bounded by k1 + 1");
     }
 
     #[test]
     fn longer_documents_are_penalized() {
-        let p = Bm25Params::default();
-        let short = term_score(p, 2.0, 50.0, 100.0);
-        let long = term_score(p, 2.0, 400.0, 100.0);
+        let short = term_score(2.0, 50.0, 100.0);
+        let long = term_score(2.0, 400.0, 100.0);
         assert!(short > long);
     }
 
     #[test]
     fn zero_tf_scores_zero() {
-        assert_eq!(term_score(Bm25Params::default(), 0.0, 10.0, 10.0), 0.0);
+        assert_eq!(term_score(0.0, 10.0, 10.0), 0.0);
     }
 }

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use dln_lake::{DataLake, TableId, ValueStore};
 
-use crate::bm25::{idf, term_score, Bm25Params};
+use crate::bm25::{idf, term_score};
 use crate::expansion::{ExpansionConfig, Expansions};
 
 /// One search result.
@@ -29,7 +29,6 @@ struct Posting {
 /// attribute values (read from the lake's [`ValueStore`]; an attribute with
 /// an empty entry contributes its name only).
 pub struct KeywordSearch {
-    params: Bm25Params,
     postings: HashMap<String, Vec<Posting>>,
     doc_len: Vec<u32>,
     avg_doc_len: f32,
@@ -113,7 +112,6 @@ impl KeywordSearch {
             total as f32 / n_docs as f32
         };
         KeywordSearch {
-            params: Bm25Params::default(),
             postings,
             doc_len,
             avg_doc_len,
@@ -125,21 +123,6 @@ impl KeywordSearch {
     /// Number of indexed documents (tables).
     pub fn n_docs(&self) -> usize {
         self.doc_len.len()
-    }
-
-    /// Number of distinct indexed terms.
-    pub fn n_terms(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// Whether query expansion is available.
-    pub fn has_expansion(&self) -> bool {
-        self.expansions.is_some()
-    }
-
-    /// Set BM25 parameters.
-    pub fn set_params(&mut self, params: Bm25Params) {
-        self.params = params;
     }
 
     /// Search with expansion on (if available). See
@@ -188,7 +171,6 @@ impl KeywordSearch {
             for p in posts {
                 let s = w_idf
                     * term_score(
-                        self.params,
                         p.tf as f32,
                         self.doc_len[p.doc as usize] as f32,
                         self.avg_doc_len,
@@ -318,7 +300,7 @@ mod tests {
             m.clone(),
             ExpansionConfig::default(),
         );
-        assert!(engine.has_expansion());
+        assert!(engine.expansions.is_some());
         // Word 3 is in the same topic as indexed words 0..3 but is NOT in
         // the lake; expansion should still retrieve the fish table.
         let w3 = m.vocab().word(dln_embed::TokenId(3));

@@ -22,6 +22,5 @@ pub mod bm25;
 pub mod expansion;
 pub mod index;
 
-pub use bm25::Bm25Params;
 pub use expansion::ExpansionConfig;
 pub use index::{KeywordSearch, SearchHit};

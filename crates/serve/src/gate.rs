@@ -81,19 +81,6 @@ impl AdmissionGate {
         Ok(Permit { gate: self })
     }
 
-    /// Non-blocking variant: a permit now, or `Overloaded` (used by tests
-    /// and by callers that prefer shedding over queueing).
-    pub fn try_admit(&self) -> ServeResult<Permit<'_>> {
-        let mut st = lock_state(&self.state);
-        if st.active < self.max_active {
-            st.active += 1;
-            return Ok(Permit { gate: self });
-        }
-        Err(ServeError::Overloaded {
-            retry_after_ms: self.retry_base_ms,
-        })
-    }
-
     /// Currently admitted request count (diagnostic).
     pub fn active(&self) -> usize {
         lock_state(&self.state).active

@@ -49,7 +49,7 @@ fn splitmix64(mut x: u64) -> u64 {
 impl RetryPolicy {
     /// The backoff before retry number `attempt` (1-based: attempt 1 is
     /// the first retry). Deterministic in `(self, attempt)`.
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
+    fn backoff_ms(&self, attempt: u32) -> u64 {
         let exp = self
             .base_ms
             .saturating_mul(self.factor.saturating_pow(attempt.saturating_sub(1)))

@@ -32,9 +32,7 @@ use std::sync::{Arc, Mutex};
 use dln_fault::{should_fail_keyed, DlnError, DlnResult};
 use dln_lake::TableId;
 use dln_org::eval::NavConfig;
-use dln_org::{
-    Advance, BuiltOrganization, Maintainer, MappedSnapshot, OrgContext, Organization, StateId,
-};
+use dln_org::{Advance, Maintainer, MappedSnapshot, OrgContext, Organization, StateId};
 
 use crate::clock::{Clock, WallClock};
 use crate::error::{ServeError, ServeResult};
@@ -293,12 +291,6 @@ impl NavService {
     /// A service over one organization, with a wall clock.
     pub fn new(ctx: OrgContext, org: Organization, nav: NavConfig, cfg: ServeConfig) -> NavService {
         NavService::with_clock(ctx, org, nav, cfg, Arc::new(WallClock::new()))
-    }
-
-    /// A service over a [`BuiltOrganization`] (as produced by the
-    /// organizer), with a wall clock.
-    pub fn from_built(built: BuiltOrganization, cfg: ServeConfig) -> NavService {
-        NavService::new(built.ctx, built.organization, built.nav, cfg)
     }
 
     /// A service with an injected clock (tests use [`ManualClock`]).

@@ -142,7 +142,7 @@ impl OrgSnapshot {
 
     /// Wrap an opened store file as the snapshot for `epoch`; the
     /// navigation-model parameters come from the file.
-    pub fn from_mapped(epoch: u64, mapped: Arc<MappedSnapshot>) -> Self {
+    fn from_mapped(epoch: u64, mapped: Arc<MappedSnapshot>) -> Self {
         let nav = mapped.nav();
         OrgSnapshot::from_source(epoch, nav, SnapSource::Mapped(mapped))
     }

@@ -67,7 +67,7 @@ impl Scenario {
     }
 
     /// Tables whose best attribute cosine to `unit` is ≥ `threshold`.
-    pub fn ground_truth(lake: &DataLake, unit: &[f32], threshold: f32) -> BTreeSet<TableId> {
+    fn ground_truth(lake: &DataLake, unit: &[f32], threshold: f32) -> BTreeSet<TableId> {
         lake.table_ids()
             .filter(|&t| table_sim(lake, t, unit) >= threshold)
             .collect()

@@ -82,7 +82,7 @@ pub fn mann_whitney_u(a: &[f64], b: &[f64]) -> Option<MannWhitney> {
 
 /// Survival function of the standard normal (1 − Φ(x)) via the
 /// Abramowitz–Stegun 7.1.26 erf approximation (|error| < 1.5e-7).
-pub fn normal_sf(x: f64) -> f64 {
+fn normal_sf(x: f64) -> f64 {
     0.5 * erfc(x / std::f64::consts::SQRT_2)
 }
 

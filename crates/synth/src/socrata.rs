@@ -317,33 +317,33 @@ impl SocrataLake {
     }
 }
 
-/// Summary check used by tests and the experiment binaries: does a lake's
-/// shape match the paper's published Socrata statistics within tolerance?
-pub fn matches_paper_shape(lake: &DataLake, scale: f64, tolerance: f64) -> Result<(), String> {
-    let stats = lake.stats();
-    let expect_tables = 7_553.0 * scale;
-    let expect_tags = 11_083.0 * scale;
-    let check = |name: &str, got: f64, want: f64| -> Result<(), String> {
-        if want == 0.0 {
-            return Ok(());
-        }
-        let rel = (got - want).abs() / want;
-        if rel <= tolerance {
-            Ok(())
-        } else {
-            Err(format!(
-                "{name}: got {got:.0}, want ≈{want:.0} (rel err {rel:.2})"
-            ))
-        }
-    };
-    check("tables", stats.n_tables as f64, expect_tables)?;
-    check("tags", stats.n_tags as f64, expect_tags)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Does a lake's shape match the paper's published Socrata statistics
+    /// within tolerance?
+    fn matches_paper_shape(lake: &DataLake, scale: f64, tolerance: f64) -> Result<(), String> {
+        let stats = lake.stats();
+        let expect_tables = 7_553.0 * scale;
+        let expect_tags = 11_083.0 * scale;
+        let check = |name: &str, got: f64, want: f64| -> Result<(), String> {
+            if want == 0.0 {
+                return Ok(());
+            }
+            let rel = (got - want).abs() / want;
+            if rel <= tolerance {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{name}: got {got:.0}, want ≈{want:.0} (rel err {rel:.2})"
+                ))
+            }
+        };
+        check("tables", stats.n_tables as f64, expect_tables)?;
+        check("tags", stats.n_tags as f64, expect_tags)?;
+        Ok(())
+    }
 
     fn lake() -> SocrataLake {
         SocrataConfig::small().generate()

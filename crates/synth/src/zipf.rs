@@ -18,8 +18,7 @@ impl Zipf {
     /// Create a sampler over `1..=n` with exponent `s ≥ 0`.
     ///
     /// # Panics
-    /// Panics if `n == 0` or `s` is negative / non-finite. Use
-    /// [`try_new`](Self::try_new) for a recoverable error instead.
+    /// Panics if `n == 0` or `s` is negative / non-finite.
     pub fn new(n: usize, s: f64) -> Zipf {
         match Self::try_new(n, s) {
             Ok(z) => z,
@@ -29,10 +28,8 @@ impl Zipf {
 
     /// Fallible form of [`new`](Self::new): an empty support or a
     /// negative / non-finite exponent is reported as
-    /// [`DlnError::InvalidConfig`] instead of panicking, so generator
-    /// configurations assembled from user input (CLI flags, study specs)
-    /// can be validated without a crash.
-    pub fn try_new(n: usize, s: f64) -> DlnResult<Zipf> {
+    /// [`DlnError::InvalidConfig`].
+    fn try_new(n: usize, s: f64) -> DlnResult<Zipf> {
         if n == 0 {
             return Err(DlnError::InvalidConfig(
                 "Zipf support must be non-empty (n == 0)".to_string(),
