@@ -177,13 +177,11 @@ fn parse_rows(input: &str) -> (Vec<Vec<Cow<'_, str>>>, bool) {
 
 /// A parsed table before lake insertion.
 #[derive(Clone, Debug)]
-pub struct ParsedTable {
+struct ParsedTable {
     /// Table name (file stem).
-    pub name: String,
-    /// Text columns: `(column name, values)`.
-    pub text_columns: Vec<(String, Values)>,
-    /// Names of columns classified as numeric and skipped.
-    pub numeric_columns: Vec<String>,
+    name: String,
+    /// Text columns: `(column name, values)`; numeric columns are skipped.
+    text_columns: Vec<(String, Values)>,
 }
 
 /// Classify and extract the text columns of a parsed CSV. Each kept value
@@ -200,7 +198,6 @@ fn extract_text_columns<S: AsRef<str>>(
     let mut table = ParsedTable {
         name: name.to_string(),
         text_columns: Vec::new(),
-        numeric_columns: Vec::new(),
     };
     let Some(first) = rows.first() else {
         return table;
@@ -246,8 +243,6 @@ fn extract_text_columns<S: AsRef<str>>(
         let text_fraction = 1.0 - numeric as f64 / values.len() as f64;
         if text_fraction >= opts.text_threshold {
             table.text_columns.push((col_name, values));
-        } else {
-            table.numeric_columns.push(col_name);
         }
     }
     table
@@ -567,7 +562,6 @@ mod tests {
         let t = extract_text_columns("t", &rows, &CsvOptions::default());
         let names: Vec<&str> = t.text_columns.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["city", "mixed"]);
-        assert_eq!(t.numeric_columns, vec!["pop"]);
     }
 
     #[test]

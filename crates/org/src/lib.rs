@@ -90,14 +90,10 @@ pub use graph::{Organization, StateId};
 pub use init::{bisecting_org, clustering_org, flat_org, random_org};
 pub use maintain::{MaintConfig, Maintainer};
 pub use multidim::{MultiDimConfig, MultiDimOrganization};
-pub use navigate::{
-    transition_probs_from, transition_probs_from_mat, transition_probs_over, Navigator,
-};
+pub use navigate::{transition_probs_from, transition_probs_over, Navigator};
 pub use ops::{OpKind, OpOutcome};
 pub use search::{IterStats, SearchConfig, SearchStats, ShardPolicy, StopReason};
-pub use shard::{
-    build_sharded, build_sharded_group, derive_shard_seed, ShardedBuild, AUTO_SHARD_MAX,
-};
+pub use shard::{build_sharded, build_sharded_group, ShardedBuild, AUTO_SHARD_MAX};
 pub use store::{open_store, open_store_with_fallback, save_store, MappedSnapshot};
 pub use success::{success_curve, SuccessCurve};
 pub use view::{OrgView, OwnedSnap};

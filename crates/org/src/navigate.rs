@@ -40,33 +40,17 @@ pub fn transition_probs_from(
     scores
 }
 
-/// [`transition_probs_from`] against a precomputed row-major
-/// `n_children × dim` matrix of the state's child unit topics (rows in
+/// [`transition_probs_from`] over an explicit child list and its
+/// precomputed row-major `children.len() × dim` unit-topic matrix (rows in
 /// `children` order). Serving snapshots cache these matrices per state so
 /// the per-request work is a single streaming mat-vec instead of `k`
 /// pointer-chasing dot products; each row runs the same kernel as the
 /// scattered path ([`dln_embed::batch_dot_wide`]'s contract), and the
 /// softmax is shared, so the probabilities are **bit-identical** to
-/// [`transition_probs_from`].
-///
-/// # Panics
-/// Panics in debug builds when the matrix shape does not match the
-/// state's child count times the query dimensionality.
-pub fn transition_probs_from_mat(
-    org: &Organization,
-    nav: NavConfig,
-    state: StateId,
-    child_mat: &[f32],
-    query_unit: &[f32],
-) -> Vec<(StateId, f64)> {
-    transition_probs_over(&org.state(state).children, nav, child_mat, query_unit)
-}
-
-/// The structure-free core of [`transition_probs_from_mat`]: Eq 1 over an
-/// explicit child list and its row-major `children.len() × dim` unit-topic
-/// matrix. Both the in-memory cached-matrix path and the mapped store path
-/// ([`crate::store::MappedSnapshot`]) funnel here, so a snapshot served
-/// from disk is bit-identical to the one it was saved from.
+/// [`transition_probs_from`]. Both the in-memory cached-matrix path and
+/// the mapped store path ([`crate::store::MappedSnapshot`]) funnel here,
+/// so a snapshot served from disk is bit-identical to the one it was
+/// saved from.
 ///
 /// # Panics
 /// Panics in debug builds when the matrix shape does not match the child
@@ -297,7 +281,7 @@ mod tests {
                 mat.extend_from_slice(&org.state(c).unit_topic);
             }
             let scattered = transition_probs_from(&org, nav, sid, &query);
-            let cached = transition_probs_from_mat(&org, nav, sid, &mat, &query);
+            let cached = transition_probs_over(children, nav, &mat, &query);
             assert_eq!(scattered.len(), cached.len());
             for ((s1, p1), (s2, p2)) in scattered.iter().zip(&cached) {
                 assert_eq!(s1, s2);

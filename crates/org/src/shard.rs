@@ -37,7 +37,7 @@
 //!   so the decision is deterministic in `(lake, group, cfg.seed)` and
 //!   invariant to the worker count like everything else.
 //! * For any shard count, every shard's walk is seeded by
-//!   [`derive_shard_seed`] — a splitmix64 substream of the configured
+//!   `derive_shard_seed` — a splitmix64 substream of the configured
 //!   seed indexed by shard position — so the stitched result is a pure
 //!   function of `(lake, group, cfg)` and **invariant to the worker
 //!   count**: shards are distributed over the `rayon::par_map` workers in
@@ -131,7 +131,7 @@ fn splitmix64(x: u64) -> u64 {
 /// substream of the configured seed, so per-shard walks are deterministic
 /// in `(cfg.seed, shard index)` and nothing else — in particular, not in
 /// the worker count or the shard-to-thread assignment.
-pub fn derive_shard_seed(seed: u64, shard: usize) -> u64 {
+fn derive_shard_seed(seed: u64, shard: usize) -> u64 {
     splitmix64(seed ^ splitmix64(0x5AA4_D5EE ^ (shard as u64)))
 }
 

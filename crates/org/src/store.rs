@@ -1,15 +1,15 @@
 //! The persistent zero-copy organization store (DESIGN.md §5g).
 //!
-//! Everything a serving fleet needs to *open a lake* — the context
-//! universe, the organization DAG, the cached topological order and
-//! per-state child-topic matrices, the navigation-model parameters, and
-//! secondary point-lookup indexes — in **one file of aligned fixed-width
+//! What a served navigation step reads — tag labels and populations,
+//! tables, each state's tag and attribute sets, the child graph with its
+//! cached topological order and per-state child-topic matrices, and the
+//! navigation-model parameters — in **one file of aligned fixed-width
 //! little-endian sections**, so a process maps it and serves from
 //! borrowed `&[u32]`/`&[f32]` slices with near-zero deserialization.
 //! At the paper's scale the CSV rebuild takes hours; opening a store is
 //! validation + page faults.
 //!
-//! ## File format (version 1)
+//! ## File format (version 2)
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
@@ -52,7 +52,7 @@ use dln_persist as persist;
 /// File magic (8 bytes, includes a format generation byte).
 const MAGIC: &[u8; 8] = b"DLNSTOR\x01";
 /// Format version, bumped on any layout change.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 /// Section payload alignment (cache-line sized; element soundness only
 /// needs 8, but 64 keeps hot sections line-aligned).
 const ALIGN: usize = 64;
@@ -63,30 +63,19 @@ const SEC_TAG_LABEL_OFFS: u32 = 2;
 const SEC_TAG_LABEL_BYTES: u32 = 3;
 const SEC_TAG_ATTR_OFFS: u32 = 4;
 const SEC_TAG_ATTR_DATA: u32 = 5;
-const SEC_TAG_STATES: u32 = 6;
-const SEC_ATTR_TABLE: u32 = 7;
-const SEC_ATTR_UNITS: u32 = 8;
-const SEC_TABLE_GLOBAL: u32 = 9;
-const SEC_TABLE_ATTR_OFFS: u32 = 10;
-const SEC_TABLE_ATTR_DATA: u32 = 11;
-const SEC_STATE_TAG: u32 = 12;
-const SEC_STATE_ALIVE: u32 = 13;
-const SEC_STATE_TAG_WORDS: u32 = 14;
-const SEC_STATE_ATTR_WORDS: u32 = 15;
-const SEC_STATE_UNITS: u32 = 16;
-const SEC_CHILD_OFFS: u32 = 17;
-const SEC_CHILD_DATA: u32 = 18;
-const SEC_PARENT_OFFS: u32 = 19;
-const SEC_PARENT_DATA: u32 = 20;
-const SEC_TOPO: u32 = 21;
-const SEC_LEVELS: u32 = 22;
-const SEC_CHILD_MAT: u32 = 23;
-const SEC_IDX_TAG_BY_GLOBAL: u32 = 24;
-const SEC_IDX_TABLE_BY_GLOBAL: u32 = 25;
-const SEC_IDX_TABLE_STATES_OFFS: u32 = 26;
-const SEC_IDX_TABLE_STATES_DATA: u32 = 27;
-/// Number of sections in a version-1 store.
-const N_SECTIONS: usize = 27;
+const SEC_TABLE_GLOBAL: u32 = 6;
+const SEC_TABLE_ATTR_OFFS: u32 = 7;
+const SEC_TABLE_ATTR_DATA: u32 = 8;
+const SEC_STATE_TAG: u32 = 9;
+const SEC_STATE_ALIVE: u32 = 10;
+const SEC_STATE_TAG_WORDS: u32 = 11;
+const SEC_STATE_ATTR_WORDS: u32 = 12;
+const SEC_CHILD_OFFS: u32 = 13;
+const SEC_CHILD_DATA: u32 = 14;
+const SEC_TOPO: u32 = 15;
+const SEC_CHILD_MAT: u32 = 16;
+/// Number of sections in a version-2 store.
+const N_SECTIONS: usize = 16;
 
 /// Fixed u64 slots of the META section.
 const META_WORDS: usize = 11;
@@ -191,40 +180,19 @@ fn encode_store(ctx: &OrgContext, org: &Organization, nav: NavConfig) -> Vec<u8>
     sections.push(offs);
     sections.push(data);
 
-    // 6 tag states
-    let mut tag_states = Vec::with_capacity(n_tags * 4);
-    for t in 0..n_tags as u32 {
-        push_u32(&mut tag_states, org.tag_state(t).0);
-    }
-    sections.push(tag_states);
-
-    // 7 attr → table
-    let mut attr_table = Vec::with_capacity(n_attrs * 4);
-    for a in 0..n_attrs as u32 {
-        push_u32(&mut attr_table, ctx.attr(a).table);
-    }
-    sections.push(attr_table);
-
-    // 8 attr unit-topic matrix (row-major n_attrs × dim)
-    let mut attr_units = Vec::with_capacity(n_attrs * dim * 4);
-    for a in 0..n_attrs as u32 {
-        push_f32s(&mut attr_units, ctx.attr_unit(a));
-    }
-    sections.push(attr_units);
-
-    // 9 table globals
+    // 6 table globals
     let mut table_global = Vec::with_capacity(n_tables * 4);
     for table in ctx.tables() {
         push_u32(&mut table_global, table.global.0);
     }
     sections.push(table_global);
 
-    // 10–11 table → attrs CSR
+    // 7–8 table → attrs CSR
     let (offs, data) = csr(ctx.tables().iter().map(|t| t.attrs.as_slice()));
     sections.push(offs);
     sections.push(data);
 
-    // 12 state tag (u32::MAX = interior state)
+    // 9 state tag (u32::MAX = interior state)
     let mut state_tag = Vec::with_capacity(n_slots * 4);
     for s in 0..n_slots {
         push_u32(
@@ -234,13 +202,13 @@ fn encode_store(ctx: &OrgContext, org: &Organization, nav: NavConfig) -> Vec<u8>
     }
     sections.push(state_tag);
 
-    // 13 alive flags
+    // 10 alive flags
     let alive: Vec<u8> = (0..n_slots)
         .map(|s| org.state(StateId(s as u32)).alive as u8)
         .collect();
     sections.push(alive);
 
-    // 14–15 fixed-width tag/attr word rows
+    // 11–12 fixed-width tag/attr word rows
     let mut tag_words = Vec::with_capacity(n_slots * tw * 8);
     let mut attr_words = Vec::with_capacity(n_slots * aw * 8);
     for s in 0..n_slots {
@@ -257,15 +225,8 @@ fn encode_store(ctx: &OrgContext, org: &Organization, nav: NavConfig) -> Vec<u8>
     sections.push(tag_words);
     sections.push(attr_words);
 
-    // 16 state unit topics (row-major n_slots × dim)
-    let mut state_units = Vec::with_capacity(n_slots * dim * 4);
-    for s in 0..n_slots {
-        push_f32s(&mut state_units, &org.state(StateId(s as u32)).unit_topic);
-    }
-    sections.push(state_units);
-
-    // 17–20 child / parent CSRs (StateId is repr(transparent) over u32,
-    // but encode explicitly to keep the writer layout-independent)
+    // 13–14 child CSR (StateId is repr(transparent) over u32, but encode
+    // explicitly to keep the writer layout-independent)
     let child_lists: Vec<Vec<u32>> = (0..n_slots)
         .map(|s| {
             org.state(StateId(s as u32))
@@ -278,34 +239,15 @@ fn encode_store(ctx: &OrgContext, org: &Organization, nav: NavConfig) -> Vec<u8>
     let (offs, data) = csr(child_lists.iter().map(|l| l.as_slice()));
     sections.push(offs);
     sections.push(data);
-    let parent_lists: Vec<Vec<u32>> = (0..n_slots)
-        .map(|s| {
-            org.state(StateId(s as u32))
-                .parents
-                .iter()
-                .map(|p| p.0)
-                .collect()
-        })
-        .collect();
-    let (offs, data) = csr(parent_lists.iter().map(|l| l.as_slice()));
-    sections.push(offs);
-    sections.push(data);
 
-    // 21 cached topological order
+    // 15 cached topological order
     let mut topo_bytes = Vec::with_capacity(topo.len() * 4);
     for s in topo {
         push_u32(&mut topo_bytes, s.0);
     }
     sections.push(topo_bytes);
 
-    // 22 BFS levels
-    let mut level_bytes = Vec::with_capacity(n_slots * 4);
-    for &l in org.levels() {
-        push_u32(&mut level_bytes, l);
-    }
-    sections.push(level_bytes);
-
-    // 23 child unit-topic matrices: row-major, rows in children order per
+    // 16 child unit-topic matrices: row-major, rows in children order per
     // state, state s's block at child_offs[s] × dim. Saved from the same
     // f32 bits as the states' unit topics, so the Eq 1 ranking over a
     // mapped snapshot is bit-identical to the in-memory cached path.
@@ -317,51 +259,6 @@ fn encode_store(ctx: &OrgContext, org: &Organization, nav: NavConfig) -> Vec<u8>
         }
     }
     sections.push(child_mat);
-
-    // 24 secondary index: global tag id → local tag, sorted pairs
-    let mut tag_pairs: Vec<(u32, u32)> = (0..n_tags as u32)
-        .map(|t| (ctx.tag(t).global.0, t))
-        .collect();
-    tag_pairs.sort_unstable();
-    let mut idx_tag = Vec::with_capacity(tag_pairs.len() * 8);
-    for (g, l) in &tag_pairs {
-        push_u32(&mut idx_tag, *g);
-        push_u32(&mut idx_tag, *l);
-    }
-    sections.push(idx_tag);
-
-    // 25 secondary index: global table id → local table, sorted pairs
-    let mut table_pairs: Vec<(u32, u32)> = ctx
-        .tables()
-        .iter()
-        .enumerate()
-        .map(|(ti, t)| (t.global.0, ti as u32))
-        .collect();
-    table_pairs.sort_unstable();
-    let mut idx_table = Vec::with_capacity(table_pairs.len() * 8);
-    for (g, l) in &table_pairs {
-        push_u32(&mut idx_table, *g);
-        push_u32(&mut idx_table, *l);
-    }
-    sections.push(idx_table);
-
-    // 26–27 secondary index: local table → tag states that discover it
-    // (a table is discovered at a tag state whose tag's population
-    // intersects the table, §4.3.4)
-    let mut table_states: Vec<Vec<u32>> = vec![Vec::new(); n_tables];
-    for t in 0..n_tags as u32 {
-        let ts = org.tag_state(t).0;
-        for &a in &ctx.tag(t).attrs {
-            table_states[ctx.attr(a).table as usize].push(ts);
-        }
-    }
-    for v in &mut table_states {
-        v.sort_unstable();
-        v.dedup();
-    }
-    let (offs, data) = csr(table_states.iter().map(|l| l.as_slice()));
-    sections.push(offs);
-    sections.push(data);
 
     debug_assert_eq!(sections.len(), N_SECTIONS);
 
@@ -599,7 +496,6 @@ pub struct MappedSnapshot {
     sections: [SecRange; N_SECTIONS],
     dim: usize,
     n_tags: usize,
-    n_attrs: usize,
     n_tables: usize,
     n_slots: usize,
     root: StateId,
@@ -827,27 +723,14 @@ impl MappedSnapshot {
         };
         expect_elems(SEC_TAG_LABEL_OFFS, n_tags + 1, "tag labels")?;
         expect_elems(SEC_TAG_ATTR_OFFS, n_tags + 1, "tag attrs")?;
-        expect_elems(SEC_TAG_STATES, n_tags, "tag states")?;
-        expect_elems(SEC_ATTR_TABLE, n_attrs, "attr tables")?;
-        expect_elems(SEC_ATTR_UNITS, n_attrs * dim, "attr units")?;
         expect_elems(SEC_TABLE_GLOBAL, n_tables, "table globals")?;
         expect_elems(SEC_TABLE_ATTR_OFFS, n_tables + 1, "table attrs")?;
         expect_elems(SEC_STATE_TAG, n_slots, "state tags")?;
         expect_elems(SEC_STATE_ALIVE, n_slots, "alive flags")?;
         expect_elems(SEC_STATE_TAG_WORDS, n_slots * tw, "state tag words")?;
         expect_elems(SEC_STATE_ATTR_WORDS, n_slots * aw, "state attr words")?;
-        expect_elems(SEC_STATE_UNITS, n_slots * dim, "state units")?;
         expect_elems(SEC_CHILD_OFFS, n_slots + 1, "child offsets")?;
-        expect_elems(SEC_PARENT_OFFS, n_slots + 1, "parent offsets")?;
         expect_elems(SEC_TOPO, topo_len, "topo order")?;
-        expect_elems(SEC_LEVELS, n_slots, "levels")?;
-        expect_elems(SEC_IDX_TAG_BY_GLOBAL, 2 * n_tags, "tag index")?;
-        expect_elems(SEC_IDX_TABLE_BY_GLOBAL, 2 * n_tables, "table index")?;
-        expect_elems(
-            SEC_IDX_TABLE_STATES_OFFS,
-            n_tables + 1,
-            "table-states index",
-        )?;
 
         // CSR integrity.
         let label_offs = sec_u32(SEC_TAG_LABEL_OFFS);
@@ -886,20 +769,6 @@ impl MappedSnapshot {
             n_slots,
             sec_u32(SEC_CHILD_DATA).len(),
         )?;
-        check_csr(
-            context,
-            "parents",
-            sec_u32(SEC_PARENT_OFFS),
-            n_slots,
-            sec_u32(SEC_PARENT_DATA).len(),
-        )?;
-        check_csr(
-            context,
-            "table states",
-            sec_u32(SEC_IDX_TABLE_STATES_OFFS),
-            n_tables,
-            sec_u32(SEC_IDX_TABLE_STATES_DATA).len(),
-        )?;
         expect_elems(
             SEC_CHILD_MAT,
             sec_u32(SEC_CHILD_DATA).len() * dim,
@@ -918,42 +787,20 @@ impl MappedSnapshot {
             Ok(())
         };
         in_range("tag attrs", sec_u32(SEC_TAG_ATTR_DATA), n_attrs)?;
-        in_range("tag states", sec_u32(SEC_TAG_STATES), n_slots)?;
-        in_range("attr tables", sec_u32(SEC_ATTR_TABLE), n_tables.max(1))?;
         in_range("table attrs", sec_u32(SEC_TABLE_ATTR_DATA), n_attrs)?;
         in_range("children", sec_u32(SEC_CHILD_DATA), n_slots)?;
-        in_range("parents", sec_u32(SEC_PARENT_DATA), n_slots)?;
         in_range("topo", sec_u32(SEC_TOPO), n_slots)?;
-        in_range("table states", sec_u32(SEC_IDX_TABLE_STATES_DATA), n_slots)?;
         if sec_u32(SEC_STATE_TAG)
             .iter()
             .any(|&t| t != u32::MAX && t as usize >= n_tags)
         {
             return Err(corrupt(context, "state tag out of range"));
         }
-        for (name, id, n, bound) in [
-            ("tag index", SEC_IDX_TAG_BY_GLOBAL, n_tags, n_tags),
-            ("table index", SEC_IDX_TABLE_BY_GLOBAL, n_tables, n_tables),
-        ] {
-            let pairs = sec_u32(id);
-            for i in 0..n {
-                if pairs[2 * i + 1] as usize >= bound {
-                    return Err(corrupt(context, format!("{name}: value out of range")));
-                }
-                if i > 0 && pairs[2 * (i - 1)] >= pairs[2 * i] {
-                    return Err(corrupt(
-                        context,
-                        format!("{name}: keys not strictly sorted"),
-                    ));
-                }
-            }
-        }
 
         Ok(MappedSnapshot {
             sections,
             dim,
             n_tags,
-            n_attrs,
             n_tables,
             n_slots,
             root: StateId(root as u32),
@@ -1012,12 +859,6 @@ impl MappedSnapshot {
         self.map.is_mmap()
     }
 
-    /// BFS level of every slot (`u32::MAX` = dead or unreachable), as
-    /// cached at save time.
-    pub fn levels(&self) -> &[u32] {
-        self.sec_u32(SEC_LEVELS)
-    }
-
     /// Re-publish this snapshot's exact bytes at `path` (atomic write +
     /// rotation; `store.torn` applies). Useful for copying an opened
     /// store without re-encoding.
@@ -1032,9 +873,6 @@ impl OrgView for MappedSnapshot {
     }
     fn n_tags(&self) -> usize {
         self.n_tags
-    }
-    fn n_attrs(&self) -> usize {
-        self.n_attrs
     }
     fn n_tables(&self) -> usize {
         self.n_tables
@@ -1057,9 +895,6 @@ impl OrgView for MappedSnapshot {
     fn children(&self, sid: StateId) -> &[StateId] {
         Self::as_states(self.csr_row(SEC_CHILD_OFFS, self.sec_u32(SEC_CHILD_DATA), sid.index()))
     }
-    fn parents(&self, sid: StateId) -> &[StateId] {
-        Self::as_states(self.csr_row(SEC_PARENT_OFFS, self.sec_u32(SEC_PARENT_DATA), sid.index()))
-    }
     fn state_tag_words(&self, sid: StateId) -> &[u64] {
         let w = self.sec_u64(SEC_STATE_TAG_WORDS);
         &w[sid.index() * self.tw..(sid.index() + 1) * self.tw]
@@ -1067,10 +902,6 @@ impl OrgView for MappedSnapshot {
     fn state_attr_words(&self, sid: StateId) -> &[u64] {
         let w = self.sec_u64(SEC_STATE_ATTR_WORDS);
         &w[sid.index() * self.aw..(sid.index() + 1) * self.aw]
-    }
-    fn state_unit_topic(&self, sid: StateId) -> &[f32] {
-        let u = self.sec_f32(SEC_STATE_UNITS);
-        &u[sid.index() * self.dim..(sid.index() + 1) * self.dim]
     }
     fn child_mat(&self, sid: StateId) -> Option<&[f32]> {
         let offs = self.sec_u32(SEC_CHILD_OFFS);
@@ -1094,9 +925,6 @@ impl OrgView for MappedSnapshot {
             t as usize,
         )
     }
-    fn tag_state(&self, t: u32) -> StateId {
-        StateId(self.sec_u32(SEC_TAG_STATES)[t as usize])
-    }
     fn table_global(&self, ti: u32) -> TableId {
         TableId(self.sec_u32(SEC_TABLE_GLOBAL)[ti as usize])
     }
@@ -1106,13 +934,6 @@ impl OrgView for MappedSnapshot {
             self.sec_u32(SEC_TABLE_ATTR_DATA),
             ti as usize,
         )
-    }
-    fn attr_unit(&self, a: u32) -> &[f32] {
-        let u = self.sec_f32(SEC_ATTR_UNITS);
-        &u[a as usize * self.dim..(a as usize + 1) * self.dim]
-    }
-    fn attr_table(&self, a: u32) -> u32 {
-        self.sec_u32(SEC_ATTR_TABLE)[a as usize]
     }
 }
 
@@ -1137,7 +958,6 @@ mod tests {
     use super::*;
     use crate::init::clustering_org;
     use crate::view::OwnedSnap;
-    use dln_lake::TagId;
     use dln_synth::TagCloudConfig;
     use std::sync::Arc;
 
@@ -1152,47 +972,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dln_store_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
-    }
-
-    /// Binary search a sorted `(key, value)` u32-pair section.
-    fn pair_lookup(pairs: &[u32], key: u32) -> Option<u32> {
-        let n = pairs.len() / 2;
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if pairs[2 * mid] < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        (lo < n && pairs[2 * lo] == key).then(|| pairs[2 * lo + 1])
-    }
-
-    /// Point lookups over the secondary index sections that `encode_store`
-    /// writes and open validates; only these tests read them.
-    impl MappedSnapshot {
-        /// O(log n) point lookup: the tag state of a lake-global tag id, via
-        /// the sorted secondary index built at save time.
-        fn state_of_global_tag(&self, tag: TagId) -> Option<StateId> {
-            let local = pair_lookup(self.sec_u32(SEC_IDX_TAG_BY_GLOBAL), tag.0)?;
-            Some(StateId(self.sec_u32(SEC_TAG_STATES)[local as usize]))
-        }
-
-        /// O(log n) point lookup: the local table id of a lake-global table.
-        fn local_table_of(&self, table: TableId) -> Option<u32> {
-            pair_lookup(self.sec_u32(SEC_IDX_TABLE_BY_GLOBAL), table.0)
-        }
-
-        /// The tag states that can discover local table `ti` (sorted; a table
-        /// is discovered at the sinks of tags its attributes carry, §4.3.4).
-        fn states_for_table(&self, ti: u32) -> &[StateId] {
-            Self::as_states(self.csr_row(
-                SEC_IDX_TABLE_STATES_OFFS,
-                self.sec_u32(SEC_IDX_TABLE_STATES_DATA),
-                ti as usize,
-            ))
-        }
     }
 
     #[test]
@@ -1210,31 +989,25 @@ mod tests {
         assert_eq!(mapped.fingerprint(), owned.org.fingerprint());
         assert_eq!(mapped.dim(), owned.dim());
         assert_eq!(mapped.n_tags(), owned.n_tags());
-        assert_eq!(mapped.n_attrs(), owned.n_attrs());
         assert_eq!(mapped.n_tables(), owned.n_tables());
         assert_eq!(mapped.n_slots(), owned.n_slots());
         assert_eq!(mapped.root(), owned.root());
         assert_eq!(mapped.topo_order(), owned.org.topo_order());
-        assert_eq!(mapped.levels(), owned.org.levels());
         for s in 0..owned.n_slots() as u32 {
             let sid = StateId(s);
             assert_eq!(mapped.alive(sid), owned.alive(sid));
             assert_eq!(mapped.state_tag(sid), owned.state_tag(sid));
             assert_eq!(mapped.children(sid), owned.children(sid));
-            assert_eq!(mapped.parents(sid), owned.parents(sid));
             assert_eq!(mapped.state_tag_words(sid), owned.state_tag_words(sid));
             assert_eq!(mapped.state_attr_words(sid), owned.state_attr_words(sid));
-            // f32 sections: exact bits.
-            let (mu, ou) = (mapped.state_unit_topic(sid), owned.state_unit_topic(sid));
-            assert_eq!(mu.len(), ou.len());
-            assert!(mu.iter().zip(ou).all(|(a, b)| a.to_bits() == b.to_bits()));
             assert_eq!(mapped.label_of(sid, 2), owned.label_of(sid, 2));
-            // The stored child matrix is the row-gather of child topics.
+            // The stored child matrix is the row-gather of child topics,
+            // exact bits.
             let mat = mapped.child_mat(sid).unwrap();
             let gather: Vec<f32> = owned
                 .children(sid)
                 .iter()
-                .flat_map(|&c| owned.state_unit_topic(c).to_vec())
+                .flat_map(|&c| owned.org.state(c).unit_topic.clone())
                 .collect();
             assert_eq!(mat.len(), gather.len());
             assert!(mat
@@ -1245,46 +1018,32 @@ mod tests {
         for t in 0..owned.n_tags() as u32 {
             assert_eq!(mapped.tag_label(t), owned.tag_label(t));
             assert_eq!(mapped.tag_attrs(t), owned.tag_attrs(t));
-            assert_eq!(mapped.tag_state(t), owned.tag_state(t));
         }
         for ti in 0..owned.n_tables() as u32 {
             assert_eq!(mapped.table_global(ti), owned.table_global(ti));
             assert_eq!(mapped.table_attrs(ti), owned.table_attrs(ti));
         }
-        for a in 0..owned.n_attrs() as u32 {
-            assert_eq!(mapped.attr_table(a), owned.attr_table(a));
-            let (mu, ou) = (mapped.attr_unit(a), owned.attr_unit(a));
-            assert!(mu.iter().zip(ou).all(|(x, y)| x.to_bits() == y.to_bits()));
-        }
     }
 
     #[test]
-    fn secondary_indexes_answer_point_lookups() {
+    fn sealed_version_one_store_is_refused_by_version() {
+        // A version-2 file with its version field set to 1 and the header
+        // checksum re-sealed, so that only the version can refuse it.
         let (ctx, org) = fixture();
-        let path = tmp("index.dlnstore");
-        save_store(&path, &ctx, &org, NavConfig::default()).unwrap();
-        let mapped = open_store(&path).unwrap();
-        for t in 0..ctx.n_tags() as u32 {
-            let global = ctx.tag(t).global;
-            assert_eq!(mapped.state_of_global_tag(global), Some(org.tag_state(t)));
-        }
-        assert_eq!(mapped.state_of_global_tag(TagId(u32::MAX - 1)), None);
-        for (ti, table) in ctx.tables().iter().enumerate() {
-            assert_eq!(mapped.local_table_of(table.global), Some(ti as u32));
-            let states = mapped.states_for_table(ti as u32);
-            assert!(!states.is_empty(), "every context table is discoverable");
-            assert!(states.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
-            // Every listed state is a tag state whose tag touches the table.
-            for &s in states {
-                let t = mapped.state_tag(s).expect("index lists tag states");
-                assert!(ctx
-                    .tag(t)
-                    .attrs
-                    .iter()
-                    .any(|&a| ctx.attr(a).table as usize == ti));
+        let mut bytes = encode_store(&ctx, &org, NavConfig::default());
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let table_end = header_size() - 8;
+        let sealed = persist::fnv1a(&bytes[..table_end]);
+        bytes[table_end..table_end + 8].copy_from_slice(&sealed.to_le_bytes());
+        let path = tmp("v1.dlnstore");
+        std::fs::write(&path, &bytes).unwrap();
+        match open_store(&path) {
+            Err(DlnError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("version 1"), "{detail}")
             }
+            Err(e) => panic!("wrong error {e}"),
+            Ok(_) => panic!("a version-1 store must be refused"),
         }
-        assert_eq!(mapped.local_table_of(TableId(u32::MAX - 1)), None);
     }
 
     #[test]

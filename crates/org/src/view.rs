@@ -5,7 +5,7 @@
 //! second representation — borrowed sections of a memory-mapped file —
 //! that must be served through the *same* surface. [`OrgView`] is that
 //! surface: every navigation-time read (children, tag sets, labels,
-//! tables, unit topics) goes through it, implemented by
+//! tables, child-topic matrices) goes through it, implemented by
 //!
 //! * [`OwnedSnap`] — the in-memory `(ctx, org)` pair behind `Arc`s, and
 //! * [`crate::store::MappedSnapshot`] — zero-copy slices into a mapped
@@ -46,7 +46,10 @@ fn word_contains(words: &[u64], v: u32) -> bool {
     b < words.len() && words[b] & m != 0
 }
 
-/// The complete read surface of one published organization snapshot.
+/// What a served navigation step reads of one published organization
+/// snapshot: the children to rank (with their topic matrix), the state
+/// sets and tag labels for §4.4 labelling, and the tables under a state.
+/// Nothing else is exposed; a mapped store file holds exactly this.
 ///
 /// All state sets are exposed as raw `u64` words (see
 /// [`crate::BitSet::words`]): for a fixed universe size, word-slice
@@ -57,8 +60,6 @@ pub trait OrgView: Send + Sync {
     fn dim(&self) -> usize;
     /// Number of tags in the universe.
     fn n_tags(&self) -> usize;
-    /// Number of attributes in the universe.
-    fn n_attrs(&self) -> usize;
     /// Number of tables in the universe.
     fn n_tables(&self) -> usize;
     /// Number of state slots (alive + tombstoned).
@@ -71,14 +72,10 @@ pub trait OrgView: Send + Sync {
     fn state_tag(&self, sid: StateId) -> Option<u32>;
     /// Child states, in canonical (sorted) order.
     fn children(&self, sid: StateId) -> &[StateId];
-    /// Parent states, in canonical (sorted) order.
-    fn parents(&self, sid: StateId) -> &[StateId];
     /// The state's tag set as raw words.
     fn state_tag_words(&self, sid: StateId) -> &[u64];
     /// The state's attribute set as raw words.
     fn state_attr_words(&self, sid: StateId) -> &[u64];
-    /// The state's unit-normalized topic vector.
-    fn state_unit_topic(&self, sid: StateId) -> &[f32];
     /// The precomputed row-major `n_children × dim` child unit-topic
     /// matrix for Eq 1 ranking, when this representation stores one
     /// (the mapped store does; the in-memory snapshot caches per-state
@@ -90,30 +87,15 @@ pub trait OrgView: Send + Sync {
     fn tag_label(&self, t: u32) -> &str;
     /// `data(t)`: local attribute ids of tag `t`.
     fn tag_attrs(&self, t: u32) -> &[u32];
-    /// The tag state of local tag `t`.
-    fn tag_state(&self, t: u32) -> StateId;
     /// Lake-global id of local table `ti`.
     fn table_global(&self, ti: u32) -> TableId;
     /// Local attribute ids of table `ti`.
     fn table_attrs(&self, ti: u32) -> &[u32];
-    /// Unit topic of attribute `a`.
-    fn attr_unit(&self, a: u32) -> &[f32];
-    /// Local table of attribute `a`.
-    fn attr_table(&self, a: u32) -> u32;
 
     /// Does the state's attribute set contain `a`?
     #[inline]
     fn state_attr_contains(&self, sid: StateId, a: u32) -> bool {
         word_contains(self.state_attr_words(sid), a)
-    }
-
-    /// Number of attributes under the state.
-    #[inline]
-    fn state_attr_count(&self, sid: StateId) -> usize {
-        self.state_attr_words(sid)
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
     }
 
     /// A human-readable label for a state — the §4.4 labelling scheme of
@@ -196,9 +178,6 @@ impl OrgView for OwnedSnap {
     fn n_tags(&self) -> usize {
         self.ctx.n_tags()
     }
-    fn n_attrs(&self) -> usize {
-        self.ctx.n_attrs()
-    }
     fn n_tables(&self) -> usize {
         self.ctx.n_tables()
     }
@@ -217,17 +196,11 @@ impl OrgView for OwnedSnap {
     fn children(&self, sid: StateId) -> &[StateId] {
         &self.org.state(sid).children
     }
-    fn parents(&self, sid: StateId) -> &[StateId] {
-        &self.org.state(sid).parents
-    }
     fn state_tag_words(&self, sid: StateId) -> &[u64] {
         self.org.state(sid).tags.words()
     }
     fn state_attr_words(&self, sid: StateId) -> &[u64] {
         self.org.state(sid).attrs.words()
-    }
-    fn state_unit_topic(&self, sid: StateId) -> &[f32] {
-        &self.org.state(sid).unit_topic
     }
     fn child_mat(&self, _sid: StateId) -> Option<&[f32]> {
         None
@@ -241,20 +214,11 @@ impl OrgView for OwnedSnap {
     fn tag_attrs(&self, t: u32) -> &[u32] {
         &self.ctx.tag(t).attrs
     }
-    fn tag_state(&self, t: u32) -> StateId {
-        self.org.tag_state(t)
-    }
     fn table_global(&self, ti: u32) -> TableId {
         self.ctx.tables()[ti as usize].global
     }
     fn table_attrs(&self, ti: u32) -> &[u32] {
         &self.ctx.tables()[ti as usize].attrs
-    }
-    fn attr_unit(&self, a: u32) -> &[f32] {
-        self.ctx.attr_unit(a)
-    }
-    fn attr_table(&self, a: u32) -> u32 {
-        self.ctx.attr(a).table
     }
 }
 
@@ -294,11 +258,6 @@ mod tests {
         for sid in v.org.alive_ids() {
             assert_eq!(v.children(sid), v.org.state(sid).children.as_slice());
             assert_eq!(v.state_tag(sid), v.org.state(sid).tag);
-            assert_eq!(
-                v.state_attr_count(sid),
-                v.org.state(sid).attrs.len(),
-                "popcount over words equals BitSet::len"
-            );
         }
     }
 

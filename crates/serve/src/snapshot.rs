@@ -233,7 +233,7 @@ impl OrgSnapshot {
                     let children = o.children(sid);
                     let mut m = Vec::with_capacity(children.len() * o.dim());
                     for &c in children {
-                        m.extend_from_slice(o.state_unit_topic(c));
+                        m.extend_from_slice(&o.org.state(c).unit_topic);
                     }
                     m
                 });
@@ -535,7 +535,10 @@ mod tests {
         assert!(flat.path_is_valid(&replayed));
         assert!(lost >= 1, "flat org lacks the interior states");
         // Tag-state steps DO survive: root → tag state replays fully.
-        let ts = clus.view().tag_state(0);
+        let ts = (0..clus.view().n_slots() as u32)
+            .map(StateId)
+            .find(|&s| clus.view().alive(s) && clus.state_tag(s) == Some(0))
+            .expect("tag 0 has a state");
         if clus.children(root).contains(&ts) {
             let (r2, l2) = replay_path(&clus, &flat, &[root, ts]);
             assert_eq!(l2, 0);

@@ -33,8 +33,5 @@ pub use agents::{table_sim, AgentConfig, NavigationAgent, Scenario, SearchAgent}
 pub use concurrent::{run_concurrent, run_serial, ServedAgent, ServedOutcome};
 pub use metrics::{disjointness, mean_pairwise_disjointness, overlap_fraction};
 pub use stats::{mann_whitney_u, median, MannWhitney};
-pub use study::{
-    calibrated_scenario, default_scenario, run_study, scenario_from_seed, ModalityResult,
-    StudyConfig, StudyReport,
-};
+pub use study::{default_scenario, run_study, ModalityResult, StudyConfig, StudyReport};
 pub use unified::UnifiedSession;

@@ -163,7 +163,7 @@ impl std::fmt::Display for StudyReport {
 /// equivalent is a target ground-truth size: the relevance threshold is
 /// bisected until roughly `target_relevant` tables qualify, so the two
 /// sub-lakes' scenarios are comparable.
-pub fn calibrated_scenario(
+fn calibrated_scenario(
     lake: &DataLake,
     label: &str,
     n_tags: usize,
@@ -194,7 +194,7 @@ pub fn calibrated_scenario(
 
 /// Scenario anchored at an explicit seed tag: the seed plus its `n − 1`
 /// nearest tags by topic cosine.
-pub fn scenario_from_seed(
+fn scenario_from_seed(
     lake: &DataLake,
     label: &str,
     seed_tag: TagId,
