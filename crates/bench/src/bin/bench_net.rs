@@ -466,12 +466,14 @@ fn main() {
     // slots replay, everyone else migrates in place — either way the
     // audit below must find zero torn paths.
     let changed: Vec<u32> = (0..8u32.min(ctx.n_attrs() as u32)).collect();
-    let epoch = svc.publish_shard(
-        Arc::new(ctx.clone()),
-        clustering_org(&ctx),
-        NavConfig::default(),
-        changed,
-    );
+    let epoch = svc
+        .publish_shard(
+            Arc::new(ctx.clone()),
+            clustering_org(&ctx),
+            NavConfig::default(),
+            changed,
+        )
+        .expect("publishing the shard epoch");
     eprintln!("published shard epoch {epoch} under {fleet_conns} live wire sessions");
 
     // Step EVERY session across the epoch, then audit.

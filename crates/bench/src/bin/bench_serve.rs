@@ -180,8 +180,8 @@ fn run_cell(
     };
     let svc = NavService::new(ctx.clone(), clustering_org(ctx), NavConfig::default(), cfg);
     // Prebuild the alternate organizations before spawning anything: each
-    // publish is then just an Arc swap, so swaps land *during* the walks
-    // rather than after the fleet has already finished.
+    // publish is then an encode plus an Arc swap, so swaps land *during*
+    // the walks rather than after the fleet has already finished.
     let alt_orgs = publish.then(|| [flat_org(ctx), clustering_org(ctx)]);
     let wall = Instant::now();
     let mut all: Vec<f64> = Vec::with_capacity(agents * steps);
@@ -204,7 +204,8 @@ fn run_cell(
                 let target = (agents * steps) as u64;
                 let mut i = 0usize;
                 while svc.stats().requests.load(Ordering::Relaxed) < target {
-                    svc.publish(ctx.clone(), orgs[i % 2].clone(), NavConfig::default());
+                    svc.publish(ctx.clone(), orgs[i % 2].clone(), NavConfig::default())
+                        .expect("publishing an alternate organization");
                     i += 1;
                     std::thread::yield_now();
                 }

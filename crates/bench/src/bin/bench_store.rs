@@ -311,7 +311,7 @@ fn main() {
     let first_mapped = first_step(&mapped, &queries[0]);
     let mapped_first_step_s = t.elapsed().as_secs_f64();
     let mapped_total_s = t_total.elapsed().as_secs_f64();
-    let is_mmap = mapped.snapshot().is_mapped();
+    let is_mmap = mapped.snapshot().view().is_mmap();
     eprintln!(
         "mapped: open {open_s:.6}s + first step {mapped_first_step_s:.6}s \
          ({file_bytes} bytes, mmap: {is_mmap})"

@@ -38,9 +38,8 @@
 //! * [`store`] — the persistent zero-copy organization store: a complete
 //!   serving snapshot in one mmap-friendly file of aligned fixed-width
 //!   sections, opened by reference in milliseconds (DESIGN.md §5g).
-//! * [`view`] — the [`OrgView`] accessor trait served snapshots are read
-//!   through, implemented by both the in-memory structs and the mapped
-//!   store.
+//! * [`view`] — what a served step derives from a [`MappedSnapshot`]:
+//!   §4.4 labels, the tables under a state, path validity.
 //! * [`multidim`] — k-dimensional organizations (§2.5, Eq 8) with parallel
 //!   per-dimension optimization.
 //! * [`shard`] — sharded single-dimension construction: tags split into
@@ -96,4 +95,3 @@ pub use search::{IterStats, SearchConfig, SearchStats, ShardPolicy, StopReason};
 pub use shard::{build_sharded, build_sharded_group, ShardedBuild, AUTO_SHARD_MAX};
 pub use store::{open_store, open_store_with_fallback, save_store, MappedSnapshot};
 pub use success::{success_curve, SuccessCurve};
-pub use view::{OrgView, OwnedSnap};

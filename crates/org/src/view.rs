@@ -1,27 +1,18 @@
-//! Read-only accessor views over a complete serving snapshot.
+//! What a served step derives from a snapshot's store sections: the §4.4
+//! state labels, the tables under a state and path validity.
 //!
-//! The serving layer historically read `OrgContext` / `Organization`
-//! fields directly; the persistent store (DESIGN.md §5g) introduces a
-//! second representation — borrowed sections of a memory-mapped file —
-//! that must be served through the *same* surface. [`OrgView`] is that
-//! surface: every navigation-time read (children, tag sets, labels,
-//! tables, child-topic matrices) goes through it, implemented by
+//! Every served snapshot is store bytes (DESIGN.md §5g), mapped from a
+//! file or encoded from the in-memory structs at publish, so these reads
+//! have one implementation, on [`MappedSnapshot`]. The tests below hold
+//! it to the struct oracles [`Organization::label`] and
+//! [`crate::Navigator::tables_here`].
 //!
-//! * [`OwnedSnap`] — the in-memory `(ctx, org)` pair behind `Arc`s, and
-//! * [`crate::store::MappedSnapshot`] — zero-copy slices into a mapped
-//!   store file.
-//!
-//! Shared *semantics* live in the trait's provided methods (labelling,
-//! attribute-set membership): implemented once, both representations
-//! produce identical bytes by construction — the mapped-vs-in-memory
-//! bit-identity the store tests assert.
-
-use std::sync::Arc;
+//! [`Organization::label`]: crate::Organization::label
 
 use dln_lake::TableId;
 
-use crate::ctx::OrgContext;
-use crate::graph::{Organization, StateId};
+use crate::graph::StateId;
+use crate::store::MappedSnapshot;
 
 /// Iterate the set bits of a little-endian `u64` word slice in ascending
 /// order — the zero-copy equivalent of [`crate::BitSet::iter`].
@@ -46,52 +37,7 @@ fn word_contains(words: &[u64], v: u32) -> bool {
     b < words.len() && words[b] & m != 0
 }
 
-/// What a served navigation step reads of one published organization
-/// snapshot: the children to rank (with their topic matrix), the state
-/// sets and tag labels for §4.4 labelling, and the tables under a state.
-/// Nothing else is exposed; a mapped store file holds exactly this.
-///
-/// All state sets are exposed as raw `u64` words (see
-/// [`crate::BitSet::words`]): for a fixed universe size, word-slice
-/// equality is set equality, which is what cross-epoch path replay
-/// compares.
-pub trait OrgView: Send + Sync {
-    /// Embedding dimensionality.
-    fn dim(&self) -> usize;
-    /// Number of tags in the universe.
-    fn n_tags(&self) -> usize;
-    /// Number of tables in the universe.
-    fn n_tables(&self) -> usize;
-    /// Number of state slots (alive + tombstoned).
-    fn n_slots(&self) -> usize;
-    /// The root state.
-    fn root(&self) -> StateId;
-    /// Is the state slot alive?
-    fn alive(&self, sid: StateId) -> bool;
-    /// The local tag of a tag state, else `None`.
-    fn state_tag(&self, sid: StateId) -> Option<u32>;
-    /// Child states, in canonical (sorted) order.
-    fn children(&self, sid: StateId) -> &[StateId];
-    /// The state's tag set as raw words.
-    fn state_tag_words(&self, sid: StateId) -> &[u64];
-    /// The state's attribute set as raw words.
-    fn state_attr_words(&self, sid: StateId) -> &[u64];
-    /// The precomputed row-major `n_children × dim` child unit-topic
-    /// matrix for Eq 1 ranking, when this representation stores one
-    /// (the mapped store does; the in-memory snapshot caches per-state
-    /// matrices one level up instead and returns `None` here).
-    fn child_mat(&self, sid: StateId) -> Option<&[f32]>;
-    /// Alive states in topological order (parents before children).
-    fn topo_order(&self) -> &[StateId];
-    /// Display label of tag `t`.
-    fn tag_label(&self, t: u32) -> &str;
-    /// `data(t)`: local attribute ids of tag `t`.
-    fn tag_attrs(&self, t: u32) -> &[u32];
-    /// Lake-global id of local table `ti`.
-    fn table_global(&self, ti: u32) -> TableId;
-    /// Local attribute ids of table `ti`.
-    fn table_attrs(&self, ti: u32) -> &[u32];
-
+impl MappedSnapshot {
     /// Does the state's attribute set contain `a`?
     #[inline]
     fn state_attr_contains(&self, sid: StateId, a: u32) -> bool {
@@ -99,12 +45,10 @@ pub trait OrgView: Send + Sync {
     }
 
     /// A human-readable label for a state — the §4.4 labelling scheme of
-    /// [`Organization::label`], implemented once over the view surface so
-    /// the in-memory and mapped representations render identical strings
-    /// by construction: the tag label for tag states, otherwise the
-    /// `max_tags` most *popular* member tags (popularity = attribute count
-    /// within the state; ties broken by ascending tag id).
-    fn label_of(&self, sid: StateId, max_tags: usize) -> String {
+    /// [`crate::Organization::label`]: the tag label for tag states,
+    /// otherwise the `max_tags` most *popular* member tags (popularity =
+    /// attribute count within the state; ties broken by ascending tag id).
+    pub fn label_of(&self, sid: StateId, max_tags: usize) -> String {
         if let Some(t) = self.state_tag(sid) {
             return self.tag_label(t).to_string();
         }
@@ -131,7 +75,7 @@ pub trait OrgView: Send + Sync {
     /// state's extent) as `(table, matching attribute count)`,
     /// most-covered first, ties by ascending table id — the serving-layer
     /// equivalent of [`crate::Navigator::tables_here`].
-    fn tables_under(&self, sid: StateId) -> Vec<(TableId, usize)> {
+    pub fn tables_under(&self, sid: StateId) -> Vec<(TableId, usize)> {
         let mut counts: Vec<(TableId, usize)> = Vec::new();
         for ti in 0..self.n_tables() as u32 {
             let n = self
@@ -147,8 +91,8 @@ pub trait OrgView: Send + Sync {
         counts
     }
 
-    /// Is `path` a root-anchored chain of alive edges on this view?
-    fn path_is_valid(&self, path: &[StateId]) -> bool {
+    /// Is `path` a root-anchored chain of alive edges on this snapshot?
+    pub fn path_is_valid(&self, path: &[StateId]) -> bool {
         let Some(&first) = path.first() else {
             return false;
         };
@@ -161,81 +105,21 @@ pub trait OrgView: Send + Sync {
     }
 }
 
-/// The in-memory snapshot representation: a context + organization pair
-/// behind `Arc`s, viewed through [`OrgView`].
-#[derive(Clone)]
-pub struct OwnedSnap {
-    /// The organization's context universe.
-    pub ctx: Arc<OrgContext>,
-    /// The organization DAG.
-    pub org: Arc<Organization>,
-}
-
-impl OrgView for OwnedSnap {
-    fn dim(&self) -> usize {
-        self.ctx.dim()
-    }
-    fn n_tags(&self) -> usize {
-        self.ctx.n_tags()
-    }
-    fn n_tables(&self) -> usize {
-        self.ctx.n_tables()
-    }
-    fn n_slots(&self) -> usize {
-        self.org.n_slots()
-    }
-    fn root(&self) -> StateId {
-        self.org.root()
-    }
-    fn alive(&self, sid: StateId) -> bool {
-        self.org.state(sid).alive
-    }
-    fn state_tag(&self, sid: StateId) -> Option<u32> {
-        self.org.state(sid).tag
-    }
-    fn children(&self, sid: StateId) -> &[StateId] {
-        &self.org.state(sid).children
-    }
-    fn state_tag_words(&self, sid: StateId) -> &[u64] {
-        self.org.state(sid).tags.words()
-    }
-    fn state_attr_words(&self, sid: StateId) -> &[u64] {
-        self.org.state(sid).attrs.words()
-    }
-    fn child_mat(&self, _sid: StateId) -> Option<&[f32]> {
-        None
-    }
-    fn topo_order(&self) -> &[StateId] {
-        self.org.topo_order()
-    }
-    fn tag_label(&self, t: u32) -> &str {
-        &self.ctx.tag(t).label
-    }
-    fn tag_attrs(&self, t: u32) -> &[u32] {
-        &self.ctx.tag(t).attrs
-    }
-    fn table_global(&self, ti: u32) -> TableId {
-        self.ctx.tables()[ti as usize].global
-    }
-    fn table_attrs(&self, ti: u32) -> &[u32] {
-        &self.ctx.tables()[ti as usize].attrs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::OrgContext;
+    use crate::eval::NavConfig;
+    use crate::graph::Organization;
     use crate::init::clustering_org;
     use dln_synth::TagCloudConfig;
 
-    fn owned() -> OwnedSnap {
+    fn fixture() -> (OrgContext, Organization, MappedSnapshot) {
         let bench = TagCloudConfig::small().generate();
         let ctx = OrgContext::full(&bench.lake);
         let org = clustering_org(&ctx);
-        OwnedSnap {
-            ctx: Arc::new(ctx),
-            org: Arc::new(org),
-        }
+        let view = MappedSnapshot::encode(&ctx, &org, NavConfig::default()).unwrap();
+        (ctx, org, view)
     }
 
     #[test]
@@ -251,24 +135,13 @@ mod tests {
     }
 
     #[test]
-    fn owned_view_mirrors_structs() {
-        let v = owned();
-        assert_eq!(v.n_slots(), v.org.n_slots());
-        assert_eq!(v.root(), v.org.root());
-        for sid in v.org.alive_ids() {
-            assert_eq!(v.children(sid), v.org.state(sid).children.as_slice());
-            assert_eq!(v.state_tag(sid), v.org.state(sid).tag);
-        }
-    }
-
-    #[test]
     fn label_of_matches_org_label_exactly() {
-        let v = owned();
-        for sid in v.org.alive_ids() {
+        let (ctx, org, v) = fixture();
+        for sid in org.alive_ids() {
             for max_tags in [0usize, 1, 2, 3] {
                 assert_eq!(
                     v.label_of(sid, max_tags),
-                    v.org.label(&v.ctx, sid, max_tags),
+                    org.label(&ctx, sid, max_tags),
                     "state {} max_tags {max_tags}",
                     sid.0
                 );
@@ -278,15 +151,15 @@ mod tests {
 
     #[test]
     fn tables_under_matches_navigator() {
-        let v = owned();
-        let nav = crate::Navigator::new(&v.ctx, &v.org, crate::NavConfig::default());
+        let (ctx, org, v) = fixture();
+        let nav = crate::Navigator::new(&ctx, &org, crate::NavConfig::default());
         // Navigator sits at the root; compare against the view.
         assert_eq!(v.tables_under(v.root()), nav.tables_here());
     }
 
     #[test]
     fn path_validity_via_view() {
-        let v = owned();
+        let (_ctx, _org, v) = fixture();
         let root = v.root();
         let child = v.children(root)[0];
         assert!(v.path_is_valid(&[root, child]));

@@ -213,12 +213,7 @@ mod tests {
         let bench = TagCloudConfig::small().generate();
         let ctx = OrgContext::full(&bench.lake);
         let org = clustering_org(&ctx);
-        Arc::new(OrgSnapshot::new(
-            0,
-            Arc::new(ctx),
-            Arc::new(org),
-            NavConfig::default(),
-        ))
+        Arc::new(OrgSnapshot::new(0, Arc::new(ctx), Arc::new(org), NavConfig::default()).unwrap())
     }
 
     #[test]

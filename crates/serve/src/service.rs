@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use dln_fault::{should_fail_keyed, DlnError, DlnResult};
 use dln_lake::TableId;
 use dln_org::eval::NavConfig;
-use dln_org::{Advance, Maintainer, MappedSnapshot, OrgContext, Organization, StateId};
+use dln_org::{Advance, Maintainer, OrgContext, Organization, StateId};
 
 use crate::clock::{Clock, WallClock};
 use crate::error::{ServeError, ServeResult};
@@ -289,11 +289,18 @@ pub struct NavService {
 
 impl NavService {
     /// A service over one organization, with a wall clock.
+    ///
+    /// # Panics
+    /// As [`SnapshotStore::new`]: when the encoded organization fails the
+    /// store's open-time checks.
     pub fn new(ctx: OrgContext, org: Organization, nav: NavConfig, cfg: ServeConfig) -> NavService {
         NavService::with_clock(ctx, org, nav, cfg, Arc::new(WallClock::new()))
     }
 
     /// A service with an injected clock (tests use [`ManualClock`]).
+    ///
+    /// # Panics
+    /// As [`NavService::new`].
     ///
     /// [`ManualClock`]: crate::clock::ManualClock
     pub fn with_clock(
@@ -373,42 +380,38 @@ impl NavService {
 
     /// Hot-swap in a new organization; in-flight and pinned sessions keep
     /// their current snapshot until they migrate per policy. Returns the
-    /// new epoch.
-    pub fn publish(&self, ctx: OrgContext, org: Organization, nav: NavConfig) -> u64 {
-        let e = self.store.publish(ctx, org, nav);
+    /// new epoch; when the encoded organization fails the store's
+    /// open-time checks, returns the error and keeps the live epoch.
+    pub fn publish(&self, ctx: OrgContext, org: Organization, nav: NavConfig) -> DlnResult<u64> {
+        let e = self.store.publish(ctx, org, nav)?;
         bump!(self.stats, published);
-        e
+        Ok(e)
     }
 
     /// Hot-swap in a store file: open it zero-copy (with `.prev`
-    /// fallback) and publish the mapped snapshot as a new epoch. Pinned
-    /// and migrating sessions behave exactly as under [`NavService::publish`].
+    /// fallback) and publish it as a new epoch. Pinned and migrating
+    /// sessions behave exactly as under [`NavService::publish`].
     pub fn publish_path(&self, path: &Path) -> DlnResult<u64> {
-        let mapped = Arc::new(dln_org::open_store_with_fallback(path)?);
-        Ok(self.publish_mapped(mapped))
-    }
-
-    /// Hot-swap in an already-opened store snapshot as a new epoch.
-    pub fn publish_mapped(&self, mapped: Arc<MappedSnapshot>) -> u64 {
-        let e = self.store.publish_mapped(mapped);
+        let e = self.store.publish_path(path)?;
         bump!(self.stats, published);
-        e
+        Ok(e)
     }
 
     /// Hot-swap in a shard-level republish: `org` differs from the current
     /// snapshot only in the `changed` slots. Sessions whose paths avoid
     /// those slots migrate *in place* (no replay, `lost_depth == 0`);
-    /// sessions inside the republished shard replay as usual.
+    /// sessions inside the republished shard replay as usual. Errors as
+    /// [`NavService::publish`].
     pub fn publish_shard(
         &self,
         ctx: Arc<OrgContext>,
         org: Organization,
         nav: NavConfig,
         changed: Vec<u32>,
-    ) -> u64 {
-        let e = self.store.publish_scoped(ctx, org, nav, changed);
+    ) -> DlnResult<u64> {
+        let e = self.store.publish_scoped(ctx, org, nav, changed)?;
         bump!(self.stats, published);
-        e
+        Ok(e)
     }
 
     /// Run one incremental maintenance cycle against this service:
@@ -448,7 +451,8 @@ impl NavService {
             n_changed: stage.changed.len(),
             searched_shards: stage.search_stats.len(),
         };
-        let epoch = self.publish_shard(Arc::new(stage.ctx), stage.org, snap.nav(), stage.changed);
+        let epoch =
+            self.publish_shard(Arc::new(stage.ctx), stage.org, snap.nav(), stage.changed)?;
         maint.mark_published(&stage.shard_roots, stage.lake)?;
         Ok(MaintReport {
             epoch: Some(epoch),
@@ -662,10 +666,9 @@ impl NavService {
         // Render the view.
         let here = s.current();
         let probs: Option<Vec<(StateId, f64)>> = match (&req.query, degraded) {
-            // Snapshot-cached Eq 1 ranking: bit-identical to
-            // `transition_probs_from`, but the child-topic gather is paid
-            // once per state per epoch (owned) or at save time (mapped)
-            // instead of once per request.
+            // Eq 1 ranking off the snapshot's child-topic matrix:
+            // bit-identical to `transition_probs_from`, with the gather
+            // paid once at encode instead of once per request.
             (Some(q), false) => Some(snap.transition_probs(here, q)),
             _ => None,
         };
@@ -718,8 +721,8 @@ impl NavService {
 
 /// Tables represented under `sid` (at least one attribute in the state's
 /// extent), most-covered first — the serving-layer equivalent of
-/// `Navigator::tables_here`, shared by the owned and mapped
-/// representations via [`dln_org::OrgView::tables_under`].
+/// `Navigator::tables_here`, read from the snapshot's store bytes by
+/// [`dln_org::MappedSnapshot::tables_under`].
 pub fn tables_at(snap: &OrgSnapshot, sid: StateId) -> Vec<(TableId, usize)> {
     snap.view().tables_under(sid)
 }
@@ -824,43 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_degrades_instead_of_erroring() {
-        let cfg = ServeConfig {
-            deadline_ms: Some(100),
-            slow_penalty_ms: 500,
-            ..ServeConfig::default()
-        };
-        let (svc, _clock, ctx, _) = service(cfg);
-        let sid = svc.open_session_keyed(11).unwrap();
-        let mut req = StepRequest::action(StepAction::Stay);
-        req.query = Some(query_of(&ctx));
-        req.list_tables = true;
-
-        // Within budget: full response.
-        let full = svc.step(sid, &req).unwrap();
-        assert!(!full.degraded);
-        assert!(full.children.iter().all(|c| c.prob.is_some()));
-
-        // serve.slow charges 500 virtual ms against a 100 ms deadline.
-        let _fp = dln_fault::scoped("serve.slow:1.0:1").unwrap();
-        let slow = svc.step(sid, &req).unwrap();
-        assert!(slow.degraded);
-        assert_eq!(slow.children.len(), full.children.len());
-        assert!(slow.children.iter().all(|c| c.prob.is_none()));
-        assert!(
-            slow.children.iter().all(|c| !c.label.is_empty()),
-            "degraded responses still carry cached labels"
-        );
-        assert!(slow.tables.is_empty(), "table listing is shed first");
-        assert_eq!(svc.stats().degraded.load(Ordering::Relaxed), 1);
-
-        // Per-request override can lift the default deadline.
-        let mut roomy = req.clone();
-        roomy.deadline_ms = Some(10_000);
-        assert!(!svc.step(sid, &roomy).unwrap().degraded);
-    }
-
-    #[test]
     fn hot_swap_migrates_sessions_with_valid_paths() {
         let (svc, _clock, ctx, flat) = service(ServeConfig::default());
         let sid = svc.open_session_keyed(3).unwrap();
@@ -872,7 +838,9 @@ mod tests {
         svc.step(sid, &StepRequest::action(StepAction::Descend(child)))
             .unwrap();
 
-        let e1 = svc.publish(ctx.clone(), flat, NavConfig::default());
+        let e1 = svc
+            .publish(ctx.clone(), flat, NavConfig::default())
+            .unwrap();
         assert_eq!(e1, 1);
         let resp = svc
             .step(sid, &StepRequest::action(StepAction::Stay))
@@ -949,11 +917,13 @@ mod tests {
             },
         );
         assert!(sharded.n_shards() > 1);
-        let e1 = svc.publish(
-            sharded.built.ctx,
-            sharded.built.organization,
-            sharded.built.nav,
-        );
+        let e1 = svc
+            .publish(
+                sharded.built.ctx,
+                sharded.built.organization,
+                sharded.built.nav,
+            )
+            .unwrap();
         assert_eq!(e1, 1);
 
         let mut req = StepRequest::action(StepAction::Stay);
@@ -1005,7 +975,8 @@ mod tests {
             };
             let (svc, _clock, ctx, flat) = service(cfg);
             let sid = svc.open_session().unwrap();
-            svc.publish(ctx.clone(), flat, NavConfig::default());
+            svc.publish(ctx.clone(), flat, NavConfig::default())
+                .unwrap();
             let out = svc.step(sid, &StepRequest::action(StepAction::Stay));
             match policy {
                 SwapPolicy::Pin => {
@@ -1025,22 +996,6 @@ mod tests {
                 SwapPolicy::Migrate => unreachable!(),
             }
         }
-    }
-
-    #[test]
-    fn drop_session_failpoint_is_a_typed_injected_loss() {
-        let (svc, _clock, _ctx, _) = service(ServeConfig::default());
-        let sid = svc.open_session_keyed(42).unwrap();
-        let _fp = dln_fault::scoped("serve.drop_session:1.0:1").unwrap();
-        let err = svc
-            .step(sid, &StepRequest::action(StepAction::Stay))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ServeError::SessionExpired { injected: true, .. }
-        ));
-        assert_eq!(svc.live_sessions(), 0);
-        assert_eq!(svc.stats().dropped_fault.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -1,25 +1,28 @@
 //! Immutable organization snapshots and epoch-based hot-swap.
 //!
-//! A [`OrgSnapshot`] bundles everything a navigation request needs behind
-//! one read surface ([`OrgView`]), plus a shared lazily-filled label cache
-//! (state labels are pure string renderings of immutable structure, so one
-//! computation serves every session). Two representations publish through
-//! the same type:
-//!
-//! * **Owned** — the in-memory `(ctx, org)` pair produced by the
-//!   organizer, with per-state child-topic matrices gathered lazily.
-//! * **Mapped** — a [`MappedSnapshot`] opened zero-copy from a persistent
-//!   store file (DESIGN.md §5g); child matrices were laid out at save
-//!   time, so the Eq 1 ranking streams straight off the map.
+//! An [`OrgSnapshot`] is one published epoch of the navigation model: a
+//! [`MappedSnapshot`] — store bytes, the one representation a step is
+//! served from — plus a shared lazily-filled label cache (state labels
+//! are pure string renderings of immutable structure, so one computation
+//! serves every session). A snapshot opened from a store file
+//! ([`SnapshotStore::open_path`], [`SnapshotStore::publish_path`]) maps
+//! the file (DESIGN.md §5g); one published from the in-memory structs
+//! ([`SnapshotStore::new`], [`SnapshotStore::publish`],
+//! [`SnapshotStore::publish_scoped`]) encodes them into the same bytes on
+//! the heap. Either way the bytes pass the store's open-time checks
+//! before they are served, and the Eq 1 ranking streams off the
+//! child-topic matrices laid out in them. A snapshot published from
+//! structs also keeps them, as the input of the next maintenance cycle.
 //!
 //! Snapshots are never mutated after publication: a maintained
-//! organization is installed by [`SnapshotStore::publish`] (or
-//! [`SnapshotStore::publish_mapped`] for a store file), which swaps the
-//! *whole* `Arc` under a short write lock and bumps the epoch. Readers
+//! organization is installed by [`SnapshotStore::publish`], which swaps
+//! the *whole* `Arc` under a short write lock and bumps the epoch. Readers
 //! clone the `Arc` under a read lock, so a request observes either the old
 //! snapshot or the new one in its entirety — never a torn mix (the paper's
 //! extended version re-optimizes organizations as the lake evolves; this
 //! is the mechanism that lets serving ride through those republications).
+//! A publish whose bytes fail the checks returns the error and leaves the
+//! live epoch in place.
 //!
 //! Sessions that were navigating the previous epoch are reconciled by
 //! [`replay_path`]: states are matched across snapshots by their *tag
@@ -35,17 +38,9 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use dln_fault::DlnResult;
 use dln_org::eval::NavConfig;
 use dln_org::{
-    open_store_with_fallback, save_store, transition_probs_over, MappedSnapshot, OrgContext,
-    OrgView, Organization, OwnedSnap, StateId,
+    open_store_with_fallback, transition_probs_over, MappedSnapshot, OrgContext, Organization,
+    StateId,
 };
-
-/// Which representation backs a snapshot.
-enum SnapSource {
-    /// In-memory context + organization.
-    Owned(OwnedSnap),
-    /// Zero-copy view of a persistent store file.
-    Mapped(Arc<MappedSnapshot>),
-}
 
 /// Scope of a publication: `None` on a whole-snapshot publish, `Some` on
 /// a shard-level republish where only the listed slots changed relative
@@ -99,52 +94,46 @@ impl PublishScope {
 /// An immutable, shareable view of one published organization.
 pub struct OrgSnapshot {
     epoch: u64,
-    nav: NavConfig,
-    source: SnapSource,
+    /// The store bytes every served read comes from.
+    view: MappedSnapshot,
+    /// The in-memory pair the bytes were encoded from, kept as the
+    /// maintenance cycle's input; `None` when opened from a store file.
+    parts: Option<(Arc<OrgContext>, Arc<Organization>)>,
     /// Shard-republish scope, when this snapshot was published as one.
     scope: Option<PublishScope>,
     /// Per-slot display labels, computed on first use and shared by every
     /// session on this snapshot.
     labels: Vec<OnceLock<String>>,
-    /// Per-slot row-major `n_children × dim` child unit-topic matrices for
-    /// the Eq 1 transition ranking (owned snapshots only — mapped ones
-    /// carry the matrices in the file), computed on first use and shared
-    /// by every session: structure is immutable after publication, so one
-    /// gather pays for the whole epoch and each request's ranking becomes
-    /// a single streaming mat-vec over contiguous memory.
-    child_mats: Vec<OnceLock<Vec<f32>>>,
 }
 
 impl OrgSnapshot {
-    fn from_source(epoch: u64, nav: NavConfig, source: SnapSource) -> OrgSnapshot {
-        let n_slots = match &source {
-            SnapSource::Owned(o) => o.n_slots(),
-            SnapSource::Mapped(m) => m.n_slots(),
-        };
-        let mut labels = Vec::with_capacity(n_slots);
-        labels.resize_with(n_slots, OnceLock::new);
-        let mut child_mats = Vec::with_capacity(n_slots);
-        child_mats.resize_with(n_slots, OnceLock::new);
+    fn from_view(
+        epoch: u64,
+        view: MappedSnapshot,
+        parts: Option<(Arc<OrgContext>, Arc<Organization>)>,
+    ) -> OrgSnapshot {
+        let mut labels = Vec::with_capacity(view.n_slots());
+        labels.resize_with(view.n_slots(), OnceLock::new);
         OrgSnapshot {
             epoch,
-            nav,
-            source,
+            view,
+            parts,
             scope: None,
             labels,
-            child_mats,
         }
     }
 
-    /// Wrap a context + organization as the snapshot for `epoch`.
-    pub fn new(epoch: u64, ctx: Arc<OrgContext>, org: Arc<Organization>, nav: NavConfig) -> Self {
-        OrgSnapshot::from_source(epoch, nav, SnapSource::Owned(OwnedSnap { ctx, org }))
-    }
-
-    /// Wrap an opened store file as the snapshot for `epoch`; the
-    /// navigation-model parameters come from the file.
-    fn from_mapped(epoch: u64, mapped: Arc<MappedSnapshot>) -> Self {
-        let nav = mapped.nav();
-        OrgSnapshot::from_source(epoch, nav, SnapSource::Mapped(mapped))
+    /// Encode a context + organization as the snapshot for `epoch`
+    /// ([`MappedSnapshot::encode`]); fails when the bytes fail the
+    /// store's open-time checks.
+    pub(crate) fn new(
+        epoch: u64,
+        ctx: Arc<OrgContext>,
+        org: Arc<Organization>,
+        nav: NavConfig,
+    ) -> DlnResult<OrgSnapshot> {
+        let view = MappedSnapshot::encode(&ctx, &org, nav)?;
+        Ok(OrgSnapshot::from_view(epoch, view, Some((ctx, org))))
     }
 
     /// The epoch this snapshot was published at (0 = the initial one).
@@ -153,18 +142,16 @@ impl OrgSnapshot {
         self.epoch
     }
 
-    /// The snapshot's read surface.
+    /// The store bytes this snapshot serves from.
     #[inline]
-    pub fn view(&self) -> &dyn OrgView {
-        match &self.source {
-            SnapSource::Owned(o) => o,
-            SnapSource::Mapped(m) => m.as_ref(),
-        }
+    pub fn view(&self) -> &MappedSnapshot {
+        &self.view
     }
 
-    /// Is this snapshot served from a mapped store file?
+    /// Was this snapshot opened from a store file (rather than published
+    /// from the in-memory structs)?
     pub fn is_mapped(&self) -> bool {
-        matches!(self.source, SnapSource::Mapped(_))
+        self.parts.is_none()
     }
 
     /// The shard-republish scope this snapshot was published with, if any.
@@ -173,88 +160,67 @@ impl OrgSnapshot {
         self.scope.as_ref()
     }
 
-    /// The owned `(ctx, org)` pair behind this snapshot, when it is owned.
-    /// The maintenance cycle needs the live structures to plan and
-    /// graft against; a mapped snapshot returns `None` (maintaining a
-    /// store file requires re-materializing it first).
+    /// The `(ctx, org)` pair this snapshot was published from. The
+    /// maintenance cycle needs the live structures to plan and graft
+    /// against; a snapshot opened from a store file returns `None`
+    /// (maintaining it requires re-materializing it first).
     pub fn owned_parts(&self) -> Option<(Arc<OrgContext>, Arc<Organization>)> {
-        match &self.source {
-            SnapSource::Owned(o) => Some((Arc::clone(&o.ctx), Arc::clone(&o.org))),
-            SnapSource::Mapped(_) => None,
-        }
+        self.parts.clone()
     }
 
     /// Navigation-model parameters.
     #[inline]
     pub fn nav(&self) -> NavConfig {
-        self.nav
+        self.view.nav()
     }
 
     /// The root state.
     #[inline]
     pub fn root(&self) -> StateId {
-        self.view().root()
+        self.view.root()
     }
 
     /// Children of `sid`, in canonical order.
     #[inline]
     pub fn children(&self, sid: StateId) -> &[StateId] {
-        self.view().children(sid)
+        self.view.children(sid)
     }
 
     /// The local tag when `sid` is a tag state.
     #[inline]
     pub fn state_tag(&self, sid: StateId) -> Option<u32> {
-        self.view().state_tag(sid)
+        self.view.state_tag(sid)
     }
 
     /// Display label of a state (§4.4 labelling scheme), cached across all
     /// sessions of this snapshot.
     pub fn label(&self, sid: StateId) -> &str {
-        self.labels[sid.index()].get_or_init(|| self.view().label_of(sid, 2))
+        self.labels[sid.index()].get_or_init(|| self.view.label_of(sid, 2))
     }
 
     /// Eq 1 transition probabilities out of `sid` for a query topic,
     /// served from the snapshot's child-topic matrix — **bit-identical**
     /// to [`dln_org::transition_probs_from`] (both paths funnel into
     /// [`transition_probs_over`]: the same dot kernel row-by-row and the
-    /// same softmax), whether the matrix was gathered lazily (owned) or
-    /// laid out in the store file at save time (mapped).
+    /// same softmax).
     pub fn transition_probs(&self, sid: StateId, query_unit: &[f32]) -> Vec<(StateId, f64)> {
-        match &self.source {
-            SnapSource::Mapped(m) => transition_probs_over(
-                m.children(sid),
-                self.nav,
-                m.child_mat(sid).unwrap_or(&[]),
-                query_unit,
-            ),
-            SnapSource::Owned(o) => {
-                let mat = self.child_mats[sid.index()].get_or_init(|| {
-                    let children = o.children(sid);
-                    let mut m = Vec::with_capacity(children.len() * o.dim());
-                    for &c in children {
-                        m.extend_from_slice(&o.org.state(c).unit_topic);
-                    }
-                    m
-                });
-                transition_probs_over(o.children(sid), self.nav, mat, query_unit)
-            }
-        }
+        transition_probs_over(
+            self.view.children(sid),
+            self.nav(),
+            self.view.child_mat(sid),
+            query_unit,
+        )
     }
 
     /// Is `path` a root-anchored chain of alive edges on this snapshot?
     pub fn path_is_valid(&self, path: &[StateId]) -> bool {
-        self.view().path_is_valid(path)
+        self.view.path_is_valid(path)
     }
 
-    /// Persist this snapshot as a store file at `path` (atomic write +
-    /// `.prev` rotation). Owned snapshots are encoded; mapped ones
-    /// re-publish their exact bytes.
+    /// Persist this snapshot's bytes as a store file at `path` (atomic
+    /// write + `.prev` rotation).
     pub fn save(&self, path: &Path) -> DlnResult<()> {
-        match &self.source {
-            SnapSource::Owned(o) => save_store(path, &o.ctx, &o.org, self.nav),
-            SnapSource::Mapped(m) => m.save_to(path),
-        }
+        self.view.save_to(path)
     }
 }
 
@@ -316,25 +282,34 @@ fn wlock<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 }
 
 impl SnapshotStore {
-    /// A store whose epoch 0 holds the given organization.
-    pub fn new(ctx: OrgContext, org: Organization, nav: NavConfig) -> SnapshotStore {
-        let snap = OrgSnapshot::new(0, Arc::new(ctx), Arc::new(org), nav);
+    fn with_current(snap: OrgSnapshot) -> SnapshotStore {
         SnapshotStore {
             current: RwLock::new(Arc::new(snap)),
             publish_lock: Mutex::new(()),
         }
     }
 
+    /// A store whose epoch 0 holds the given organization.
+    ///
+    /// # Panics
+    /// When the encoded organization fails the store's open-time checks:
+    /// a non-positive or non-finite γ in `nav`, or ids out of range in
+    /// `org` (an organization that passes [`Organization::validate`] has
+    /// none).
+    pub fn new(ctx: OrgContext, org: Organization, nav: NavConfig) -> SnapshotStore {
+        let snap = OrgSnapshot::new(0, Arc::new(ctx), Arc::new(org), nav)
+            .unwrap_or_else(|e| panic!("encoding the initial snapshot: {e}"));
+        SnapshotStore::with_current(snap)
+    }
+
     /// A store whose epoch 0 is opened zero-copy from the persistent
     /// store file at `path` (with `.prev` generation fallback) — the
     /// millisecond cold-start path.
     pub fn open_path(path: &Path) -> DlnResult<SnapshotStore> {
-        let mapped = Arc::new(open_store_with_fallback(path)?);
-        let snap = OrgSnapshot::from_mapped(0, mapped);
-        Ok(SnapshotStore {
-            current: RwLock::new(Arc::new(snap)),
-            publish_lock: Mutex::new(()),
-        })
+        let view = open_store_with_fallback(path)?;
+        Ok(SnapshotStore::with_current(OrgSnapshot::from_view(
+            0, view, None,
+        )))
     }
 
     /// The currently published snapshot. Cheap: one read lock + one `Arc`
@@ -349,25 +324,28 @@ impl SnapshotStore {
         rlock(&self.current).epoch()
     }
 
-    fn install(&self, make: impl FnOnce(u64) -> OrgSnapshot) -> u64 {
+    /// Build the next epoch's snapshot and swap it in; on error the live
+    /// epoch stays.
+    fn install(&self, make: impl FnOnce(u64) -> DlnResult<OrgSnapshot>) -> DlnResult<u64> {
         let _pub = plock(&self.publish_lock);
         let next_epoch = rlock(&self.current).epoch() + 1;
-        let snap = Arc::new(make(next_epoch));
+        let snap = Arc::new(make(next_epoch)?);
         *wlock(&self.current) = snap;
-        next_epoch
+        Ok(next_epoch)
     }
 
     /// Atomically publish a new organization; returns its epoch. In-flight
     /// requests holding the previous `Arc` finish on it untouched.
-    pub fn publish(&self, ctx: OrgContext, org: Organization, nav: NavConfig) -> u64 {
+    pub fn publish(&self, ctx: OrgContext, org: Organization, nav: NavConfig) -> DlnResult<u64> {
         self.install(|e| OrgSnapshot::new(e, Arc::new(ctx), Arc::new(org), nav))
     }
 
-    /// Atomically publish an opened store file; returns its epoch. Mapped
-    /// epochs hot-swap exactly like owned ones — sessions migrate across
-    /// by the same tag-set path replay.
-    pub fn publish_mapped(&self, mapped: Arc<MappedSnapshot>) -> u64 {
-        self.install(|e| OrgSnapshot::from_mapped(e, mapped))
+    /// Atomically publish the store file at `path` (with `.prev`
+    /// fallback); returns its epoch. Sessions migrate across by the same
+    /// tag-set path replay as under [`SnapshotStore::publish`].
+    pub fn publish_path(&self, path: &Path) -> DlnResult<u64> {
+        let view = open_store_with_fallback(path)?;
+        self.install(|e| Ok(OrgSnapshot::from_view(e, view, None)))
     }
 
     /// Atomically publish a shard-level republish: `org` differs from the
@@ -382,11 +360,11 @@ impl SnapshotStore {
         org: Organization,
         nav: NavConfig,
         changed: Vec<u32>,
-    ) -> u64 {
+    ) -> DlnResult<u64> {
         self.install(|e| {
-            let mut snap = OrgSnapshot::new(e, ctx, Arc::new(org), nav);
+            let mut snap = OrgSnapshot::new(e, ctx, Arc::new(org), nav)?;
             snap.scope = Some(PublishScope::new(e - 1, changed));
-            snap
+            Ok(snap)
         })
     }
 }
@@ -394,7 +372,7 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dln_org::{clustering_org, flat_org};
+    use dln_org::{clustering_org, flat_org, save_store, Navigator};
     use dln_synth::TagCloudConfig;
 
     fn snap(epoch: u64) -> (OrgSnapshot, OrgSnapshot) {
@@ -408,8 +386,9 @@ mod tests {
                 Arc::new(ctx.clone()),
                 Arc::new(a),
                 NavConfig::default(),
-            ),
-            OrgSnapshot::new(epoch + 1, Arc::new(ctx), Arc::new(b), NavConfig::default()),
+            )
+            .unwrap(),
+            OrgSnapshot::new(epoch + 1, Arc::new(ctx), Arc::new(b), NavConfig::default()).unwrap(),
         )
     }
 
@@ -430,53 +409,63 @@ mod tests {
     }
 
     #[test]
-    fn cached_transition_ranking_matches_free_function_bitwise() {
+    fn published_snapshot_is_store_bytes_matching_the_struct_oracles() {
         let bench = TagCloudConfig::small().generate();
-        let ctx = OrgContext::full(&bench.lake);
-        let org = clustering_org(&ctx);
-        let query = ctx.attr(0).unit_topic.clone();
-        let alive: Vec<StateId> = org.alive_ids().collect();
-        let free: Vec<_> = alive
-            .iter()
-            .map(|&sid| dln_org::transition_probs_from(&org, NavConfig::default(), sid, &query))
-            .collect();
-        let s = OrgSnapshot::new(0, Arc::new(ctx), Arc::new(org), NavConfig::default());
-        for (sid, free) in alive.iter().zip(&free) {
-            // Twice: first call fills the cache, second serves from it.
-            for _ in 0..2 {
-                let cached = s.transition_probs(*sid, &query);
-                assert_eq!(free.len(), cached.len());
-                for ((s1, p1), (s2, p2)) in free.iter().zip(&cached) {
+        let ctx = Arc::new(OrgContext::full(&bench.lake));
+        let org = Arc::new(clustering_org(&ctx));
+        let nav = NavConfig::default();
+        let s = OrgSnapshot::new(0, Arc::clone(&ctx), Arc::clone(&org), nav).unwrap();
+        assert!(!s.is_mapped() && !s.view().is_mmap());
+
+        // The snapshot holds exactly the bytes `save_store` writes.
+        let (written, held) = (store_path("oracle.dlnstore"), store_path("held.dlnstore"));
+        save_store(&written, &ctx, &org, nav).unwrap();
+        s.save(&held).unwrap();
+        assert_eq!(
+            std::fs::read(&written).unwrap(),
+            std::fs::read(&held).unwrap()
+        );
+
+        // A root path to every alive state (parents come first in topo
+        // order), to stand the struct navigator on it.
+        let mut paths: Vec<Option<Vec<StateId>>> = vec![None; org.n_slots()];
+        paths[org.root().index()] = Some(vec![org.root()]);
+        for &p in org.topo_order() {
+            let Some(to_p) = paths[p.index()].clone() else {
+                continue;
+            };
+            for &c in &org.state(p).children {
+                paths[c.index()].get_or_insert_with(|| [to_p.as_slice(), &[c]].concat());
+            }
+        }
+        let queries = [
+            ctx.attr(0).unit_topic.clone(),
+            ctx.attr(ctx.n_attrs() as u32 / 2).unit_topic.clone(),
+        ];
+        for sid in org.alive_ids() {
+            for q in &queries {
+                let oracle = dln_org::transition_probs_from(&org, nav, sid, q);
+                let served = s.transition_probs(sid, q);
+                assert_eq!(oracle.len(), served.len());
+                for ((s1, p1), (s2, p2)) in oracle.iter().zip(&served) {
                     assert_eq!(s1, s2);
                     assert_eq!(p1.to_bits(), p2.to_bits(), "state {} diverged", sid.0);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn mapped_snapshot_serves_bit_identical_rankings() {
-        let bench = TagCloudConfig::small().generate();
-        let ctx = OrgContext::full(&bench.lake);
-        let org = clustering_org(&ctx);
-        let path = store_path("rankings.dlnstore");
-        dln_org::save_store(&path, &ctx, &org, NavConfig::default()).unwrap();
-        let mapped = Arc::new(dln_org::open_store(&path).unwrap());
-        let query = ctx.attr(0).unit_topic.clone();
-        let owned = OrgSnapshot::new(0, Arc::new(ctx), Arc::new(org), NavConfig::default());
-        let snap = OrgSnapshot::from_mapped(0, mapped);
-        assert!(snap.is_mapped() && !owned.is_mapped());
-        for sid in owned.view().topo_order() {
-            assert_eq!(snap.label(*sid), owned.label(*sid));
-            let (m, o) = (
-                snap.transition_probs(*sid, &query),
-                owned.transition_probs(*sid, &query),
-            );
-            assert_eq!(m.len(), o.len());
-            for ((s1, p1), (s2, p2)) in m.iter().zip(&o) {
-                assert_eq!(s1, s2);
-                assert_eq!(p1.to_bits(), p2.to_bits(), "state {} diverged", sid.0);
+            assert_eq!(s.label(sid), org.label(&ctx, sid, 2), "state {}", sid.0);
+            let path = paths[sid.index()]
+                .as_ref()
+                .expect("alive states are reachable");
+            let mut navigator = Navigator::new(&ctx, &org, nav);
+            for &c in &path[1..] {
+                navigator.descend(c).unwrap();
             }
+            assert_eq!(
+                s.view().tables_under(sid),
+                navigator.tables_here(),
+                "state {}",
+                sid.0
+            );
         }
     }
 
@@ -555,9 +544,9 @@ mod tests {
         let org = clustering_org(&ctx);
         let path_file = store_path("replay.dlnstore");
         dln_org::save_store(&path_file, &ctx, &org, NavConfig::default()).unwrap();
-        let mapped =
-            OrgSnapshot::from_mapped(1, Arc::new(dln_org::open_store(&path_file).unwrap()));
-        let owned = OrgSnapshot::new(0, Arc::new(ctx), Arc::new(org), NavConfig::default());
+        let mapped = OrgSnapshot::from_view(1, dln_org::open_store(&path_file).unwrap(), None);
+        let owned =
+            OrgSnapshot::new(0, Arc::new(ctx), Arc::new(org), NavConfig::default()).unwrap();
         let root = owned.root();
         let mut path = vec![root];
         let mut here = root;
@@ -583,7 +572,9 @@ mod tests {
         let store = SnapshotStore::new(ctx.clone(), clustering_org(&ctx), NavConfig::default());
         assert_eq!(store.epoch(), 0);
         let held = store.current();
-        let e1 = store.publish(ctx.clone(), flat_org(&ctx), NavConfig::default());
+        let e1 = store
+            .publish(ctx.clone(), flat_org(&ctx), NavConfig::default())
+            .unwrap();
         assert_eq!(e1, 1);
         assert_eq!(store.epoch(), 1);
         assert_eq!(held.epoch(), 0, "held snapshot is untouched by publish");
@@ -591,7 +582,25 @@ mod tests {
     }
 
     #[test]
-    fn open_path_and_publish_mapped_round_trip() {
+    fn failed_publish_keeps_the_live_epoch() {
+        let bench = TagCloudConfig::small().generate();
+        let ctx = OrgContext::full(&bench.lake);
+        let store = SnapshotStore::new(ctx.clone(), clustering_org(&ctx), NavConfig::default());
+        let live = store.current();
+        // γ = 0 fails the store's META check; a truncated file fails open.
+        let bad_nav = NavConfig { gamma: 0.0 };
+        assert!(store.publish(ctx.clone(), flat_org(&ctx), bad_nav).is_err());
+        let torn = store_path("torn_publish.dlnstore");
+        live.save(&torn).unwrap();
+        let bytes = std::fs::read(&torn).unwrap();
+        std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
+        assert!(store.publish_path(&torn).is_err());
+        assert_eq!(store.epoch(), 0);
+        assert!(Arc::ptr_eq(&live, &store.current()));
+    }
+
+    #[test]
+    fn open_path_and_publish_path_round_trip() {
         let bench = TagCloudConfig::small().generate();
         let ctx = OrgContext::full(&bench.lake);
         let org = clustering_org(&ctx);
@@ -601,7 +610,8 @@ mod tests {
             Arc::new(ctx.clone()),
             Arc::new(org),
             NavConfig::default(),
-        );
+        )
+        .unwrap();
         owned.save(&path).unwrap();
 
         let store = SnapshotStore::open_path(&path).unwrap();
@@ -612,8 +622,7 @@ mod tests {
         // A mapped snapshot can itself be re-saved and re-published.
         let copy = store_path("openpath_copy.dlnstore");
         store.current().save(&copy).unwrap();
-        let remapped = Arc::new(dln_org::open_store(&copy).unwrap());
-        let e1 = store.publish_mapped(remapped);
+        let e1 = store.publish_path(&copy).unwrap();
         assert_eq!(e1, 1);
         assert!(store.current().is_mapped());
     }

@@ -142,7 +142,7 @@ fn build_service(
             "(cold start: opened {} in {:.2} ms, mmap: {})",
             path.display(),
             t.elapsed().as_secs_f64() * 1e3,
-            svc.snapshot().is_mapped()
+            svc.snapshot().view().is_mmap()
         );
         let ctx = OrgContext::full(lake);
         let nav = svc.snapshot().nav();
@@ -340,8 +340,12 @@ fn main() {
                     clustering_org(&ctx)
                 };
                 publishes += 1;
-                let epoch = svc.publish(ctx.clone(), org, nav);
-                println!("(published epoch {epoch}; next step migrates this session)");
+                match svc.publish(ctx.clone(), org, nav) {
+                    Ok(epoch) => {
+                        println!("(published epoch {epoch}; next step migrates this session)")
+                    }
+                    Err(e) => println!("(publish refused, epoch unchanged: {e})"),
+                }
                 Some(StepAction::Stay)
             }
             cmd if cmd == "w" || cmd.starts_with("w ") => {

@@ -257,7 +257,9 @@ fn republish_migrates_wire_sessions_with_zero_torn_paths() {
         )
         .expect("descend");
 
-    let epoch = svc.publish(ctx.clone(), flat_org(&ctx), NavConfig::default());
+    let epoch = svc
+        .publish(ctx.clone(), flat_org(&ctx), NavConfig::default())
+        .expect("publish");
     assert_eq!(epoch, 1);
 
     let resp = client

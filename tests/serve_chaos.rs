@@ -195,7 +195,8 @@ fn hot_swap_under_concurrent_traffic_never_tears_a_session() {
                 } else {
                     clustering_org(ctx)
                 };
-                svc.publish(ctx.clone(), org, NavConfig::default());
+                svc.publish(ctx.clone(), org, NavConfig::default())
+                    .expect("publish");
                 for _ in 0..50 {
                     std::thread::yield_now();
                 }
@@ -316,4 +317,80 @@ fn overload_sheds_typed_and_retry_recovers() {
     assert!(out.is_ok(), "retry must land once capacity returns");
     assert!(slept >= 1);
     assert!(svc.stats().overloaded.load(Ordering::Relaxed) >= 2);
+}
+
+/// A TagCloud-small service on a manual clock.
+fn tagcloud_service(cfg: ServeConfig) -> (NavService, OrgContext) {
+    let bench = TagCloudConfig::small().generate();
+    let ctx = OrgContext::full(&bench.lake);
+    let svc = NavService::with_clock(
+        ctx.clone(),
+        clustering_org(&ctx),
+        NavConfig::default(),
+        cfg,
+        Arc::new(ManualClock::new(0)),
+    );
+    (svc, ctx)
+}
+
+/// `serve.slow` charges virtual milliseconds against the deadline: the
+/// response degrades (cached labels, no ranking, no tables) instead of
+/// erroring, and a per-request deadline override lifts it. Every step
+/// runs under a scope of its own, so an armed CI schedule cannot reach it.
+#[test]
+fn deadline_degrades_instead_of_erroring() {
+    let cfg = ServeConfig {
+        deadline_ms: Some(100),
+        slow_penalty_ms: 500,
+        ..ServeConfig::default()
+    };
+    let (svc, ctx) = tagcloud_service(cfg);
+    let sid = svc.open_session_keyed(11).unwrap();
+    let mut req = StepRequest::action(StepAction::Stay);
+    req.query = Some(ctx.attr(0).unit_topic.clone());
+    req.list_tables = true;
+
+    // Within budget: full response.
+    let full = {
+        let _fp = dln_fault::scoped("").expect("empty spec parses");
+        svc.step(sid, &req).unwrap()
+    };
+    assert!(!full.degraded);
+    assert!(full.children.iter().all(|c| c.prob.is_some()));
+
+    // serve.slow charges 500 virtual ms against a 100 ms deadline.
+    let _fp = dln_fault::scoped("serve.slow:1.0:1").unwrap();
+    let slow = svc.step(sid, &req).unwrap();
+    assert!(slow.degraded);
+    assert_eq!(slow.children.len(), full.children.len());
+    assert!(slow.children.iter().all(|c| c.prob.is_none()));
+    assert!(
+        slow.children.iter().all(|c| !c.label.is_empty()),
+        "degraded responses still carry cached labels"
+    );
+    assert!(slow.tables.is_empty(), "table listing is shed first");
+    assert_eq!(svc.stats().degraded.load(Ordering::Relaxed), 1);
+
+    // Per-request override can lift the default deadline.
+    let mut roomy = req.clone();
+    roomy.deadline_ms = Some(10_000);
+    assert!(!svc.step(sid, &roomy).unwrap().degraded);
+}
+
+/// `serve.drop_session` tears the session down mid-request, as a crashed
+/// worker would: the client sees a typed, injected `SessionExpired`.
+#[test]
+fn drop_session_failpoint_is_a_typed_injected_loss() {
+    let (svc, _ctx) = tagcloud_service(ServeConfig::default());
+    let sid = svc.open_session_keyed(42).unwrap();
+    let _fp = dln_fault::scoped("serve.drop_session:1.0:1").unwrap();
+    let err = svc
+        .step(sid, &StepRequest::action(StepAction::Stay))
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        ServeError::SessionExpired { injected: true, .. }
+    ));
+    assert_eq!(svc.live_sessions(), 0);
+    assert_eq!(svc.stats().dropped_fault.load(Ordering::Relaxed), 1);
 }

@@ -22,7 +22,6 @@ use std::sync::Arc;
 
 use datalake_nav::org::{
     clustering_org, open_store, open_store_with_fallback, save_store, NavConfig, OrgContext,
-    OrgView,
 };
 use datalake_nav::prelude::*;
 use datalake_nav::serve::clock::ManualClock;
@@ -159,13 +158,13 @@ fn mmap_failpoint_heap_fallback_serves_identically() {
             datalake_nav::org::transition_probs_over(
                 mapped.children(sid),
                 mapped.nav(),
-                mapped.child_mat(sid).unwrap(),
+                mapped.child_mat(sid),
                 &q,
             ),
             datalake_nav::org::transition_probs_over(
                 heaped.children(sid),
                 heaped.nav(),
-                heaped.child_mat(sid).unwrap(),
+                heaped.child_mat(sid),
                 &q,
             ),
         );
