@@ -42,15 +42,12 @@ pub fn transition_probs_from(
 
 /// [`transition_probs_from`] over an explicit child list and its
 /// precomputed row-major `children.len() × dim` unit-topic matrix (rows in
-/// `children` order). Serving snapshots cache these matrices per state so
-/// the per-request work is a single streaming mat-vec instead of `k`
-/// pointer-chasing dot products; each row runs the same kernel as the
-/// scattered path ([`dln_embed::batch_dot_wide`]'s contract), and the
-/// softmax is shared, so the probabilities are **bit-identical** to
-/// [`transition_probs_from`]. Both the in-memory cached-matrix path and
-/// the mapped store path ([`crate::store::MappedSnapshot`]) funnel here,
-/// so a snapshot served from disk is bit-identical to the one it was
-/// saved from.
+/// `children` order). Served snapshots hold these matrices in their store
+/// bytes ([`crate::store::MappedSnapshot::child_mat`]) so the per-request
+/// work is a single streaming mat-vec instead of `k` pointer-chasing dot
+/// products; each row runs the same kernel as the scattered path
+/// ([`dln_embed::batch_dot_wide`]'s contract), and the softmax is shared,
+/// so the probabilities are **bit-identical** to [`transition_probs_from`].
 ///
 /// # Panics
 /// Panics in debug builds when the matrix shape does not match the child
