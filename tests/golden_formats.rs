@@ -1,4 +1,5 @@
-//! Cross-version golden images of the durable cycle formats.
+//! Cross-version golden images of the durable cycle formats and the wire
+//! protocol.
 //!
 //! The chaos suites compare faulted and unfaulted runs of one build; this
 //! suite pins the bytes themselves. `tests/fixtures/golden/` holds what two
@@ -8,17 +9,25 @@
 //! those exact bytes from scratch, that it resumes a crashed cycle from the
 //! pinned files, and that the published organization carries the pinned
 //! fingerprint.
+//!
+//! It also holds one wire frame per request and response variant
+//! (`wire.requests`, `wire.responses`, frames back to back, the i-th
+//! frame with sequence number i). A round trip cannot catch a byte change
+//! that encoder and decoder make together; these images can, in both
+//! directions.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use datalake_nav::embed::TopicAccumulator;
 use datalake_nav::lake::{AttrChange, ChangeEvent};
+use datalake_nav::net::wire;
 use datalake_nav::org::{
-    build_sharded, MaintConfig, Maintainer, SearchConfig, ShardPolicy, ShardedBuild,
+    build_sharded, MaintConfig, Maintainer, SearchConfig, ShardPolicy, ShardedBuild, StateId,
 };
 use datalake_nav::prelude::*;
-use datalake_nav::serve::ManualClock;
+use datalake_nav::serve::service::{ChildView, SwapOutcome};
+use datalake_nav::serve::{ApiRequest, ApiResponse, ManualClock, WireError};
 use datalake_nav::synth::TagCloudConfig;
 
 /// Fingerprint of the organization published by the second maintenance
@@ -216,4 +225,165 @@ fn maintenance_cycles_write_and_resume_the_pinned_images() {
     check(&dir.join("maint.state"), "maint.state");
     check(&dir.join("cdc"), "cdc");
     assert_eq!(served_fp(&svc), MAINT_FP);
+}
+
+/// One request of every variant, every step action, and a step with and
+/// without its optional fields.
+fn wire_requests() -> Vec<ApiRequest> {
+    let step = |action, query, deadline_ms, list_tables| ApiRequest::Step {
+        session: SessionId(0x0102_0304_0506_0708),
+        req: StepRequest {
+            action,
+            query,
+            deadline_ms,
+            list_tables,
+        },
+    };
+    vec![
+        ApiRequest::Ping,
+        ApiRequest::Open { fault_key: 77 },
+        step(
+            StepAction::Descend(StateId(9)),
+            Some(vec![0.25, -1.5, f32::MIN_POSITIVE, 1.0 / 3.0]),
+            Some(17),
+            true,
+        ),
+        step(StepAction::Backtrack, None, None, false),
+        step(StepAction::Reset, Some(Vec::new()), None, true),
+        step(StepAction::Stay, None, Some(u64::MAX), false),
+        ApiRequest::Path {
+            session: SessionId(5),
+        },
+        ApiRequest::Close {
+            session: SessionId(6),
+        },
+    ]
+}
+
+/// One response of every variant, every [`WireError`] and every swap
+/// outcome; the first step carries probabilities, tables, `degraded` and
+/// a migration.
+fn wire_responses() -> Vec<ApiResponse> {
+    let step = |children, tables, degraded, swap| {
+        ApiResponse::Step(StepResponse {
+            session: SessionId(8),
+            epoch: 3,
+            state: StateId(11),
+            depth: 2,
+            label: "étiquette".to_string(),
+            at_tag_state: Some(4),
+            children,
+            tables,
+            degraded,
+            swap,
+        })
+    };
+    let children = vec![
+        ChildView {
+            state: StateId(12),
+            label: "a".to_string(),
+            prob: Some(0.1 + 0.2),
+        },
+        ChildView {
+            state: StateId(13),
+            label: String::new(),
+            prob: None,
+        },
+    ];
+    let mut out = vec![
+        ApiResponse::Pong,
+        ApiResponse::Opened {
+            session: SessionId(1),
+        },
+        step(
+            children,
+            vec![(TableId(0), 5), (TableId(9), 1)],
+            true,
+            SwapOutcome::Migrated {
+                from_epoch: 1,
+                to_epoch: 3,
+                lost_depth: 1,
+            },
+        ),
+        step(Vec::new(), Vec::new(), false, SwapOutcome::Current),
+        step(
+            Vec::new(),
+            Vec::new(),
+            false,
+            SwapOutcome::Pinned { epoch: 2 },
+        ),
+        ApiResponse::Path {
+            session: SessionId(2),
+            path: vec![StateId(0), StateId(4), StateId(11)],
+        },
+        ApiResponse::Closed {
+            session: SessionId(3),
+        },
+    ];
+    out.extend(
+        [
+            WireError::Overloaded { retry_after_ms: 9 },
+            WireError::SessionLimit { capacity: 2 },
+            WireError::SessionNotFound {
+                session: SessionId(1),
+            },
+            WireError::SessionExpired {
+                session: SessionId(2),
+                injected: true,
+            },
+            WireError::Stale {
+                session_epoch: 0,
+                current_epoch: 4,
+            },
+            WireError::Nav {
+                message: "not a child".to_string(),
+            },
+        ]
+        .map(ApiResponse::Error),
+    );
+    out
+}
+
+/// Check that `msgs` frame to exactly the pinned image `name`, and that
+/// the pinned frames decode back to `msgs` (compared by `Debug`, which
+/// prints every float exactly).
+fn check_frames<T: std::fmt::Debug>(
+    name: &str,
+    msgs: &[T],
+    encode: impl Fn(u64, &T) -> Vec<u8>,
+    decode: impl Fn(&[u8], &str) -> dln_fault::DlnResult<(u64, T)>,
+) {
+    let mut framed = Vec::new();
+    for (seq, msg) in msgs.iter().enumerate() {
+        wire::encode_frame(&encode(seq as u64, msg), &mut framed);
+    }
+    let pinned = read(&fixture_dir().join(name));
+    assert!(framed == pinned, "encoded frames differ from {name}");
+    let mut rest = &pinned[..];
+    for (seq, msg) in msgs.iter().enumerate() {
+        let (payload, used) = wire::try_decode_frame(rest, wire::MAX_FRAME_LEN, name)
+            .expect("pinned frame")
+            .expect("complete frame");
+        let (got_seq, got) = decode(payload, name).expect("pinned payload");
+        assert_eq!(got_seq, seq as u64, "{name} frame {seq}");
+        assert_eq!(format!("{got:?}"), format!("{msg:?}"), "{name} frame {seq}");
+        rest = &rest[used..];
+    }
+    assert!(rest.is_empty(), "{name} holds more frames than messages");
+}
+
+#[test]
+fn wire_frames_match_the_pinned_images() {
+    check_frames(
+        "wire.requests",
+        &wire_requests(),
+        wire::encode_request,
+        wire::decode_request,
+    );
+    check_frames(
+        "wire.responses",
+        &wire_responses(),
+        wire::encode_response,
+        wire::decode_response,
+    );
 }
