@@ -86,11 +86,9 @@ fn put_labels(w: &mut persist::Writer, labels: &[String]) {
     }
 }
 
-fn get_labels(r: &mut persist::Reader<'_>, context: &str) -> DlnResult<Vec<String>> {
-    let n = r.u32()? as usize;
-    if n > r.total_len() {
-        return Err(DlnError::corrupt(context, "implausible label count"));
-    }
+fn get_labels(r: &mut persist::Reader<'_>) -> DlnResult<Vec<String>> {
+    // Each label is at least its u32 length.
+    let n = r.count(4)?;
     (0..n).map(|_| r.str()).collect()
 }
 
@@ -139,7 +137,7 @@ impl ChangeEvent {
                     w.u64(a.topic.count());
                     w.u32(a.topic.dim() as u32);
                     for &v in a.topic.sum() {
-                        w.u32(v.to_bits());
+                        w.f32(v);
                     }
                     put_labels(&mut w, &a.tags);
                 }
@@ -155,9 +153,7 @@ impl ChangeEvent {
             }
         }
         // Unsealed: the WAL frame / snapshot carries the checksum.
-        let mut bytes = w.seal();
-        bytes.truncate(bytes.len() - 8);
-        bytes
+        w.into_bytes()
     }
 
     /// Decode one event; a failure here on a checksum-valid frame is the
@@ -168,25 +164,20 @@ impl ChangeEvent {
         let ev = match r.u8()? {
             1 => {
                 let name = r.str()?;
-                let tags = get_labels(&mut r, context)?;
-                let n_attrs = r.u32()? as usize;
-                if n_attrs > bytes.len() {
-                    return Err(DlnError::corrupt(context, "implausible attr count"));
-                }
+                let tags = get_labels(&mut r)?;
+                // name, n_values, count, dim and label count: 24 bytes.
+                let n_attrs = r.count(24)?;
                 let mut attrs = Vec::with_capacity(n_attrs);
                 for _ in 0..n_attrs {
                     let name = r.str()?;
                     let n_values = r.u32()?;
                     let count = r.u64()?;
-                    let dim = r.u32()? as usize;
-                    if dim.saturating_mul(4) > bytes.len() {
-                        return Err(DlnError::corrupt(context, "implausible topic dim"));
-                    }
+                    let dim = r.count(4)?;
                     let mut sum = Vec::with_capacity(dim);
                     for _ in 0..dim {
-                        sum.push(f32::from_bits(r.u32()?));
+                        sum.push(r.f32()?);
                     }
-                    let tags = get_labels(&mut r, context)?;
+                    let tags = get_labels(&mut r)?;
                     attrs.push(AttrChange {
                         name,
                         topic: TopicAccumulator::from_sum(sum, count),
@@ -199,7 +190,7 @@ impl ChangeEvent {
             2 => ChangeEvent::TableRemoved { name: r.str()? },
             3 => ChangeEvent::TableRetagged {
                 name: r.str()?,
-                tags: get_labels(&mut r, context)?,
+                tags: get_labels(&mut r)?,
             },
             k => {
                 return Err(DlnError::corrupt(
@@ -208,9 +199,7 @@ impl ChangeEvent {
                 ))
             }
         };
-        if r.pos() != bytes.len() {
-            return Err(DlnError::corrupt(context, "trailing bytes after event"));
-        }
+        r.finish()?;
         Ok(ev)
     }
 }
@@ -273,7 +262,8 @@ impl SeqState for ChangeHistory {
         context: &str,
     ) -> DlnResult<(ChangeHistory, u64)> {
         let quarantined = r.u64()?;
-        let n = r.len_prefix()?;
+        // Each event is at least its sequence number and length.
+        let n = r.len_prefix(16)?;
         let mut events = Vec::with_capacity(n);
         let mut prev = 0u64;
         for _ in 0..n {
@@ -282,7 +272,7 @@ impl SeqState for ChangeHistory {
                 return Err(DlnError::corrupt(context, "snapshot sequence disorder"));
             }
             prev = eseq;
-            let len = r.len_prefix()?;
+            let len = r.len_prefix(1)?;
             events.push((eseq, ChangeEvent::decode(r.take(len)?, context)?));
         }
         Ok((ChangeHistory(events), quarantined))

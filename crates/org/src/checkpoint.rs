@@ -172,8 +172,8 @@ impl Checkpoint {
                 None => 0,
                 Some(k) => encode_kind(k),
             });
-            w.u8(s.accepted as u8);
-            w.u64(s.effectiveness.to_bits());
+            w.bool(s.accepted);
+            w.f64(s.effectiveness);
             w.u64(s.states_visited as u64);
             w.u64(s.states_alive as u64);
             w.u64(s.queries_evaluated as u64);
@@ -186,7 +186,7 @@ impl Checkpoint {
         }
         w.u64(c.reach_sweep.len() as u64);
         for &r in &c.reach_sweep {
-            w.u64(r.to_bits());
+            w.f64(r);
         }
         w.u32(c.max_level);
         w.u32(c.level);
@@ -195,7 +195,7 @@ impl Checkpoint {
             w.u32(s);
         }
         w.u64(c.idx);
-        w.u8(c.proposed_this_sweep as u8);
+        w.bool(c.proposed_this_sweep);
         w.seal()
     }
 
@@ -235,7 +235,7 @@ impl Checkpoint {
         let initial_bits = r.u64()?;
         let elapsed_nanos = r.u64()?;
         let best_at_ops = r.u64()?;
-        let n_ops = r.len_prefix()?;
+        let n_ops = r.len_prefix(5)?;
         let mut op_log = Vec::with_capacity(n_ops);
         for _ in 0..n_ops {
             let slot = r.u32()?;
@@ -245,7 +245,7 @@ impl Checkpoint {
             }
             op_log.push((slot, kind));
         }
-        let n_stats = r.len_prefix()?;
+        let n_stats = r.len_prefix(42)?; // two u8 and five u64 each
         let mut iter_stats = Vec::with_capacity(n_stats);
         for _ in 0..n_stats {
             let op = match r.u8()? {
@@ -255,8 +255,8 @@ impl Checkpoint {
                         .ok_or_else(|| DlnError::corrupt(context, format!("bad stat op {b}")))?,
                 ),
             };
-            let accepted = r.u8()? != 0;
-            let effectiveness = f64::from_bits(r.u64()?);
+            let accepted = r.bool()?;
+            let effectiveness = r.f64()?;
             let states_visited = r.u64()? as usize;
             let states_alive = r.u64()? as usize;
             let queries_evaluated = r.u64()? as usize;
@@ -271,31 +271,26 @@ impl Checkpoint {
                 attrs_covered,
             });
         }
-        let n_levels = r.len_prefix()?;
+        let n_levels = r.len_prefix(4)?;
         let mut levels = Vec::with_capacity(n_levels);
         for _ in 0..n_levels {
             levels.push(r.u32()?);
         }
-        let n_reach = r.len_prefix()?;
+        let n_reach = r.len_prefix(8)?;
         let mut reach_sweep = Vec::with_capacity(n_reach);
         for _ in 0..n_reach {
-            reach_sweep.push(f64::from_bits(r.u64()?));
+            reach_sweep.push(r.f64()?);
         }
         let max_level = r.u32()?;
         let level = r.u32()?;
-        let n_at = r.len_prefix()?;
+        let n_at = r.len_prefix(4)?;
         let mut at_level = Vec::with_capacity(n_at);
         for _ in 0..n_at {
             at_level.push(r.u32()?);
         }
         let idx = r.u64()?;
-        let proposed_this_sweep = r.u8()? != 0;
-        if r.pos() != payload.len() {
-            return Err(DlnError::corrupt(
-                context,
-                format!("{} trailing bytes", payload.len() - r.pos()),
-            ));
-        }
+        let proposed_this_sweep = r.bool()?;
+        r.finish()?;
         Ok(Checkpoint {
             config_fingerprint,
             init_fingerprint,

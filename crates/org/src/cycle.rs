@@ -189,10 +189,10 @@ fn write_labels(w: &mut Writer, labels: &[Vec<String>]) {
 }
 
 fn read_labels(r: &mut Reader<'_>) -> DlnResult<Vec<Vec<String>>> {
-    let n_shards = r.len_prefix()?;
+    let n_shards = r.len_prefix(8)?;
     (0..n_shards)
         .map(|_| {
-            let n = r.len_prefix()?;
+            let n = r.len_prefix(4)?;
             (0..n).map(|_| r.str()).collect()
         })
         .collect()
@@ -232,11 +232,11 @@ impl PlanState {
         if shard_labels.len() != n_shards {
             return Err(DlnError::corrupt(context, "plan shard count mismatch"));
         }
-        let n_affected = r.len_prefix()?;
+        let n_affected = r.len_prefix(4)?;
         let affected = (0..n_affected)
             .map(|_| shard(r))
             .collect::<DlnResult<_>>()?;
-        let n_moves = r.len_prefix()?;
+        let n_moves = r.len_prefix(12)?;
         let moves = (0..n_moves)
             .map(|_| {
                 Ok(PlannedMove {
@@ -309,13 +309,7 @@ impl State {
         for r in &self.shard_roots {
             w.u32(r.0);
         }
-        match &self.plan {
-            None => w.u8(0),
-            Some(p) => {
-                w.u8(1);
-                p.write(&mut w);
-            }
-        }
+        w.opt(&self.plan, |w, p| p.write(w));
         w.seal()
     }
 
@@ -335,23 +329,12 @@ impl State {
         let cycle = r.u64()?;
         let applied_seq = r.u64()?;
         let shard_labels = read_labels(&mut r)?;
-        let n_roots = r.len_prefix()?;
+        let n_roots = r.len_prefix(4)?;
         let shard_roots = (0..n_roots)
             .map(|_| r.u32().map(StateId))
             .collect::<DlnResult<Vec<_>>>()?;
-        let plan = match r.u8()? {
-            0 => None,
-            1 => Some(PlanState::read(&mut r, n_roots, context)?),
-            b => {
-                return Err(DlnError::corrupt(
-                    context,
-                    format!("bad plan discriminant {b}"),
-                ))
-            }
-        };
-        if r.pos() != payload.len() {
-            return Err(DlnError::corrupt(context, "trailing bytes"));
-        }
+        let plan = r.opt(|r| PlanState::read(r, n_roots, context))?;
+        r.finish()?;
         Ok(State {
             cycle,
             applied_seq,
@@ -581,9 +564,6 @@ impl Maintainer<'_> {
             let scfg = SearchConfig {
                 seed,
                 shards: ShardPolicy::Fixed(1),
-                // Per-table weights index the full lake's tables, not a
-                // shard context's.
-                table_weights: None,
                 deadline: self.cfg.slice.map(|s| prior + s),
                 checkpoint: Some(CheckpointConfig {
                     path: ckpt_path.clone(),

@@ -165,13 +165,6 @@ pub struct Evaluator {
     /// `P(T | O)` per local table (Eq 5 with representative approximation).
     table_prob: Vec<f64>,
     sum_table_prob: f64,
-    /// Optional per-table demand weights (empty = uniform). When set, the
-    /// maintained sum aggregates `w_t · P(T_t | O)` and effectiveness is
-    /// the demand-weighted mean. Only `SearchConfig::table_weights`, which
-    /// no caller sets, installs them.
-    table_weight: Vec<f64>,
-    /// Σ of `table_weight` (0.0 when unweighted).
-    weight_total: f64,
     /// Per-state Eq 1 weights, query-major `n_queries × n_children`:
     /// `weights[s][q * n + i]` is the probability that query `q` moves from
     /// `s` to its `i`-th child. Filled by `apply_delta` for active parents.
@@ -255,8 +248,6 @@ impl Evaluator {
             queries_of_tag,
             table_prob: vec![0.0; ctx.n_tables()],
             sum_table_prob: 0.0,
-            table_weight: Vec::new(),
-            weight_total: 0.0,
             weights: Vec::new(),
             stale: Vec::new(),
             affected_mark: Vec::new(),
@@ -277,66 +268,12 @@ impl Evaluator {
     }
 
     /// Organization effectiveness `P(T | O)` (Eq 6): the mean table
-    /// discovery probability over the context's tables — demand-weighted
-    /// when [`set_table_weights`](Self::set_table_weights) is in effect.
+    /// discovery probability over the context's tables.
     pub fn effectiveness(&self) -> f64 {
         if self.table_prob.is_empty() {
             return 0.0;
         }
-        if self.table_weight.is_empty() {
-            self.sum_table_prob / self.table_prob.len() as f64
-        } else {
-            self.sum_table_prob / self.weight_total
-        }
-    }
-
-    /// The weight of table `t` in the maintained effectiveness sum (1.0
-    /// when unweighted — multiplying by it is bit-exact, so the unweighted
-    /// path stays bit-identical to an evaluator without this seam).
-    #[inline]
-    fn tw(&self, t: usize) -> f64 {
-        if self.table_weight.is_empty() {
-            1.0
-        } else {
-            self.table_weight[t]
-        }
-    }
-
-    /// Install per-table demand weights (one per local table, finite,
-    /// non-negative, positive total) and re-aggregate the maintained
-    /// effectiveness sum from the cached per-table probabilities. Passing
-    /// an empty slice restores the uniform (paper Eq 6) objective. Its
-    /// only caller is the search, for `SearchConfig::table_weights`, which
-    /// no caller sets; it goes with that knob.
-    ///
-    /// # Panics
-    /// If the weight vector has the wrong length, contains a non-finite or
-    /// negative entry, or sums to zero.
-    pub fn set_table_weights(&mut self, weights: &[f64]) {
-        if weights.is_empty() {
-            self.table_weight = Vec::new();
-            self.weight_total = 0.0;
-        } else {
-            assert_eq!(
-                weights.len(),
-                self.table_prob.len(),
-                "one weight per local table"
-            );
-            assert!(
-                weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-                "weights must be finite and non-negative"
-            );
-            let total: f64 = weights.iter().sum();
-            assert!(total > 0.0, "weights must have positive total");
-            self.table_weight = weights.to_vec();
-            self.weight_total = total;
-        }
-        self.sum_table_prob = self
-            .table_prob
-            .iter()
-            .enumerate()
-            .map(|(t, p)| self.tw(t) * p)
-            .sum();
+        self.sum_table_prob / self.table_prob.len() as f64
     }
 
     /// Discovery probability of a local attribute (via its representative).
@@ -471,7 +408,7 @@ impl Evaluator {
         for (ti, table) in ctx.tables().iter().enumerate() {
             let p = self.compute_table_prob(table);
             self.table_prob[ti] = p;
-            self.sum_table_prob += self.tw(ti) * p;
+            self.sum_table_prob += p;
         }
     }
 
@@ -701,7 +638,7 @@ impl Evaluator {
             let p = self.compute_table_prob(&ctx.tables()[t as usize]);
             undo.tables_t.push(t);
             undo.tables_v.push(self.table_prob[t as usize]);
-            self.sum_table_prob += self.tw(t as usize) * (p - self.table_prob[t as usize]);
+            self.sum_table_prob += p - self.table_prob[t as usize];
             self.table_prob[t as usize] = p;
         }
         // Clear markers, hand the scratch buffers back.
@@ -836,7 +773,7 @@ impl Evaluator {
             let p = self.compute_table_prob(&ctx.tables()[t as usize]);
             undo.tables_t.push(t);
             undo.tables_v.push(self.table_prob[t as usize]);
-            self.sum_table_prob += self.tw(t as usize) * (p - self.table_prob[t as usize]);
+            self.sum_table_prob += p - self.table_prob[t as usize];
             self.table_prob[t as usize] = p;
         }
         for &s in &affected {
@@ -1545,94 +1482,5 @@ mod tests {
         let (ctx, org) = setup();
         let reps = Representatives::exact(&ctx);
         Evaluator::new(&ctx, &org, NavConfig { gamma: 0.0 }, &reps);
-    }
-
-    #[test]
-    fn table_weights_compute_weighted_mean() {
-        let (ctx, org) = setup();
-        let mut ev = evaluator(&ctx, &org);
-        let unweighted = ev.effectiveness();
-        // Non-uniform weights: the weighted mean must match a manual one.
-        let weights: Vec<f64> = (0..ctx.n_tables()).map(|t| 1.0 + (t % 3) as f64).collect();
-        ev.set_table_weights(&weights);
-        let manual: f64 = (0..ctx.n_tables() as u32)
-            .map(|t| weights[t as usize] * ev.table_discovery(t))
-            .sum::<f64>()
-            / weights.iter().sum::<f64>();
-        assert!(
-            (ev.effectiveness() - manual).abs() < 1e-12,
-            "weighted mean {} vs manual {manual}",
-            ev.effectiveness()
-        );
-        // Uniform weights reproduce the unweighted mean (up to fp error).
-        ev.set_table_weights(&vec![2.5; ctx.n_tables()]);
-        assert!((ev.effectiveness() - unweighted).abs() < 1e-12);
-        // Clearing restores the exact unweighted objective bits.
-        ev.set_table_weights(&[]);
-        assert_eq!(ev.effectiveness().to_bits(), unweighted.to_bits());
-    }
-
-    #[test]
-    fn unweighted_evaluator_is_bit_identical_through_deltas() {
-        // The weight seam must not perturb the unweighted path: an
-        // evaluator that set-and-cleared weights matches one that never
-        // touched them, bit for bit, through a delta + rollback cycle.
-        let (ctx, mut org) = setup();
-        let mut ev_plain = evaluator(&ctx, &org);
-        let mut ev_seam = evaluator(&ctx, &org);
-        ev_seam.set_table_weights(&vec![3.0; ctx.n_tables()]);
-        ev_seam.set_table_weights(&[]);
-        let reach = ev_plain.reachability();
-        let s = org.tag_state(4);
-        let out = ops::try_add_parent(&mut org, &ctx, s, &reach).expect("applicable");
-        let (u1, _) = ev_plain.apply_delta(&ctx, &org, &out.dirty_parents);
-        let (u2, _) = ev_seam.apply_delta(&ctx, &org, &out.dirty_parents);
-        assert_eq!(
-            ev_plain.effectiveness().to_bits(),
-            ev_seam.effectiveness().to_bits()
-        );
-        ev_plain.rollback(u1);
-        ev_seam.rollback(u2);
-        ops::undo(&mut org, &ctx, out);
-        assert_eq!(
-            fingerprint_bits(&ev_plain, &ctx),
-            fingerprint_bits(&ev_seam, &ctx)
-        );
-    }
-
-    #[test]
-    fn weighted_delta_and_rollback_stay_consistent() {
-        // Under non-uniform weights, the incrementally maintained sum must
-        // agree with a from-scratch weighted aggregation after a delta, and
-        // rollback must restore the pre-delta value exactly.
-        let (ctx, mut org) = setup();
-        let mut ev = evaluator(&ctx, &org);
-        let weights: Vec<f64> = (0..ctx.n_tables()).map(|t| 0.5 + (t % 4) as f64).collect();
-        ev.set_table_weights(&weights);
-        let before = ev.effectiveness();
-        let reach = ev.reachability();
-        let s = org.tag_state(2);
-        let out = ops::try_add_parent(&mut org, &ctx, s, &reach).expect("applicable");
-        let (undo, _) = ev.apply_delta(&ctx, &org, &out.dirty_parents);
-        let manual: f64 = (0..ctx.n_tables() as u32)
-            .map(|t| weights[t as usize] * ev.table_discovery(t))
-            .sum::<f64>()
-            / weights.iter().sum::<f64>();
-        assert!(
-            (ev.effectiveness() - manual).abs() < 1e-9,
-            "incremental weighted sum drifted: {} vs {manual}",
-            ev.effectiveness()
-        );
-        ev.rollback(undo);
-        ops::undo(&mut org, &ctx, out);
-        assert_eq!(ev.effectiveness().to_bits(), before.to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight per local table")]
-    fn wrong_weight_length_panics() {
-        let (ctx, org) = setup();
-        let mut ev = evaluator(&ctx, &org);
-        ev.set_table_weights(&[1.0]);
     }
 }

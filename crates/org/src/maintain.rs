@@ -73,8 +73,7 @@ pub struct MaintConfig {
     pub dir: PathBuf,
     /// Base search configuration for the per-shard incremental searches.
     /// `seed` is re-derived per (cycle, shard) and `shards` /
-    /// `table_weights` / `checkpoint` / `deadline` are overridden per
-    /// slice.
+    /// `checkpoint` / `deadline` are overridden per slice.
     pub search: SearchConfig,
     /// Wall-clock budget per search slice; between slices the maintainer
     /// checks `churn.search_kill` and resumes from the shard's

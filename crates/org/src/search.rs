@@ -105,13 +105,9 @@ pub struct SearchConfig {
     /// construction *around* [`optimize`], which each shard still enters
     /// with `Fixed(1)`.
     pub shards: ShardPolicy,
-    /// Optional per-table demand weights for the objective (one per local
-    /// table; see [`Evaluator::set_table_weights`]). No caller sets it:
-    /// it stays only because `perfbench` builds `SearchConfig` with a
-    /// struct literal, and goes with the next change to the benchmark.
-    /// `None` (the default) is the paper's uniform Eq 6 objective,
-    /// bit-identical to a config without this knob. `Some` changes the
-    /// walk, so it participates in the checkpoint fingerprint.
+    /// Unread. Demand-weighted objectives were removed; the field stays
+    /// only because `perfbench` builds `SearchConfig` with a struct
+    /// literal, and goes with the next change to the benchmark.
     pub table_weights: Option<Vec<f64>>,
 }
 
@@ -236,14 +232,6 @@ fn config_fingerprint(cfg: &SearchConfig) -> u64 {
     h = mix(h, cfg.acceptance_power.to_bits());
     h = mix(h, cfg.rep_fraction.to_bits());
     h = mix(h, cfg.nav.gamma.to_bits() as u64);
-    // Only mixed when present, so `None` fingerprints are byte-identical
-    // to configs (and checkpoints) predating this knob.
-    if let Some(w) = &cfg.table_weights {
-        h = mix(h, w.len() as u64 + 1);
-        for v in w {
-            h = mix(h, v.to_bits());
-        }
-    }
     h
 }
 
@@ -626,9 +614,6 @@ fn run_search(
         Representatives::kmedoids(ctx, cfg.rep_fraction, cfg.seed ^ 0x4e9d)
     };
     let mut ev = Evaluator::new(ctx, org, cfg.nav, &reps);
-    if let Some(w) = &cfg.table_weights {
-        ev.set_table_weights(w);
-    }
     let initial = ev.effectiveness();
     let config_fp = config_fingerprint(cfg);
     let init_fp = org.fingerprint();
@@ -874,9 +859,6 @@ pub fn optimize_reference(
         Representatives::kmedoids(ctx, cfg.rep_fraction, cfg.seed ^ 0x4e9d)
     };
     let mut ev = Evaluator::new(ctx, org, cfg.nav, &reps);
-    if let Some(w) = &cfg.table_weights {
-        ev.set_table_weights(w);
-    }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let initial = ev.effectiveness();
     let mut eff = initial;
