@@ -57,8 +57,8 @@ pub enum DlnError {
     /// A navigation request is not legal from the requester's current
     /// position (descending into a state that is not a child of the
     /// current one, referencing a tombstoned state, …). Recoverable: the
-    /// navigator/serving session stays where it was and the caller can
-    /// pick another move.
+    /// serving session stays where it was and the caller can pick another
+    /// move.
     InvalidNavigation {
         /// What was attempted and why it is illegal.
         context: String,

@@ -2,7 +2,7 @@
 //!
 //! [`OrganizerBuilder`] wires together context extraction, initialization,
 //! and local search, producing a [`BuiltOrganization`] ready for
-//! evaluation, navigation, and success-curve reporting.
+//! evaluation, serving, and success-curve reporting.
 
 use dln_lake::{DataLake, TagId};
 
@@ -11,7 +11,6 @@ use crate::ctx::OrgContext;
 use crate::eval::{self, Evaluator, NavConfig};
 use crate::graph::Organization;
 use crate::init;
-use crate::navigate::Navigator;
 use crate::search::{self, SearchConfig, SearchStats};
 use crate::success::{self, SuccessCurve};
 
@@ -177,11 +176,6 @@ impl BuiltOrganization {
     pub fn success_curve(&self, lake: &DataLake, theta: f32) -> SuccessCurve {
         let disc = self.attr_discovery_global(lake);
         success::success_curve(lake, &disc, theta)
-    }
-
-    /// An interactive navigator positioned at the root.
-    pub fn navigator(&self) -> Navigator<'_> {
-        Navigator::new(&self.ctx, &self.organization, self.nav)
     }
 }
 

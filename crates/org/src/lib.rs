@@ -52,8 +52,8 @@
 //!   plan commit, checkpointed shard re-search, graft-back shard
 //!   republish.
 //! * [`success`] — the success-probability evaluation measure (§4.2).
-//! * [`navigate`] — interactive navigation over a built organization
-//!   (state labelling and query-conditioned transitions, §4.4 prototype).
+//! * [`navigate`] — the Eq 1 transition probabilities a served step
+//!   ranks children by, and their in-memory oracle.
 //! * [`builder`] — [`OrganizerBuilder`], the high-level API.
 
 #![warn(missing_docs)]
@@ -89,7 +89,7 @@ pub use graph::{Organization, StateId};
 pub use init::{bisecting_org, clustering_org, flat_org, random_org};
 pub use maintain::{MaintConfig, Maintainer};
 pub use multidim::{MultiDimConfig, MultiDimOrganization};
-pub use navigate::{transition_probs_from, transition_probs_over, Navigator};
+pub use navigate::{transition_probs_from, transition_probs_over};
 pub use ops::{OpKind, OpOutcome};
 pub use search::{IterStats, SearchConfig, SearchStats, ShardPolicy, StopReason};
 pub use shard::{build_sharded, build_sharded_group, ShardedBuild, AUTO_SHARD_MAX};

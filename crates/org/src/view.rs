@@ -4,8 +4,8 @@
 //! Every served snapshot is store bytes (DESIGN.md §5g), mapped from a
 //! file or encoded from the in-memory structs at publish, so these reads
 //! have one implementation, on [`MappedSnapshot`]. The tests below hold
-//! it to the struct oracles [`Organization::label`] and
-//! [`crate::Navigator::tables_here`].
+//! it to the struct oracles: [`Organization::label`] and a table count
+//! over the context and the organization.
 //!
 //! [`Organization::label`]: crate::Organization::label
 
@@ -73,8 +73,8 @@ impl MappedSnapshot {
 
     /// Tables represented under `sid` (at least one attribute in the
     /// state's extent) as `(table, matching attribute count)`,
-    /// most-covered first, ties by ascending table id — the serving-layer
-    /// equivalent of [`crate::Navigator::tables_here`].
+    /// most-covered first, ties by ascending table id — the shelf a served
+    /// step lists.
     pub fn tables_under(&self, sid: StateId) -> Vec<(TableId, usize)> {
         let mut counts: Vec<(TableId, usize)> = Vec::new();
         for ti in 0..self.n_tables() as u32 {
@@ -149,12 +149,39 @@ mod tests {
         }
     }
 
+    /// The tables under `sid` counted over the structs.
+    fn tables_under_structs(
+        ctx: &OrgContext,
+        org: &Organization,
+        sid: StateId,
+    ) -> Vec<(TableId, usize)> {
+        let attrs = &org.state(sid).attrs;
+        let mut counts: Vec<(TableId, usize)> = ctx
+            .tables()
+            .iter()
+            .map(|t| {
+                (
+                    t.global,
+                    t.attrs.iter().filter(|&&a| attrs.contains(a)).count(),
+                )
+            })
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        counts
+    }
+
     #[test]
-    fn tables_under_matches_navigator() {
+    fn tables_under_matches_the_struct_count() {
         let (ctx, org, v) = fixture();
-        let nav = crate::Navigator::new(&ctx, &org, crate::NavConfig::default());
-        // Navigator sits at the root; compare against the view.
-        assert_eq!(v.tables_under(v.root()), nav.tables_here());
+        for sid in org.alive_ids() {
+            assert_eq!(
+                v.tables_under(sid),
+                tables_under_structs(&ctx, &org, sid),
+                "state {}",
+                sid.0
+            );
+        }
     }
 
     #[test]

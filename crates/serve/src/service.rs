@@ -720,9 +720,8 @@ impl NavService {
 }
 
 /// Tables represented under `sid` (at least one attribute in the state's
-/// extent), most-covered first — the serving-layer equivalent of
-/// `Navigator::tables_here`, read from the snapshot's store bytes by
-/// [`dln_org::MappedSnapshot::tables_under`].
+/// extent), most-covered first — the shelf a step lists, read from the
+/// snapshot's store bytes by [`dln_org::MappedSnapshot::tables_under`].
 pub fn tables_at(snap: &OrgSnapshot, sid: StateId) -> Vec<(TableId, usize)> {
     snap.view().tables_under(sid)
 }
@@ -798,6 +797,24 @@ mod tests {
         assert_eq!(svc.session_path(sid).unwrap().len(), 2);
         assert_eq!(svc.validate_live_paths(), (1, 0));
 
+        // Backtrack returns to the root and is a no-op there; reset jumps
+        // back to the root from any depth.
+        let up = svc
+            .step(sid, &StepRequest::action(StepAction::Backtrack))
+            .unwrap();
+        assert_eq!((up.depth, up.state), (0, resp.state));
+        let stuck = svc
+            .step(sid, &StepRequest::action(StepAction::Backtrack))
+            .unwrap();
+        assert_eq!((stuck.depth, stuck.state), (0, resp.state));
+        svc.step(sid, &StepRequest::action(StepAction::Descend(best)))
+            .unwrap();
+        let reset = svc
+            .step(sid, &StepRequest::action(StepAction::Reset))
+            .unwrap();
+        assert_eq!((reset.depth, reset.state), (0, resp.state));
+        assert_eq!(svc.session_path(sid).unwrap(), vec![resp.state]);
+
         svc.close_session(sid).unwrap();
         assert_eq!(svc.live_sessions(), 0);
         assert_eq!(svc.stats().closed.load(Ordering::Relaxed), 1);
@@ -811,19 +828,32 @@ mod tests {
     fn invalid_descend_is_typed_and_harmless() {
         let (svc, _clock, _ctx, _) = service(ServeConfig::default());
         let sid = svc.open_session().unwrap();
-        let bogus = StateId(u32::MAX - 1);
-        let err = svc
-            .step(sid, &StepRequest::action(StepAction::Descend(bogus)))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ServeError::Nav(dln_fault::DlnError::InvalidNavigation { .. })
-        ));
-        assert_eq!(
-            svc.session_path(sid).unwrap().len(),
-            1,
-            "cursor did not move"
-        );
+        // An id past every slot, and a real state that is not a child of
+        // the root (a grandchild that is not also a child).
+        let snap = svc.snapshot();
+        let grandchild = snap
+            .children(snap.root())
+            .iter()
+            .flat_map(|&c| snap.children(c))
+            .copied()
+            .find(|g| !snap.children(snap.root()).contains(g))
+            .expect("the clustering organization is deeper than one level");
+        for bogus in [StateId(u32::MAX - 1), grandchild] {
+            let err = svc
+                .step(sid, &StepRequest::action(StepAction::Descend(bogus)))
+                .unwrap_err();
+            match err {
+                ServeError::Nav(dln_fault::DlnError::InvalidNavigation { context }) => {
+                    assert!(context.contains(&format!("state {}", bogus.0)), "{context}");
+                }
+                other => panic!("expected InvalidNavigation, got {other:?}"),
+            }
+            assert_eq!(
+                svc.session_path(sid).unwrap().len(),
+                1,
+                "cursor did not move"
+            );
+        }
     }
 
     #[test]

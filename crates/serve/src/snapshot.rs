@@ -372,7 +372,7 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dln_org::{clustering_org, flat_org, save_store, Navigator};
+    use dln_org::{clustering_org, flat_org, save_store};
     use dln_synth::TagCloudConfig;
 
     fn snap(epoch: u64) -> (OrgSnapshot, OrgSnapshot) {
@@ -426,18 +426,6 @@ mod tests {
             std::fs::read(&held).unwrap()
         );
 
-        // A root path to every alive state (parents come first in topo
-        // order), to stand the struct navigator on it.
-        let mut paths: Vec<Option<Vec<StateId>>> = vec![None; org.n_slots()];
-        paths[org.root().index()] = Some(vec![org.root()]);
-        for &p in org.topo_order() {
-            let Some(to_p) = paths[p.index()].clone() else {
-                continue;
-            };
-            for &c in &org.state(p).children {
-                paths[c.index()].get_or_insert_with(|| [to_p.as_slice(), &[c]].concat());
-            }
-        }
         let queries = [
             ctx.attr(0).unit_topic.clone(),
             ctx.attr(ctx.n_attrs() as u32 / 2).unit_topic.clone(),
@@ -453,19 +441,21 @@ mod tests {
                 }
             }
             assert_eq!(s.label(sid), org.label(&ctx, sid, 2), "state {}", sid.0);
-            let path = paths[sid.index()]
-                .as_ref()
-                .expect("alive states are reachable");
-            let mut navigator = Navigator::new(&ctx, &org, nav);
-            for &c in &path[1..] {
-                navigator.descend(c).unwrap();
-            }
-            assert_eq!(
-                s.view().tables_under(sid),
-                navigator.tables_here(),
-                "state {}",
-                sid.0
-            );
+            // The tables under the state, counted over the structs.
+            let attrs = &org.state(sid).attrs;
+            let mut tables: Vec<(dln_lake::TableId, usize)> = ctx
+                .tables()
+                .iter()
+                .map(|t| {
+                    (
+                        t.global,
+                        t.attrs.iter().filter(|&&a| attrs.contains(a)).count(),
+                    )
+                })
+                .filter(|&(_, n)| n > 0)
+                .collect();
+            tables.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            assert_eq!(s.view().tables_under(sid), tables, "state {}", sid.0);
         }
     }
 

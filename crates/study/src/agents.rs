@@ -5,13 +5,14 @@
 //! as a topic vector, plus a personal relevance bar with noise. Two agent
 //! types drive the two interfaces of §4.4:
 //!
-//! * [`NavigationAgent`] walks the organization prototype: at every state
-//!   it samples a child according to the transition model (Eq 1) — the
-//!   same assumption the paper's navigation model makes about users — with
-//!   occasional backtracking; at tag states it examines the tables behind
-//!   the tag and collects those it deems relevant. Each UI action (step,
-//!   backtrack, examine) spends budget, standing in for the study's
-//!   20-minute wall clock.
+//! * [`ServedAgent`](crate::ServedAgent) walks the organization prototype
+//!   through the navigation service: at every state it samples a child
+//!   according to the transition model (Eq 1) — the same assumption the
+//!   paper's navigation model makes about users — with occasional
+//!   backtracking; at tag states it examines the tables behind the tag and
+//!   collects those it deems relevant. Each UI action (step, backtrack,
+//!   examine) spends budget, standing in for the study's 20-minute wall
+//!   clock.
 //! * [`SearchAgent`] uses the keyword-search engine: it composes queries
 //!   from the vocabulary words closest to its scenario topic (real
 //!   participants "used very similar keywords"), examines the top hits,
@@ -21,8 +22,6 @@ use std::collections::BTreeSet;
 
 use dln_embed::{dot, normalized, SyntheticEmbedding, TopicAccumulator};
 use dln_lake::{DataLake, TableId, TagId};
-use dln_org::builder::BuiltOrganization;
-use dln_org::Navigator;
 use dln_search::KeywordSearch;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -170,111 +169,6 @@ pub(crate) fn personal_threshold(cfg: &AgentConfig, scenario: &Scenario, rng: &m
     base + cfg.judge_noise * g
 }
 
-/// A participant using the navigation prototype.
-pub struct NavigationAgent;
-
-impl NavigationAgent {
-    /// Run one participant session over a (multi-dimensional) organization.
-    /// Returns the set of tables the participant collected.
-    pub fn run(
-        dims: &[BuiltOrganization],
-        lake: &DataLake,
-        scenario: &Scenario,
-        cfg: &AgentConfig,
-    ) -> BTreeSet<TableId> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let bar = personal_threshold(cfg, scenario, &mut rng);
-        // Walking follows the participant's private interpretation; the
-        // final relevance judgement (reading the table) uses the actual
-        // scenario.
-        let walk_topic = personal_topic(cfg, scenario, &mut rng);
-        let mut found = BTreeSet::new();
-        if dims.is_empty() {
-            return found;
-        }
-        let mut actions = 0usize;
-        // Visit dimensions in order of root-topic similarity to the
-        // scenario (a user picks the most promising entry point first).
-        let mut dim_order: Vec<usize> = (0..dims.len()).collect();
-        dim_order.sort_by(|&a, &b| {
-            let sa = dot(
-                &dims[a]
-                    .organization
-                    .state(dims[a].organization.root())
-                    .unit_topic,
-                &walk_topic,
-            );
-            let sb = dot(
-                &dims[b]
-                    .organization
-                    .state(dims[b].organization.root())
-                    .unit_topic,
-                &walk_topic,
-            );
-            sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut dim_i = 0usize;
-        let mut nav: Navigator<'_> = dims[dim_order[0]].navigator();
-        let mut current_dim = dim_order[0];
-        // Tables the participant has already looked at: re-encountering one
-        // is free (a user recognizes a table they have opened before).
-        let mut examined: BTreeSet<TableId> = BTreeSet::new();
-        // Tag states already exhausted, per dimension: a user does not
-        // descend into a leaf they have already read through. After
-        // finishing a tag they explore nearby siblings rather than
-        // restarting from the root — local, neighbourhood-first browsing.
-        let mut visited: BTreeSet<(usize, dln_org::StateId)> = BTreeSet::new();
-        while actions < cfg.budget {
-            if let Some(_tag) = nav.at_tag_state() {
-                visited.insert((current_dim, nav.current()));
-                // Examine the tables behind the tag, most covered first.
-                for (table, _) in nav.tables_here() {
-                    if actions >= cfg.budget {
-                        break;
-                    }
-                    if !examined.insert(table) {
-                        continue;
-                    }
-                    actions += 1;
-                    if table_sim(lake, table, &scenario.unit_topic) >= bar {
-                        found.insert(table);
-                    }
-                }
-                actions += 1; // backtracking is a UI action
-                nav.backtrack();
-                continue;
-            }
-            // Candidate children: skip exhausted tag states.
-            let probs: Vec<(dln_org::StateId, f64)> = nav
-                .transition_probs(&walk_topic)
-                .into_iter()
-                .filter(|(c, _)| !visited.contains(&(current_dim, *c)))
-                .collect();
-            if probs.is_empty() {
-                // Subtree exhausted: back up, or move to the next dimension
-                // from the root.
-                actions += 1;
-                if !nav.backtrack() {
-                    dim_i = (dim_i + 1) % dim_order.len();
-                    current_dim = dim_order[dim_i];
-                    nav = dims[current_dim].navigator();
-                }
-                continue;
-            }
-            // Temperature-adjusted sample from the Eq 1 distribution.
-            let child = sample_child(&probs, cfg.temperature, &mut rng);
-            if nav.descend(child).is_err() {
-                // The sampled child came from the navigator's own Eq 1
-                // distribution; a refusal means the organization changed
-                // under the session — end it rather than loop forever.
-                break;
-            }
-            actions += 1;
-        }
-        found
-    }
-}
-
 pub(crate) fn sample_child(
     probs: &[(dln_org::StateId, f64)],
     temperature: f64,
@@ -368,7 +262,9 @@ impl SearchAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ServedAgent, ServedDim};
     use dln_org::OrganizerBuilder;
+    use dln_serve::RetryPolicy;
     use dln_synth::SocrataConfig;
 
     fn setup() -> (DataLake, dln_lake::ValueStore, SyntheticEmbedding) {
@@ -379,6 +275,15 @@ mod tests {
     fn scenario(lake: &DataLake) -> Scenario {
         let tags: Vec<TagId> = lake.tag_ids().take(3).collect();
         Scenario::from_tags(lake, "test scenario", &tags, 0.6)
+    }
+
+    fn navigate(
+        dims: &[ServedDim],
+        lake: &DataLake,
+        sc: &Scenario,
+        cfg: &AgentConfig,
+    ) -> BTreeSet<TableId> {
+        ServedAgent::run(dims, lake, sc, cfg, &RetryPolicy::default(), |_| {}).found
     }
 
     #[test]
@@ -395,13 +300,13 @@ mod tests {
         let (lake, _, _) = setup();
         let sc = scenario(&lake);
         let built = OrganizerBuilder::new(&lake).max_iters(60).build_optimized();
-        let dims = vec![built];
+        let dims = [ServedDim::serve(built)];
         let cfg = AgentConfig {
             budget: 150,
             seed: 42,
             ..Default::default()
         };
-        let found = NavigationAgent::run(&dims, &lake, &sc, &cfg);
+        let found = navigate(&dims, &lake, &sc, &cfg);
         assert!(!found.is_empty(), "agent should find something");
         let relevant = found.iter().filter(|t| sc.relevant.contains(t)).count();
         assert!(
@@ -441,9 +346,9 @@ mod tests {
         let (lake, _, _) = setup();
         let sc = scenario(&lake);
         let built = OrganizerBuilder::new(&lake).max_iters(60).build_optimized();
-        let dims = vec![built];
+        let dims = [ServedDim::serve(built)];
         let mk = |seed| {
-            NavigationAgent::run(
+            navigate(
                 &dims,
                 &lake,
                 &sc,
@@ -467,12 +372,12 @@ mod tests {
         let built = OrganizerBuilder::new(&lake)
             .max_iters(10)
             .build_clustering();
-        let dims = vec![built];
+        let dims = [ServedDim::serve(built)];
         let cfg = AgentConfig {
             budget: 0,
             ..Default::default()
         };
-        assert!(NavigationAgent::run(&dims, &lake, &sc, &cfg).is_empty());
+        assert!(navigate(&dims, &lake, &sc, &cfg).is_empty());
         let engine = KeywordSearch::build(&lake, &values);
         assert!(SearchAgent::run(&engine, &model, &lake, &sc, &cfg).is_empty());
     }
@@ -484,14 +389,14 @@ mod tests {
         let built = OrganizerBuilder::new(&lake)
             .max_iters(40)
             .build_clustering();
-        let dims = vec![built];
+        let dims = [ServedDim::serve(built)];
         let cfg = AgentConfig {
             budget: 80,
             seed: 9,
             ..Default::default()
         };
-        let a = NavigationAgent::run(&dims, &lake, &sc, &cfg);
-        let b = NavigationAgent::run(&dims, &lake, &sc, &cfg);
+        let a = navigate(&dims, &lake, &sc, &cfg);
+        let b = navigate(&dims, &lake, &sc, &cfg);
         assert_eq!(a, b);
     }
 }

@@ -15,7 +15,8 @@
 //! Humans are not reproducible in a library; what is reproducible is the
 //! *measurable* part: stochastic participant agents with private scenario
 //! topics and bounded action budgets drive the exact same two interfaces
-//! (the organization [`dln_org::Navigator`] and the BM25
+//! (the organization, through the same [`dln_serve::NavService::step`]
+//! that serves the wire and the REPL, and the BM25
 //! [`dln_search::KeywordSearch`]), and the same statistics are computed
 //! with the same tests. See `DESIGN.md` §1 for the substitution argument.
 
@@ -29,8 +30,8 @@ pub mod stats;
 pub mod study;
 pub mod unified;
 
-pub use agents::{table_sim, AgentConfig, NavigationAgent, Scenario, SearchAgent};
-pub use concurrent::{run_concurrent, run_serial, ServedAgent, ServedOutcome};
+pub use agents::{table_sim, AgentConfig, Scenario, SearchAgent};
+pub use concurrent::{run_concurrent, run_serial, ServedAgent, ServedDim, ServedOutcome};
 pub use metrics::{disjointness, mean_pairwise_disjointness, overlap_fraction};
 pub use stats::{mann_whitney_u, median, MannWhitney};
 pub use study::{default_scenario, run_study, ModalityResult, StudyConfig, StudyReport};

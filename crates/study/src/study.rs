@@ -8,8 +8,10 @@ use dln_fault::{DlnError, DlnResult};
 use dln_lake::{DataLake, TableId, TagId, ValueStore};
 use dln_org::{MultiDimConfig, MultiDimOrganization, SearchConfig};
 use dln_search::{ExpansionConfig, KeywordSearch};
+use dln_serve::RetryPolicy;
 
-use crate::agents::{AgentConfig, NavigationAgent, Scenario, SearchAgent};
+use crate::agents::{AgentConfig, Scenario, SearchAgent};
+use crate::concurrent::{ServedAgent, ServedDim, ServedOutcome};
 use crate::metrics::{mean_pairwise_disjointness, overlap_fraction};
 use crate::stats::{mann_whitney_u, median, MannWhitney};
 
@@ -95,6 +97,9 @@ pub struct StudyReport {
     pub max_nav_found: usize,
     /// Largest search session result.
     pub max_search_found: usize,
+    /// What each navigation session met on its dimension services, in
+    /// participant order (its `found` is before verification).
+    pub nav_sessions: Vec<ServedOutcome>,
 }
 
 impl std::fmt::Display for StudyReport {
@@ -260,8 +265,17 @@ pub fn run_study(
         search: cfg.search.clone(),
         partition_seed: cfg.seed ^ 0xD1,
     };
-    let org2 = MultiDimOrganization::build(lake2, &md_cfg);
-    let org3 = MultiDimOrganization::build(lake3, &md_cfg);
+    // Each dimension is served on its own service, which the navigation
+    // participants walk exactly as a remote user would.
+    let serve = |lake| -> Vec<ServedDim> {
+        MultiDimOrganization::build(lake, &md_cfg)
+            .dims
+            .into_iter()
+            .map(ServedDim::serve)
+            .collect()
+    };
+    let dims2 = serve(lake2);
+    let dims3 = serve(lake3);
     let engine2 = KeywordSearch::build_with_expansion(
         lake2,
         values2,
@@ -285,6 +299,7 @@ pub fn run_study(
     // order is immaterial for agents but the lake assignment is balanced.
     let mut nav_sets_by_scenario: [Vec<BTreeSet<TableId>>; 2] = [Vec::new(), Vec::new()];
     let mut search_sets_by_scenario: [Vec<BTreeSet<TableId>>; 2] = [Vec::new(), Vec::new()];
+    let mut nav_sessions = Vec::with_capacity(cfg.n_participants);
     let mut nav_raw_total = 0usize;
     let mut search_raw_total = 0usize;
     for p in 0..cfg.n_participants {
@@ -295,17 +310,26 @@ pub fn run_study(
         // Blocks: p % 4 ∈ {0: nav@2, 1: nav@3, 2: nav@2, 3: nav@3} with
         // technique order alternating (order has no effect on agents).
         let nav_on_2 = p % 2 == 0;
-        let (nav_lake, nav_org, nav_scenario, nav_idx) = if nav_on_2 {
-            (lake2, &org2, &scenario2, 0usize)
+        let (nav_lake, nav_dims, nav_scenario, nav_idx) = if nav_on_2 {
+            (lake2, &dims2, &scenario2, 0usize)
         } else {
-            (lake3, &org3, &scenario3, 1usize)
+            (lake3, &dims3, &scenario3, 1usize)
         };
         let (s_lake, s_engine, s_scenario, s_idx) = if nav_on_2 {
             (lake3, &engine3, &scenario3, 1usize)
         } else {
             (lake2, &engine2, &scenario2, 0usize)
         };
-        let nav_found = NavigationAgent::run(&nav_org.dims, nav_lake, nav_scenario, &agent_cfg);
+        let session = ServedAgent::run(
+            nav_dims,
+            nav_lake,
+            nav_scenario,
+            &agent_cfg,
+            &RetryPolicy::default(),
+            |_| {},
+        );
+        let nav_found = session.found.clone();
+        nav_sessions.push(session);
         let search_cfg = AgentConfig {
             budget: (agent_cfg.budget as f64 / cfg.search_action_cost).round() as usize,
             ..agent_cfg.clone()
@@ -407,6 +431,7 @@ pub fn run_study(
         cross_modality_overlap,
         max_nav_found,
         max_search_found,
+        nav_sessions,
     })
 }
 
@@ -454,6 +479,29 @@ mod tests {
         let text = format!("{r}");
         assert!(text.contains("H1"));
         assert!(text.contains("H2"));
+    }
+
+    #[test]
+    fn served_recovery_paths_stay_quiet() {
+        // The study's services are quiet (no deadline, no failpoint, one
+        // participant at a time), so the agent's retry, reopen and
+        // degraded-view paths never fire and the walk is the plain model.
+        let r = small_study();
+        assert_eq!(r.nav_sessions.len(), 8);
+        for (p, o) in r.nav_sessions.iter().enumerate() {
+            assert!(o.steps > 0, "participant {p} made no step");
+            assert_eq!(
+                (
+                    o.degraded,
+                    o.overload_exhausted,
+                    o.lost_sessions,
+                    o.reopens,
+                    o.nav_rejects
+                ),
+                (0, 0, 0, 0, 0),
+                "participant {p}"
+            );
+        }
     }
 
     #[test]
@@ -524,7 +572,7 @@ mod tests {
     #[test]
     fn search_action_cost_shrinks_search_budget() {
         // Indirect but observable: with an enormous cost, searchers can do
-        // almost nothing while navigators are unaffected.
+        // almost nothing while navigation is unaffected.
         let s = SocrataConfig::small().generate();
         let ((l2, v2), (l3, v3)) = s.split_disjoint(7);
         let mk = |cost: f64| StudyConfig {

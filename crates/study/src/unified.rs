@@ -7,40 +7,50 @@
 //! a user pivot between them:
 //!
 //! * `search(query)` — ranked tables from the BM25(+expansion) engine;
-//! * `pivot_to_table(table)` — jump the navigator *into* the organization
-//!   at the best tag state containing that table ("show me where this
-//!   search result lives, so I can browse its neighbourhood");
+//! * `pivot_to_table(table)` — jump *into* the organization at the best
+//!   tag state containing that table ("show me where this search result
+//!   lives, so I can browse its neighbourhood");
 //! * `pivot_to_query(query)` — jump to the deepest state whose topic best
 //!   matches a free-text query ("navigate from here");
 //! * `search_here(query)` — keyword search restricted to the tables under
-//!   the navigator's current state ("search within this shelf").
+//!   the current state ("search within this shelf").
+//!
+//! Navigation goes through the served dimensions ([`ServedDim`]): the
+//! cursor is a session on one dimension's service, a pivot opens a fresh
+//! session and walks to its target with `Descend` steps, and the shelf is
+//! the table listing of a step response.
 //!
 //! The §4.4 observation that the two modalities surface largely disjoint
 //! tables is exactly why the pivots matter: each modality escapes the
 //! other's blind spot.
 
+use std::collections::{BTreeSet, VecDeque};
+
 use dln_embed::{dot, EmbeddingModel, TopicAccumulator};
 use dln_lake::{DataLake, TableId};
-use dln_org::builder::BuiltOrganization;
-use dln_org::{Navigator, StateId};
+use dln_org::StateId;
 use dln_search::{KeywordSearch, SearchHit};
+use dln_serve::{SessionId, StepAction, StepRequest, StepResponse};
 
-/// A discovery session combining an organization and a search engine.
+use crate::ServedDim;
+
+/// A discovery session combining a served organization and a search
+/// engine.
 pub struct UnifiedSession<'a> {
     lake: &'a DataLake,
     engine: &'a KeywordSearch,
-    dims: &'a [BuiltOrganization],
-    /// Current navigator position: (dimension index, navigator).
-    cursor: Option<(usize, Navigator<'a>)>,
+    dims: &'a [ServedDim],
+    /// Current position: (dimension index, session on its service).
+    cursor: Option<(usize, SessionId)>,
 }
 
 impl<'a> UnifiedSession<'a> {
-    /// Open a session over a lake, its search engine, and a
-    /// (multi-dimensional) organization.
+    /// Open a session over a lake, its search engine, and the served
+    /// dimensions of a (multi-dimensional) organization.
     pub fn new(
         lake: &'a DataLake,
         engine: &'a KeywordSearch,
-        dims: &'a [BuiltOrganization],
+        dims: &'a [ServedDim],
     ) -> UnifiedSession<'a> {
         UnifiedSession {
             lake,
@@ -55,66 +65,87 @@ impl<'a> UnifiedSession<'a> {
         self.engine.search(query, top_k)
     }
 
-    /// The navigator's current position, if any pivot has happened.
+    /// The current position, if any pivot has happened.
     pub fn position(&self) -> Option<(usize, StateId)> {
-        self.cursor.as_ref().map(|(d, nav)| (*d, nav.current()))
+        let (di, id) = self.cursor?;
+        let path = self.dims[di].svc.session_path(id).ok()?;
+        path.last().map(|&s| (di, s))
     }
 
     /// Label of the current navigation state.
     pub fn position_label(&self) -> Option<String> {
-        self.cursor
-            .as_ref()
-            .map(|(_, nav)| nav.label(nav.current()))
+        self.step(StepAction::Stay).map(|r| r.label)
     }
 
-    /// Mutable access to the navigator for ordinary browsing after a
-    /// pivot (descend / backtrack / transition probabilities).
-    pub fn navigator(&mut self) -> Option<&mut Navigator<'a>> {
-        self.cursor.as_mut().map(|(_, nav)| nav)
+    /// Browse after a pivot: apply `action` at the cursor and return the
+    /// view, tables listed. `None` before the first pivot or when the
+    /// service refuses the step.
+    pub fn step(&self, action: StepAction) -> Option<StepResponse> {
+        let (di, id) = self.cursor?;
+        let req = StepRequest {
+            list_tables: true,
+            ..StepRequest::action(action)
+        };
+        self.dims[di].svc.step(id, &req).ok()
     }
 
-    /// Pivot from a search result into the organization: position the
-    /// navigator at the tag state of `table` whose tag population best
-    /// covers the table (ties: the most specific tag). Returns the
-    /// reached state, or `None` when no dimension contains the table.
+    /// Pivot from a search result into the organization: move to the tag
+    /// state whose tag covers most of the table's attributes (ties: the
+    /// least populated tag, then the first dimension and the lowest tag).
+    /// Returns the reached state, or `None` when no dimension contains the
+    /// table.
     pub fn pivot_to_table(&mut self, table: TableId) -> Option<StateId> {
-        let mut best: Option<(usize, u32, usize, usize)> = None; // (dim, tag, coverage, -pop)
+        let mut best: Option<(usize, u32, usize, usize)> = None; // (dim, tag, coverage, pop)
         for (di, dim) in self.dims.iter().enumerate() {
-            let ctx = &dim.ctx;
-            // Local attrs of this table in this dimension.
-            let Some(local_table) = ctx.tables().iter().position(|t| t.global == table) else {
+            let snap = dim.svc.snapshot();
+            let view = snap.view();
+            let Some(ti) = (0..view.n_tables() as u32).find(|&ti| view.table_global(ti) == table)
+            else {
                 continue;
             };
-            let attrs = &ctx.tables()[local_table].attrs;
-            // Candidate tags: tags of those attrs; coverage = how many of
-            // the table's attrs the tag holds.
-            for &a in attrs {
-                for &t in &ctx.attr(a).tags {
-                    let coverage = ctx
-                        .tag(t)
-                        .attrs
-                        .iter()
-                        .filter(|x| attrs.contains(x))
-                        .count();
-                    let pop = ctx.tag(t).attrs.len();
-                    let cand = (di, t, coverage, pop);
-                    let better = match &best {
-                        None => true,
-                        Some((_, _, bc, bp)) => coverage > *bc || (coverage == *bc && pop < *bp),
-                    };
-                    if better {
-                        best = Some(cand);
-                    }
+            let attrs = view.table_attrs(ti);
+            for t in 0..view.n_tags() as u32 {
+                let members = view.tag_attrs(t);
+                let coverage = members.iter().filter(|a| attrs.contains(a)).count();
+                let pop = members.len();
+                let better = coverage > 0
+                    && best
+                        .is_none_or(|(_, _, bc, bp)| coverage > bc || (coverage == bc && pop < bp));
+                if better {
+                    best = Some((di, t, coverage, pop));
                 }
             }
         }
         let (di, tag, _, _) = best?;
-        let dim = &self.dims[di];
-        let target = dim.organization.tag_state(tag);
-        let mut nav = dim.navigator();
-        Self::walk_to(&mut nav, &dim.organization, target)?;
-        self.cursor = Some((di, nav));
-        Some(target)
+        let snap = self.dims[di].svc.snapshot();
+        let view = snap.view();
+        let target = (0..view.n_slots() as u32)
+            .map(StateId)
+            .find(|&s| view.alive(s) && view.state_tag(s) == Some(tag))?;
+        // BFS for a root→target path.
+        let root = view.root();
+        let mut prev: Vec<Option<StateId>> = vec![None; view.n_slots()];
+        let mut queue = VecDeque::from([root]);
+        while let Some(s) = queue.pop_front() {
+            if s == target {
+                break;
+            }
+            for &c in view.children(s) {
+                if prev[c.index()].is_none() && c != root {
+                    prev[c.index()] = Some(s);
+                    queue.push_back(c);
+                }
+            }
+        }
+        let mut path = vec![target];
+        while let Some(p) = prev[path[path.len() - 1].index()] {
+            path.push(p);
+        }
+        if path[path.len() - 1] != root {
+            return None;
+        }
+        path.reverse();
+        self.enter(di, &path)
     }
 
     /// Pivot from free text into the organization: embed the query with
@@ -135,73 +166,62 @@ impl<'a> UnifiedSession<'a> {
         let unit = acc.unit_mean();
         // Best dimension by root similarity.
         let di = (0..self.dims.len()).max_by(|&a, &b| {
-            let sa = dot(
-                &self.dims[a]
-                    .organization
-                    .state(self.dims[a].organization.root())
-                    .unit_topic,
-                &unit,
-            );
-            let sb = dot(
-                &self.dims[b]
-                    .organization
-                    .state(self.dims[b].organization.root())
-                    .unit_topic,
-                &unit,
-            );
+            let sa = dot(&self.dims[a].root_topic, &unit);
+            let sb = dot(&self.dims[b].root_topic, &unit);
             sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal)
         })?;
         let dim = &self.dims[di];
-        let mut nav = dim.navigator();
+        let snap = dim.svc.snapshot();
+        let mut path = vec![snap.root()];
+        let mut here = dot(&dim.root_topic, &unit);
         loop {
-            let here = dot(&dim.organization.state(nav.current()).unit_topic, &unit);
-            let Some((best, _)) = nav
-                .transition_probs(&unit)
-                .into_iter()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            let at = path[path.len() - 1];
+            // The most probable child under Eq 1; its topic is its row of
+            // the state's child-topic matrix.
+            let Some((i, &(best, _))) =
+                snap.transition_probs(at, &unit)
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| {
+                        a.1 .1
+                            .partial_cmp(&b.1 .1)
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    })
             else {
                 break;
             };
-            let next_sim = dot(&dim.organization.state(best).unit_topic, &unit);
-            if next_sim <= here && nav.depth() > 0 {
+            let row = &snap.view().child_mat(at)[i * unit.len()..(i + 1) * unit.len()];
+            let next = dot(row, &unit);
+            if next <= here && path.len() > 1 {
                 break; // similarity peaked — stop at the most specific match
             }
-            nav.descend(best).ok()?;
+            path.push(best);
+            here = next;
         }
-        let at = nav.current();
-        self.cursor = Some((di, nav));
-        Some(at)
+        self.enter(di, &path)
     }
 
     /// Keyword search restricted to the tables under the current
     /// navigation state (empty when no pivot happened yet).
     pub fn search_here(&self, query: &str, top_k: usize) -> Vec<SearchHit> {
-        let Some((di, nav)) = self.cursor.as_ref().map(|(d, n)| (*d, n)) else {
+        let shelf: BTreeSet<TableId> = self.tables_here().into_iter().map(|(t, _)| t).collect();
+        if shelf.is_empty() {
             return Vec::new();
-        };
-        let allowed: std::collections::BTreeSet<TableId> = {
-            let dim = &self.dims[di];
-            let state = dim.organization.state(nav.current());
-            dim.ctx
-                .tables()
-                .iter()
-                .filter(|t| t.attrs.iter().any(|&a| state.attrs.contains(a)))
-                .map(|t| t.global)
-                .collect()
-        };
+        }
+        // Every hit, not a prefix: a shelf table may rank anywhere in
+        // the lake-wide list.
         self.engine
-            .search(query, top_k + allowed.len())
+            .search(query, self.lake.n_tables())
             .into_iter()
-            .filter(|h| allowed.contains(&h.table))
+            .filter(|h| shelf.contains(&h.table))
             .take(top_k)
             .collect()
     }
 
     /// Tables under the current navigation state (most covered first).
     pub fn tables_here(&self) -> Vec<(TableId, usize)> {
-        self.cursor
-            .as_ref()
-            .map(|(_, nav)| nav.tables_here())
+        self.step(StepAction::Stay)
+            .map(|r| r.tables)
             .unwrap_or_default()
     }
 
@@ -210,43 +230,35 @@ impl<'a> UnifiedSession<'a> {
         self.lake
     }
 
-    fn walk_to(
-        nav: &mut Navigator<'a>,
-        org: &dln_org::Organization,
-        target: StateId,
-    ) -> Option<()> {
-        // BFS for a root→target path, then descend it.
-        let mut prev: Vec<Option<StateId>> = vec![None; org.n_slots()];
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(org.root());
-        let mut found = org.root() == target;
-        while let Some(s) = queue.pop_front() {
-            if s == target {
-                found = true;
-                break;
-            }
-            for &c in &org.state(s).children {
-                if prev[c.index()].is_none() && c != org.root() {
-                    prev[c.index()] = Some(s);
-                    queue.push_back(c);
-                }
+    /// Move the cursor to a fresh session on dimension `di` that descends
+    /// `path` (root first) step by step.
+    fn enter(&mut self, di: usize, path: &[StateId]) -> Option<StateId> {
+        self.leave();
+        let svc = &self.dims[di].svc;
+        let id = svc.open_session().ok()?;
+        for &s in &path[1..] {
+            if svc
+                .step(id, &StepRequest::action(StepAction::Descend(s)))
+                .is_err()
+            {
+                let _ = svc.close_session(id);
+                return None;
             }
         }
-        if !found {
-            return None;
+        self.cursor = Some((di, id));
+        path.last().copied()
+    }
+
+    fn leave(&mut self) {
+        if let Some((di, id)) = self.cursor.take() {
+            let _ = self.dims[di].svc.close_session(id);
         }
-        let mut path = vec![target];
-        let mut cur = target;
-        while let Some(p) = prev[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        debug_assert_eq!(path[0], org.root());
-        for step in &path[1..] {
-            nav.descend(*step).ok()?;
-        }
-        Some(())
+    }
+}
+
+impl Drop for UnifiedSession<'_> {
+    fn drop(&mut self) {
+        self.leave();
     }
 }
 
@@ -262,7 +274,7 @@ mod tests {
         values: dln_lake::ValueStore,
         model: dln_embed::SyntheticEmbedding,
         engine: KeywordSearch,
-        md: MultiDimOrganization,
+        dims: Vec<ServedDim>,
     }
 
     fn fixture() -> Fixture {
@@ -289,14 +301,14 @@ mod tests {
             values: s.values,
             model: s.model,
             engine,
-            md,
+            dims: md.dims.into_iter().map(ServedDim::serve).collect(),
         }
     }
 
     #[test]
     fn search_then_pivot_to_table() {
         let f = fixture();
-        let mut session = UnifiedSession::new(&f.lake, &f.engine, &f.md.dims);
+        let mut session = UnifiedSession::new(&f.lake, &f.engine, &f.dims);
         assert!(session.position().is_none());
         // Find some table by one of its values.
         let word = f
@@ -310,17 +322,26 @@ mod tests {
         let state = session.pivot_to_table(table).expect("table is organized");
         assert_eq!(session.position().map(|(_, s)| s), Some(state));
         // The pivot landed at a tag state whose shelf contains the table.
+        let view = session.step(StepAction::Stay).expect("cursor");
+        assert!(view.at_tag_state.is_some(), "pivot lands on a tag state");
         let shelf = session.tables_here();
         assert!(
             shelf.iter().any(|(t, _)| *t == table),
             "pivot target must expose the searched table"
         );
+        // Pivoting again moves the cursor: the first session is closed.
+        session.pivot_to_table(table).expect("table is organized");
+        let live: usize = f.dims.iter().map(|d| d.svc.live_sessions()).sum();
+        assert_eq!(live, 1, "one cursor, one live session");
+        drop(session);
+        let live: usize = f.dims.iter().map(|d| d.svc.live_sessions()).sum();
+        assert_eq!(live, 0, "dropping the session closes its cursor");
     }
 
     #[test]
     fn pivot_to_query_descends_toward_topic() {
         let f = fixture();
-        let mut session = UnifiedSession::new(&f.lake, &f.engine, &f.md.dims);
+        let mut session = UnifiedSession::new(&f.lake, &f.engine, &f.dims);
         // Pick a stored value the model can embed: `pivot_to_query` is
         // documented to return `None` for queries with no embeddable token,
         // and whether the *first* stored value is a numeric (unembeddable)
@@ -339,32 +360,32 @@ mod tests {
             .pivot_to_query(word, &f.model)
             .expect("embeddable query");
         let (di, _) = session.position().unwrap();
-        assert!(di < f.md.dims.len());
+        assert!(di < f.dims.len());
         // Deepest-match semantics: the state is below the root.
-        let dim = &f.md.dims[di];
-        assert_ne!(state, dim.organization.root());
+        assert_ne!(state, f.dims[di].svc.snapshot().root());
         // And browsing can continue from there.
-        let nav = session.navigator().unwrap();
-        assert!(nav.depth() > 0);
+        let view = session.step(StepAction::Stay).unwrap();
+        assert_eq!(view.state, state);
+        assert!(view.depth > 0);
     }
 
     #[test]
     fn pivot_to_query_rejects_unembeddable_text() {
         let f = fixture();
-        let mut session = UnifiedSession::new(&f.lake, &f.engine, &f.md.dims);
+        let mut session = UnifiedSession::new(&f.lake, &f.engine, &f.dims);
         assert!(session.pivot_to_query("zzz qqq 123", &f.model).is_none());
     }
 
     #[test]
     fn search_here_is_scoped_to_the_shelf() {
         let f = fixture();
-        let mut session = UnifiedSession::new(&f.lake, &f.engine, &f.md.dims);
+        let mut session = UnifiedSession::new(&f.lake, &f.engine, &f.dims);
         // Without a pivot, scoped search returns nothing.
         assert!(session.search_here("anything", 5).is_empty());
         let word = f.values.iter().find_map(|v| v.first()).unwrap();
         let table = session.search(word, 1)[0].table;
         session.pivot_to_table(table).unwrap();
-        let allowed: std::collections::BTreeSet<TableId> =
+        let allowed: BTreeSet<TableId> =
             session.tables_here().into_iter().map(|(t, _)| t).collect();
         let scoped = session.search_here(word, 10);
         for hit in &scoped {
@@ -373,16 +394,54 @@ mod tests {
     }
 
     #[test]
+    fn search_here_keeps_shelf_tables_ranked_low_in_the_lake() {
+        // Pivot to the lowest-ranked hit of a query with many hits: its
+        // shelf tables rank far below `top_k + |shelf|` lake-wide, and the
+        // scoped search must still return them, in lake-wide rank order.
+        let f = fixture();
+        let mut session = UnifiedSession::new(&f.lake, &f.engine, &f.dims);
+        let top_k = 3;
+        let (word, all) = f
+            .values
+            .iter()
+            .flat_map(|v| v.iter())
+            .map(|w| (w, session.search(w, f.lake.n_tables())))
+            .max_by_key(|(_, hits)| hits.len())
+            .expect("stored values");
+        let low = all.last().expect("hits").table;
+        session.pivot_to_table(low).expect("table is organized");
+        let shelf: BTreeSet<TableId> = session.tables_here().into_iter().map(|(t, _)| t).collect();
+        let rank = all.iter().position(|h| h.table == low).unwrap();
+        assert!(
+            rank >= top_k + shelf.len(),
+            "the pivot table must rank below the old cut-off ({rank} of {})",
+            all.len()
+        );
+        let expected: Vec<TableId> = all
+            .iter()
+            .filter(|h| shelf.contains(&h.table))
+            .map(|h| h.table)
+            .take(top_k)
+            .collect();
+        let got: Vec<TableId> = session
+            .search_here(word, top_k)
+            .iter()
+            .map(|h| h.table)
+            .collect();
+        assert!(!got.is_empty(), "the pivot table itself is a shelf hit");
+        assert_eq!(got, expected);
+    }
+
+    #[test]
     fn pivot_roundtrip_search_navigate_search() {
         // The full future-work loop: search → pivot → browse → scoped search.
         let f = fixture();
-        let mut session = UnifiedSession::new(&f.lake, &f.engine, &f.md.dims);
+        let mut session = UnifiedSession::new(&f.lake, &f.engine, &f.dims);
         let word = f.values.iter().find_map(|v| v.first()).unwrap();
         let table = session.search(word, 1)[0].table;
         session.pivot_to_table(table).unwrap();
         // Browse up one level to widen the shelf, then search within it.
-        let nav = session.navigator().unwrap();
-        nav.backtrack();
+        session.step(StepAction::Backtrack).unwrap();
         let wide = session.tables_here();
         assert!(!wide.is_empty());
         let scoped = session.search_here(word, 10);

@@ -1,9 +1,9 @@
 //! An interactive navigation REPL over a generated lake — a terminal
 //! version of the paper's user-study prototype (§4.4), served through the
-//! fault-tolerant navigation service (`dln-serve`) rather than a bare
-//! [`Navigator`]: every command is a [`StepRequest`], and the degraded /
-//! overloaded / migrated outcomes a production client would see are
-//! surfaced in the prompt.
+//! fault-tolerant navigation service (`dln-serve`) that the simulated
+//! study participants walk too: every command is a [`StepRequest`], and
+//! the degraded / overloaded / migrated outcomes a production client
+//! would see are surfaced in the prompt.
 //!
 //! Run with:
 //! ```sh

@@ -17,7 +17,7 @@
 use datalake_nav::prelude::*;
 use datalake_nav::search::ExpansionConfig;
 use datalake_nav::study::{
-    default_scenario, disjointness, AgentConfig, NavigationAgent, SearchAgent,
+    default_scenario, disjointness, AgentConfig, SearchAgent, ServedAgent, ServedDim,
 };
 
 fn main() {
@@ -32,7 +32,8 @@ fn main() {
         scenario.relevant.len()
     );
 
-    // Interface 1: a 2-dimensional optimized organization.
+    // Interface 1: a 2-dimensional optimized organization, each dimension
+    // on its own navigation service.
     let md = MultiDimOrganization::build(
         lake,
         &datalake_nav::org::MultiDimConfig {
@@ -57,7 +58,16 @@ fn main() {
         seed: 7,
         ..Default::default()
     };
-    let nav_found = NavigationAgent::run(&md.dims, lake, &scenario, &cfg);
+    let dims: Vec<ServedDim> = md.dims.into_iter().map(ServedDim::serve).collect();
+    let nav_found = ServedAgent::run(
+        &dims,
+        lake,
+        &scenario,
+        &cfg,
+        &RetryPolicy::default(),
+        |_| {},
+    )
+    .found;
     let search_found = SearchAgent::run(&engine, &socrata.model, lake, &scenario, &cfg);
 
     let verified = |set: &std::collections::BTreeSet<TableId>| {

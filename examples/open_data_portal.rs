@@ -10,7 +10,7 @@
 
 use datalake_nav::org::MultiDimConfig;
 use datalake_nav::prelude::*;
-use datalake_nav::study::default_scenario;
+use datalake_nav::study::{default_scenario, ServedDim};
 
 fn main() {
     // A skewed, multi-tagged, partially-embedded open-data lake (see
@@ -54,43 +54,49 @@ fn main() {
         scenario.relevant.len()
     );
 
-    // Greedy navigation session in the best-matching dimension (the one
-    // whose root topic is closest to the scenario).
-    let dim = md
-        .dims
+    // Serve each dimension, then run a greedy navigation session in the
+    // best-matching one (the one whose root topic is closest to the
+    // scenario).
+    let dims: Vec<ServedDim> = md.dims.into_iter().map(ServedDim::serve).collect();
+    let svc = &dims
         .iter()
         .max_by(|a, b| {
-            let sa = datalake_nav::embed::dot(
-                &a.organization.state(a.organization.root()).unit_topic,
-                &scenario.unit_topic,
-            );
-            let sb = datalake_nav::embed::dot(
-                &b.organization.state(b.organization.root()).unit_topic,
-                &scenario.unit_topic,
-            );
+            let sa = datalake_nav::embed::dot(&a.root_topic, &scenario.unit_topic);
+            let sb = datalake_nav::embed::dot(&b.root_topic, &scenario.unit_topic);
             sa.partial_cmp(&sb).unwrap()
         })
-        .expect("at least one dimension");
-    let mut nav = dim.navigator();
+        .expect("at least one dimension")
+        .svc;
+    let sid = svc.open_session().expect("session");
+    let mut req = StepRequest {
+        query: Some(scenario.unit_topic.clone()),
+        list_tables: true,
+        ..StepRequest::action(StepAction::Stay)
+    };
+    let mut view = svc.step(sid, &req).expect("step");
     println!("\ngreedy navigation trace (best-matching dimension):");
     for step in 1..=24 {
-        let probs = nav.transition_probs(&scenario.unit_topic);
-        let Some((best, p)) = probs
+        let Some(best) = view
+            .children
             .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .copied()
+            .max_by(|a, b| a.prob.partial_cmp(&b.prob).unwrap())
         else {
             break;
         };
-        println!("  step {step}: -> {} (p = {:.2})", nav.label(best), p);
-        nav.descend(best).expect("child");
-        if nav.at_tag_state().is_some() {
+        println!(
+            "  step {step}: -> {} (p = {:.2})",
+            best.label,
+            best.prob.unwrap_or(0.0)
+        );
+        req.action = StepAction::Descend(best.state);
+        view = svc.step(sid, &req).expect("step");
+        if view.at_tag_state.is_some() {
             break;
         }
     }
     println!("\ntables under the reached state:");
     let mut hits = 0;
-    for (tid, _) in nav.tables_here().into_iter().take(8) {
+    for (tid, _) in view.tables.into_iter().take(8) {
         let mark = if scenario.relevant.contains(&tid) {
             hits += 1;
             "RELEVANT"

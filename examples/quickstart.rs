@@ -53,28 +53,37 @@ fn main() {
         curve.per_table.last().map(|(_, v)| *v).unwrap_or(0.0),
     );
 
-    // 5. Navigate: walk toward the topic of the first attribute.
+    // 5. Navigate: serve the optimized organization and walk toward the
+    //    topic of the first attribute, one step at a time.
     let query = lake.attr(AttrId(0)).unit_topic.clone();
-    let mut nav = optimized.navigator();
+    let svc = NavService::new(
+        optimized.ctx,
+        optimized.organization,
+        optimized.nav,
+        ServeConfig::default(),
+    );
+    let sid = svc.open_session().expect("session");
+    let mut req = StepRequest {
+        query: Some(query),
+        list_tables: true,
+        ..StepRequest::action(StepAction::Stay)
+    };
     println!(
         "\nnavigating toward the topic of attribute `{}`:",
         lake.attr(AttrId(0)).name
     );
-    for _ in 0..32 {
-        let probs = nav.transition_probs(&query);
-        let Some((best, p)) = probs
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .copied()
-        else {
-            break;
-        };
-        println!("  -> {} (p = {:.2})", nav.label(best), p);
-        nav.descend(best).expect("child");
+    let mut view = svc.step(sid, &req).expect("step");
+    while let Some(best) = view
+        .children
+        .iter()
+        .max_by(|a, b| a.prob.partial_cmp(&b.prob).unwrap())
+    {
+        println!("  -> {} (p = {:.2})", best.label, best.prob.unwrap_or(0.0));
+        req.action = StepAction::Descend(best.state);
+        view = svc.step(sid, &req).expect("step");
     }
-    let tables = nav.tables_here();
     println!("  tables at this state:");
-    for (tid, n_attrs) in tables.iter().take(5) {
+    for (tid, n_attrs) in view.tables.iter().take(5) {
         println!(
             "    {} ({} matching attributes)",
             lake.table(*tid).name,

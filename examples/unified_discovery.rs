@@ -11,7 +11,7 @@
 use datalake_nav::org::MultiDimConfig;
 use datalake_nav::prelude::*;
 use datalake_nav::search::ExpansionConfig;
-use datalake_nav::study::UnifiedSession;
+use datalake_nav::study::{ServedDim, UnifiedSession};
 
 fn main() {
     let socrata = SocrataConfig::small().generate();
@@ -35,7 +35,8 @@ fn main() {
             ..Default::default()
         },
     );
-    let mut session = UnifiedSession::new(lake, &engine, &md.dims);
+    let dims: Vec<ServedDim> = md.dims.into_iter().map(ServedDim::serve).collect();
+    let mut session = UnifiedSession::new(lake, &engine, &dims);
 
     // 1. Search: a value the user remembers seeing somewhere.
     let probe_value = socrata
@@ -63,7 +64,7 @@ fn main() {
     }
 
     // 3. Browse: widen the view one level.
-    session.navigator().unwrap().backtrack();
+    session.step(StepAction::Backtrack).expect("cursor");
     println!(
         "\n[browse] backtracked to {}",
         session.position_label().unwrap()

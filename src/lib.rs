@@ -74,7 +74,7 @@ pub mod prelude {
     pub use crate::net::{Client, NetConfig, NetServer};
     pub use crate::org::{
         clustering_org, flat_org, BuiltOrganization, MultiDimConfig, MultiDimOrganization,
-        NavConfig, Navigator, Organization, OrganizerBuilder, SearchConfig, ShardPolicy,
+        NavConfig, Organization, OrganizerBuilder, SearchConfig, ShardPolicy,
     };
     pub use crate::search::{KeywordSearch, SearchHit};
     pub use crate::serve::{

@@ -4,7 +4,7 @@
 
 use datalake_nav::org::MultiDimConfig;
 use datalake_nav::prelude::*;
-use datalake_nav::study::{default_scenario, AgentConfig, NavigationAgent, SearchAgent};
+use datalake_nav::study::{default_scenario, AgentConfig, SearchAgent, ServedAgent, ServedDim};
 
 fn tagcloud() -> datalake_nav::synth::TagCloudBench {
     TagCloudConfig::small().generate()
@@ -116,8 +116,8 @@ fn socrata_split_supports_study_agents() {
         let scenario = default_scenario(lake, "s", 2, 0.6).expect("scenario");
         assert!(!scenario.relevant.is_empty());
         let built = OrganizerBuilder::new(lake).max_iters(60).build_clustering();
-        let found = NavigationAgent::run(
-            &[built],
+        let found = ServedAgent::run(
+            &[ServedDim::serve(built)],
             lake,
             &scenario,
             &AgentConfig {
@@ -125,7 +125,10 @@ fn socrata_split_supports_study_agents() {
                 seed: 5,
                 ..Default::default()
             },
-        );
+            &RetryPolicy::default(),
+            |_| {},
+        )
+        .found;
         // A bounded walk may or may not find tables, but must terminate and
         // stay within the lake.
         for t in &found {
@@ -170,28 +173,38 @@ fn navigator_reaches_every_tag_state() {
     let bench = tagcloud();
     let built = OrganizerBuilder::new(&bench.lake).build_clustering();
     let org = &built.organization;
+    let svc = NavService::new(
+        built.ctx.clone(),
+        org.clone(),
+        built.nav,
+        ServeConfig::default(),
+    );
     for t in 0..built.ctx.n_tags() as u32 {
         let target = org.tag_state(t);
-        // Walk greedily toward the tag's own topic.
-        let query = built.ctx.tag(t).unit_topic.clone();
-        let mut nav = built.navigator();
+        // Walk greedily toward the tag's own topic, one served step at a
+        // time.
+        let sid = svc.open_session().unwrap();
+        let mut req = StepRequest {
+            query: Some(built.ctx.tag(t).unit_topic.clone()),
+            ..StepRequest::action(StepAction::Stay)
+        };
         let mut reached = false;
         for _ in 0..64 {
-            if nav.current() == target {
+            let view = svc.step(sid, &req).unwrap();
+            if view.state == target {
                 reached = true;
                 break;
             }
-            let probs = nav.transition_probs(&query);
-            if probs.is_empty() {
-                break;
-            }
-            let (best, _) = probs
+            let Some(best) = view
+                .children
                 .iter()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                .copied()
-                .unwrap();
-            nav.descend(best).unwrap();
+                .max_by(|a, b| a.prob.partial_cmp(&b.prob).unwrap())
+            else {
+                break;
+            };
+            req.action = StepAction::Descend(best.state);
         }
+        svc.close_session(sid).unwrap();
         // Greedy may occasionally miss; but the tag state must at least be
         // structurally reachable.
         if !reached {
